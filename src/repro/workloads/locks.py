@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, List
 
-from repro.workloads.reference import MemRef, Op
+from repro.workloads.reference import MemRef, Op, ref_table
 from repro.workloads.synthetic import Workload
 
 
@@ -112,22 +112,26 @@ class LockContentionWorkload(Workload):
     def _generate(self, pid: int) -> Iterator[MemRef]:
         rng = random.Random(f"{self.seed}-lock-{pid}")
         private: List[int] = list(self.private_pool(pid))
+        shared_reads = ref_table(pid, Op.READ, True)
+        shared_writes = ref_table(pid, Op.WRITE, True)
+        private_reads = ref_table(pid, Op.READ, False)
+        private_writes = ref_table(pid, Op.WRITE, False)
         while True:
             lock = rng.randrange(self.n_locks)
             lock_addr = self.lock_block(lock)
             protected = list(self.protected_pool(lock))
             # Acquire: test (read) then set (write) — §3.2.4's path.
-            yield MemRef(pid, Op.READ, lock_addr, shared=True)
-            yield MemRef(pid, Op.WRITE, lock_addr, shared=True)
+            yield shared_reads[lock_addr]
+            yield shared_writes[lock_addr]
             # Critical section over the protected data.
             for _ in range(self.critical_section_refs):
                 block = protected[rng.randrange(len(protected))]
-                op = Op.WRITE if rng.random() < 0.5 else Op.READ
-                yield MemRef(pid, op, block, shared=True)
+                table = shared_writes if rng.random() < 0.5 else shared_reads
+                yield table[block]
             # Release.
-            yield MemRef(pid, Op.WRITE, lock_addr, shared=True)
+            yield shared_writes[lock_addr]
             # Think time on private data.
             for _ in range(self.think_refs):
                 block = private[rng.randrange(len(private))]
-                op = Op.WRITE if rng.random() < 0.3 else Op.READ
-                yield MemRef(pid, op, block, shared=False)
+                table = private_writes if rng.random() < 0.3 else private_reads
+                yield table[block]

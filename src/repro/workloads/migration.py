@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, List
 
-from repro.workloads.reference import MemRef, Op
+from repro.workloads.reference import MemRef, Op, ref_table
 from repro.workloads.synthetic import Workload
 
 
@@ -112,6 +112,10 @@ class MigratingWorkload(Workload):
     def _generate(self, pid: int) -> Iterator[MemRef]:
         rng = random.Random(f"{self.seed}-mig-{pid}")
         shared: List[int] = list(self.shared_blocks)
+        # Tag everything shared: after a migration the "private" pool
+        # really is visible from two caches.
+        reads = ref_table(pid, Op.READ, True)
+        writes = ref_table(pid, Op.WRITE, True)
         issued = 0
         while True:
             epoch = (
@@ -123,15 +127,9 @@ class MigratingWorkload(Workload):
             pool = self.process_pool(process)
             if rng.random() < self.q:
                 block = shared[rng.randrange(len(shared))]
-                op = Op.WRITE if rng.random() < self.w else Op.READ
+                write = rng.random() < self.w
             else:
                 block = pool[rng.randrange(len(pool))]
-                op = (
-                    Op.WRITE
-                    if rng.random() < self.private_write_frac
-                    else Op.READ
-                )
-            # Tag everything shared: after a migration the "private"
-            # pool really is visible from two caches.
-            yield MemRef(pid=pid, op=op, block=block, shared=True)
+                write = rng.random() < self.private_write_frac
+            yield (writes if write else reads)[block]
             issued += 1

@@ -21,7 +21,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
-from repro.workloads.reference import MemRef, Op
+from repro.workloads.reference import MemRef, Op, ref_table
 
 #: Per-pid memoized stream prefix cap (see ``DuboisBriggsWorkload.stream``).
 #: Beyond it a replay iterator falls back to a private re-derived generator.
@@ -265,18 +265,19 @@ class DuboisBriggsWorkload(Workload):
         n_shared = len(shared)
         q, w, pw = self.q, self.w, self.private_write_frac
         stack_depth = self._stack_depth
-        read, write = Op.READ, Op.WRITE
+        shared_reads = ref_table(pid, Op.READ, True)
+        shared_writes = ref_table(pid, Op.WRITE, True)
+        private_reads = ref_table(pid, Op.READ, False)
+        private_writes = ref_table(pid, Op.WRITE, False)
         while True:
             if rand() < q:
                 block = shared[randrange(n_shared)]
-                op = write if rand() < w else read
-                yield MemRef(pid=pid, op=op, block=block, shared=True)
+                yield (shared_writes if rand() < w else shared_reads)[block]
             else:
                 depth = stack_depth(rng, len(stack))
                 block = stack.pop(depth)
                 stack.insert(0, block)
-                op = write if rand() < pw else read
-                yield MemRef(pid=pid, op=op, block=block, shared=False)
+                yield (private_writes if rand() < pw else private_reads)[block]
 
     def _stack_depth(self, rng: random.Random, limit: int) -> int:
         """Geometric stack distance, truncated to the pool size."""
@@ -311,10 +312,11 @@ class UniformWorkload(Workload):
 
     def _raw_stream(self, pid: int) -> Iterator[MemRef]:
         rng = random.Random(f"{self.seed}-{pid}")
+        reads = ref_table(pid, Op.READ, True)
+        writes = ref_table(pid, Op.WRITE, True)
         while True:
             block = rng.randrange(self.n_blocks)
-            op = Op.WRITE if rng.random() < self.write_frac else Op.READ
-            yield MemRef(pid=pid, op=op, block=block, shared=True)
+            yield (writes if rng.random() < self.write_frac else reads)[block]
 
     def __repr__(self) -> str:
         return (

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Union
 
-from repro.workloads.reference import MemRef
+from repro.workloads.reference import MemRef, RefTable
 from repro.workloads.synthetic import Workload
 
 #: Current trace format version; bump when the line grammar changes.
@@ -96,34 +96,47 @@ def _check_header(path: Union[str, Path], first_line: Optional[str]) -> None:
         )
 
 
+def _parse_line(line: str) -> Optional[MemRef]:
+    """One trace line's reference; ``None`` for a blank or comment line."""
+    text = line.strip()
+    if not text or text.startswith("#"):
+        return None
+    return MemRef.parse(text)
+
+
 def iter_trace(path: Union[str, Path]) -> Iterator[MemRef]:
     """Stream references from ``path`` without materializing the file.
 
     Validates the ``# repro trace v1`` header, then yields one
     :class:`MemRef` per non-comment line in file order.  Reads the file
     in ~64 KiB chunks, so peak memory is independent of trace size.
+    Lines are interned in a bounded :class:`RefTable`: a line seen
+    before yields the same shared reference without being parsed again.
 
     Raises:
         TraceFormatError: missing/unknown header or a malformed line.
     """
+    return _read_refs(path, RefTable(_parse_line))
+
+
+def _read_refs(path: Union[str, Path], refs: RefTable) -> Iterator[MemRef]:
+    """:func:`iter_trace` over the caller's line table ``refs``."""
     with open(path, "r", encoding="ascii") as fh:
         first = fh.readline()
         _check_header(path, first if first else None)
         lineno = 1
-        parse = MemRef.parse
         while True:
             chunk = fh.readlines(_CHUNK_BYTES)
             if not chunk:
                 return
             for line in chunk:
                 lineno += 1
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
                 try:
-                    yield parse(line)
+                    ref = refs[line]
                 except ValueError as exc:
                     raise TraceFormatError(path, lineno, str(exc)) from None
+                if ref is not None:
+                    yield ref
 
 
 def read_trace(path: Union[str, Path]) -> List[MemRef]:
@@ -360,6 +373,10 @@ class StreamingTraceWorkload(Workload):
         self.n_blocks = meta.n_blocks
         self.n_refs = meta.n_refs
         self._file_digest: Optional[str] = None
+        # One line table for the shared reader and every private rescan
+        # (detached streams, restores): a checkpoint restore rescans the
+        # file once per processor, and those rescans hit the same table.
+        self._line_refs = RefTable(_parse_line)
         self._reset_demux()
 
     # ------------------------------------------------------------------
@@ -383,7 +400,8 @@ class StreamingTraceWorkload(Workload):
         return self._demux_stream(pid)
 
     def _scan(self, pid: int) -> Iterator[MemRef]:
-        return (ref for ref in iter_trace(self.path) if ref.pid == pid)
+        refs = _read_refs(self.path, self._line_refs)
+        return (ref for ref in refs if ref.pid == pid)
 
     def _demux_stream(self, pid: int) -> Iterator[MemRef]:
         consumed = 0
@@ -418,7 +436,7 @@ class StreamingTraceWorkload(Workload):
         when the lookahead budget is exhausted.
         """
         if self._source is None:
-            self._source = iter_trace(self.path)
+            self._source = _read_refs(self.path, self._line_refs)
         source = self._source
         buffers = self._buffers
         detached = self._detached
@@ -453,7 +471,13 @@ class StreamingTraceWorkload(Workload):
         state["_buffers"] = {}
         state["_claimed"] = set()
         state["_detached"] = set()
+        # A cache, rebuilt on load: it never enters checkpoint payloads.
+        del state["_line_refs"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._line_refs = RefTable(_parse_line)
 
     def file_digest(self) -> str:
         """SHA-256 of the trace file (cached) — trace content identity."""

@@ -39,6 +39,17 @@ def test_memref_parse_malformed():
         MemRef.parse("1 R 5 s extra")
 
 
+@pytest.mark.parametrize("tag", ["x", "shared", "S", "P", "private", "1"])
+def test_memref_parse_rejects_unknown_sharing_tag(tag):
+    with pytest.raises(ValueError, match="sharing tag"):
+        MemRef.parse(f"3 W 117 {tag}")
+
+
+def test_memref_parse_sharing_tags():
+    assert MemRef.parse("3 W 117 s").shared is True
+    assert MemRef.parse("3 W 117 p").shared is False
+
+
 def test_is_write():
     assert MemRef(0, Op.WRITE, 0).is_write
     assert not MemRef(0, Op.READ, 0).is_write

@@ -79,6 +79,24 @@ def test_format_error_carries_location(tmp_path):
     assert exc.value.path == str(path)
 
 
+@pytest.mark.parametrize("tag", ["x", "shared"])
+def test_unknown_sharing_tag_is_a_format_error(tmp_path, tag):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{TRACE_HEADER}\n0 R 1 s\n# note\n3 W 117 {tag}\n")
+    with pytest.raises(TraceFormatError, match="sharing tag") as exc:
+        read_trace(path)
+    assert exc.value.lineno == 4
+
+
+def test_bad_line_is_reported_even_after_good_copies(tmp_path):
+    # A line already interned as good must not mask a later bad one.
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{TRACE_HEADER}\n0 R 1 s\n0 R 1 s\n0 R 1 q\n0 R 1 s\n")
+    with pytest.raises(TraceFormatError) as exc:
+        read_trace(path)
+    assert exc.value.lineno == 4
+
+
 def test_write_is_atomic_no_temp_left(tmp_path):
     path = tmp_path / "trace.txt"
     write_trace(path, sample_refs())
