@@ -15,7 +15,7 @@ Quick start — the stable facade (see ``docs/api.md``)::
     # a cached, crash-tolerant parameter grid:
     report = Experiment().sweep(
         {"protocol": ["twobit", "fullmap"], "q": [0.01, 0.05]},
-        workers=4, elastic=True,
+        workers=4,
     )
 
 Lower-level building blocks (``MachineConfig``, workloads, the machine

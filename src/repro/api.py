@@ -8,9 +8,9 @@ and exposes:
 
 * :meth:`Experiment.run` — simulate one machine (optionally
   checkpointing), audit it, return a :class:`RunOutcome`;
-* :meth:`Experiment.sweep` — fan a grid of variants out over worker
-  processes, cached and optionally *elastic* (crash-tolerant,
-  checkpoint-resumable — see :mod:`repro.runner.elastic`);
+* :meth:`Experiment.sweep` — fan a grid of variants out, inline or
+  over a crash-tolerant, checkpoint-resumable worker pool or a sweep
+  service, cached either way (see :mod:`repro.runner.scheduler`);
 * :meth:`Experiment.check` — model-check + differential-test the
   experiment's protocol;
 * :meth:`Experiment.trace` — run instrumented and export a Perfetto
@@ -18,8 +18,8 @@ and exposes:
 
 :func:`resume` restores a checkpointed run from disk and finishes it;
 :func:`run_point` is the module-level sweep point function (picklable
-by reference, cache-keyed on its kwargs) that both sweep flavours and
-the CLI share.
+by reference, cache-keyed on its kwargs) that every sweep transport
+and the CLI share.
 
 Everything here is covered by the committed API surface snapshot
 (``API_SURFACE.txt``, enforced in CI): changing a signature is a
@@ -307,7 +307,6 @@ class Experiment:
         self,
         axes: Mapping[str, Sequence[Any]],
         workers: Optional[int] = None,
-        elastic: bool = False,
         service: Optional[str] = None,
         checkpoint_every: int = 0,
         checkpoint_dir: Optional[str] = None,
@@ -327,24 +326,27 @@ class Experiment:
         plus the point's overrides and a per-point derived seed, so
         results are independent of worker count and execution order.
 
-        ``elastic=True`` uses the work-stealing crash-tolerant pool
-        (:func:`~repro.runner.elastic.run_sweep_elastic`); with
-        ``checkpoint_every`` set, a shard interrupted by worker death
-        resumes from its last checkpoint instead of recomputing.
-        Elastic and plain sweeps share the same result cache entries.
+        ``workers=None`` runs the points inline, in this process.  An
+        integer runs them on a supervised pool of that many processes
+        (:func:`~repro.runner.sweep.run_sweep`): a worker that dies, or
+        holds a shard past ``stall_timeout`` seconds, is replaced and
+        its shard retried, up to ``max_retries`` times; with
+        ``checkpoint_every`` set, a retried shard resumes from its last
+        checkpoint instead of recomputing.  Inline sweeps have no
+        worker to lose, so they reject ``stall_timeout``,
+        ``checkpoint_every`` and ``checkpoint_dir`` with ``ValueError``.
 
         ``service="http://host:port"`` submits the grid to a running
         sweep-service coordinator (``repro serve``) and its registered
         ``repro work`` fleet instead of local processes
-        (:func:`~repro.runner.service.run_sweep_service`).  The retry/
-        stall budgets keep their elastic semantics, enforced by the
-        coordinator's reaper; the result cache and checkpoint
-        directories live coordinator-side, and cache entries are keyed
-        exactly as local runs key them, so a distributed sweep warms
-        the same cache a later local sweep hits.  ``service`` and
-        ``elastic`` are mutually exclusive, and ``progress_out`` must
-        be a path or file-like (the coordinator's merged stream is
-        downloaded verbatim).  See ``docs/service.md``.
+        (:func:`~repro.runner.service.run_sweep_service`).  The
+        coordinator runs the same scheduler with the same retry/stall
+        budgets; the result cache and checkpoint directories live
+        coordinator-side, and cache entries are keyed exactly as local
+        runs key them, so a distributed sweep warms the same cache a
+        later local sweep hits.  ``progress_out`` must be a path or
+        file-like (the coordinator's merged stream is downloaded
+        verbatim).  See ``docs/service.md``.
 
         ``instrument=True`` runs every point with the observability hub
         attached and caches each point's telemetry alongside its result
@@ -355,18 +357,11 @@ class Experiment:
         schema-stamped JSONL lifecycle events described in
         :mod:`repro.obs.progress`.
         """
-        from repro.runner.elastic import run_sweep_elastic
         from repro.runner.sweep import run_sweep
 
         points = self.sweep_points(axes, instrument=instrument)
         name = label if label is not None else f"{self.protocol}-grid"
         if service is not None:
-            if elastic:
-                raise ValueError(
-                    "sweep(service=...) and sweep(elastic=True) are "
-                    "mutually exclusive: the coordinator's fleet already "
-                    "is the elastic pool"
-                )
             from repro.runner.service import run_sweep_service
 
             return run_sweep_service(
@@ -380,20 +375,6 @@ class Experiment:
                 progress_out=progress_out,
                 verbose=verbose,
             )
-        if elastic:
-            return run_sweep_elastic(
-                points,
-                workers=workers if workers is not None else 2,
-                cache_dir=cache_dir,
-                use_cache=use_cache,
-                label=name,
-                verbose=verbose,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir,
-                max_retries=max_retries,
-                stall_timeout=stall_timeout,
-                progress_out=progress_out,
-            )
         return run_sweep(
             points,
             workers=workers,
@@ -402,6 +383,10 @@ class Experiment:
             label=name,
             verbose=verbose,
             progress_out=progress_out,
+            checkpoint_every=checkpoint_every,
+            checkpoint_dir=checkpoint_dir,
+            max_retries=max_retries,
+            stall_timeout=stall_timeout,
         )
 
     def sweep_points(
@@ -525,9 +510,9 @@ def run_point(
 
     Module-level (picklable by reference) and cache-keyed on ``kwargs``
     only — the checkpoint arguments are injected per-execution by the
-    elastic runner and never reach the cache key.  When
+    sweep scheduler and never reach the cache key.  When
     ``checkpoint_path`` already exists the simulation *resumes* from it
-    instead of restarting: that is how a retried elastic shard avoids
+    instead of restarting: that is how a retried shard avoids
     recomputing cycles it already simulated.
 
     With ``instrument=True`` (part of the cache key when set by

@@ -4,7 +4,7 @@ Commands:
 
 * ``run``      — simulate one machine and print results + audit verdict.
 * ``trace``    — simulate with full telemetry and export a Perfetto trace.
-* ``sweep``    — run a parameter grid (cached, optionally elastic).
+* ``sweep``    — run a parameter grid (cached; inline, pool or service).
 * ``report``   — comparative rollup over the cached sweep store.
 * ``tables``   — print the paper's Table 4-1 / Table 4-2 / thresholds.
 * ``topology`` — render the Figure 3-1 system for a configuration.
@@ -17,7 +17,7 @@ name, default, and type (a short alias table preserves the historical
 spellings like ``-n``/``--refs``), so the CLI and the programmatic API
 cannot drift apart.  ``run`` supports ``--checkpoint-every`` /
 ``--checkpoint-path`` / ``--resume`` (see ``docs/api.md``); ``sweep
---elastic`` runs the crash-tolerant work-stealing pool.
+--workers N`` runs the crash-tolerant worker pool.
 
 ``run`` and ``compare`` accept ``--metrics-out metrics.jsonl`` to dump
 per-outcome latency histograms, span-phase breakdowns, and time-series
@@ -404,7 +404,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         report = experiment.sweep(
             axes,
             workers=args.workers,
-            elastic=args.elastic,
             service=args.service,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
@@ -417,7 +416,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             instrument=args.metrics,
             progress_out=args.progress_out,
         )
-    except (SweepError, ServiceError) as exc:
+    except (SweepError, ServiceError, ValueError) as exc:
         raise SystemExit(str(exc))
     table = Table(
         header=["point", "cmds/ref", "extra/ref", "miss", "latency"],
@@ -862,7 +861,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep",
-        help="run a parameter grid with caching (optionally elastic)",
+        help="run a parameter grid with caching (inline, on a worker "
+        "pool, or on a sweep service)",
     )
     p_sweep.add_argument("--protocol", choices=PROTOCOL_CHOICES,
                          default="twobit")
@@ -874,25 +874,22 @@ def make_parser() -> argparse.ArgumentParser:
         "(e.g. --axis protocol=twobit,fullmap --axis q=0.01,0.05)",
     )
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: inline)")
-    p_sweep.add_argument("--elastic", action="store_true",
-                         help="crash-tolerant work-stealing pool: dead or "
-                         "stalled workers are replaced and their shards "
-                         "retried (resuming from shard checkpoints when "
-                         "--checkpoint-every is set)")
+                         help="size of the crash-tolerant worker pool: "
+                         "dead or stalled workers are replaced and their "
+                         "shards retried (default: run inline)")
     p_sweep.add_argument("--service", default=None, metavar="URL",
                          help="submit the grid to a running sweep-service "
                          "coordinator (`repro serve`) and its `repro "
-                         "work` fleet instead of local processes; "
-                         "mutually exclusive with --elastic "
+                         "work` fleet instead of local processes "
                          "(docs/service.md)")
     p_sweep.add_argument("--checkpoint-every", type=int, default=0,
                          metavar="CYCLES",
-                         help="per-shard checkpoint cadence for elastic "
-                         "retries (0 = shards restart from scratch)")
+                         help="per-shard checkpoint cadence, so a retried "
+                         "shard resumes (0 = shards restart from scratch; "
+                         "needs --workers or --service)")
     p_sweep.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                          help="where shard checkpoints live (default: a "
-                         "temporary directory)")
+                         "temporary directory; needs --workers)")
     p_sweep.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="result cache directory (default: "
                          ".sweep_cache or $REPRO_SWEEP_CACHE)")
@@ -903,7 +900,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--stall-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="kill workers holding one shard longer than "
-                         "this (elastic only)")
+                         "this (needs --workers or --service)")
     p_sweep.add_argument("--label", default=None,
                          help="sweep name for the summary/cache metadata")
     p_sweep.add_argument("--metrics", action="store_true",

@@ -4,11 +4,11 @@ A :class:`ProgressStream` turns a sweep run into a live, append-only
 JSONL event stream: a run manifest, one lifecycle trail per point
 (``point-queued`` → ``point-running`` → ``point-retried`` /
 ``point-checkpointed`` → ``point-done`` / ``point-failed``), worker
-lifecycle and heartbeat events on elastic runs, and a terminal
-``sweep-end``.  Both sweep schedulers
-(:func:`~repro.runner.sweep.run_sweep` and
-:func:`~repro.runner.elastic.run_sweep_elastic`) accept a
-``progress_out=`` destination and emit **supervisor-side**: a worker
+lifecycle and heartbeat events when the transport can lose workers
+(the pool and the sweep service), and a terminal ``sweep-end``.  The
+sweep scheduler (:class:`~repro.runner.scheduler.Scheduler`, behind
+:func:`~repro.runner.sweep.run_sweep` and the sweep service) takes a
+``progress_out=`` destination and emits **supervisor-side**: a worker
 that is SIGKILLed mid-task cannot flush anything, so every event —
 including the dead worker's terminal ``worker-died`` /
 ``point-retried`` / ``point-failed`` records — is written by the
@@ -46,9 +46,9 @@ __all__ = [
 
 #: Events that close a point's lifecycle trail.  Every point that ever
 #: went ``point-running`` must be closed by exactly one of these before
-#: the stream's ``sweep-end`` — on failed sweeps too.  Both local
-#: schedulers and the sweep-service coordinator uphold this; consumers
-#: can assert it with :func:`verify_point_trails`.
+#: the stream's ``sweep-end`` — on failed sweeps too.  The sweep
+#: scheduler upholds this on every transport; consumers can assert it
+#: with :func:`verify_point_trails`.
 TERMINAL_EVENTS = ("point-done", "point-failed")
 
 #: The complete event vocabulary, for validation and documentation.

@@ -2,9 +2,13 @@
 
 The benchmark suite's tables are sweeps over (protocol, n, sharing)
 grids of independent simulations.  :func:`run_sweep` executes such a
-grid across worker processes with per-point deterministic seeds, and
-memoizes each point's result on disk keyed by (function, kwargs, code
-version) — see :mod:`repro.runner.cache` for the invalidation rules.
+grid inline or across a supervised worker pool with per-point
+deterministic seeds, and memoizes each point's result on disk keyed by
+(function, kwargs, code version) — see :mod:`repro.runner.cache` for
+the invalidation rules.  One scheduler
+(:class:`~repro.runner.scheduler.Scheduler`) makes every scheduling
+decision; the inline loop, the pool (:mod:`repro.runner.pool`) and the
+sweep service (:func:`run_sweep_service`) are only its transports.
 """
 
 from repro.runner.cache import (
@@ -13,7 +17,6 @@ from repro.runner.cache import (
     code_version,
     default_cache_dir,
 )
-from repro.runner.elastic import run_sweep_elastic
 from repro.runner.seeds import derive_seed
 from repro.runner.sweep import (
     DuplicatePointLabelError,
@@ -49,6 +52,5 @@ __all__ = [
     "default_cache_dir",
     "derive_seed",
     "run_sweep",
-    "run_sweep_elastic",
     "run_sweep_service",
 ]

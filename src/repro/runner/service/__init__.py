@@ -1,20 +1,20 @@
 """Distributed sweep service: coordinator, worker agent, client.
 
-This package grows :mod:`repro.runner.elastic` from one host's worker
-pool into a multi-host job service (ROADMAP item 1):
+This package is the HTTP transport of the sweep scheduler
+(:class:`~repro.runner.scheduler.Scheduler`): the same state machine
+that drives local sweeps, with its workers spread over hosts:
 
 * :class:`~repro.runner.service.coordinator.Coordinator` — an asyncio
-  HTTP coordinator (``repro serve``) that shards submitted sweep grids
-  to remote workers, reaps dead/stalled workers on the elastic
-  scheduler's retry/stall budgets, persists results into the same
+  HTTP coordinator (``repro serve``) holding one scheduler per
+  submitted sweep; it leases shards to remote workers, reports dead or
+  stalled workers to the scheduler, persists results into the same
   content-addressed :class:`~repro.runner.cache.ResultCache` local
-  sweeps use (so local and distributed runs share entries), and merges
-  every worker's progress events into one coordinator-side JSONL
-  stream per sweep;
+  sweeps use (so local and distributed runs share entries), and writes
+  one coordinator-side JSONL progress stream per sweep;
 * :func:`~repro.runner.service.worker.run_worker` — the worker agent
   (``repro work``) that leases shards, executes them through the
   existing point machinery, heartbeats from a background thread, and
-  posts results (plus relayed progress events) back;
+  posts results back;
 * :func:`~repro.runner.service.client.run_sweep_service` — the client
   verb behind ``Experiment.sweep(service=...)``: submit a grid, wait,
   and get back a :class:`~repro.runner.sweep.SweepReport`

@@ -1,13 +1,13 @@
 """Client verbs for the sweep service: submit, wait, fetch, run.
 
 :func:`run_sweep_service` is the drop-in sibling of
-:func:`~repro.runner.sweep.run_sweep` and
-:func:`~repro.runner.elastic.run_sweep_elastic`: same points in, same
+:func:`~repro.runner.sweep.run_sweep`: same points in, same
 :class:`~repro.runner.sweep.SweepReport` out, same
-:class:`~repro.runner.sweep.SweepError` on failure — only the
-``workers=`` knob is replaced by a coordinator URL, because the fleet
-serving the sweep is whatever ``repro work`` processes are registered
-over there.
+:class:`~repro.runner.sweep.SweepError` on failure, because the
+coordinator runs the same :class:`~repro.runner.scheduler.Scheduler`
+— only the ``workers=`` knob is replaced by a coordinator URL, because
+the fleet serving the sweep is whatever ``repro work`` processes are
+registered over there.
 
 Progress: the coordinator keeps the merged, coordinator-stamped JSONL
 stream for each sweep.  With ``progress_out=`` the client downloads
@@ -167,8 +167,8 @@ def run_sweep_service(
         label / use_cache: as in ``run_sweep`` (the cache lives
             coordinator-side).
         checkpoint_every / max_retries / stall_timeout: per-sweep
-            budgets with :func:`run_sweep_elastic`'s exact semantics,
-            enforced by the coordinator's reaper.
+            budgets with :func:`~repro.runner.sweep.run_sweep`'s exact
+            semantics, enforced by the coordinator's scheduler.
         progress_out: path or file-like that receives the
             coordinator's merged progress JSONL verbatim once the sweep
             ends (written before ``SweepError`` is raised on failure,

@@ -1,38 +1,29 @@
-"""The sweep-service coordinator: shard queueing, leases, reaping.
+"""The sweep-service coordinator: HTTP routing, workers, leases.
 
-One coordinator process owns the authoritative state of every
-submitted sweep: the shard backlog, which worker holds which lease,
-per-shard retry counts, the shared :class:`~repro.runner.cache
-.ResultCache`, and one merged :class:`~repro.obs.progress
-.ProgressStream` per sweep.  Workers never talk to each other and
-never write shared state — they lease a shard, execute it, and post
-the result (or die trying), exactly like the elastic pool's workers
-but across a socket instead of a pipe.
-
-Failure semantics are the elastic scheduler's, verbatim:
+One coordinator process serves every submitted sweep.  Each sweep is a
+:class:`~repro.runner.scheduler.Scheduler` — the same state machine
+local sweeps run on — so backlog order, retry and stall budgets,
+checkpoint resume, trail closing and ``sweep-end`` behave exactly as
+they do in :func:`~repro.runner.sweep.run_sweep`.  The coordinator is
+only a transport: it routes HTTP requests, keeps the worker registry
+and the lease↔worker map, and turns worker silence into
+:meth:`Scheduler.lost <repro.runner.scheduler.Scheduler.lost>` calls:
 
 * a worker whose heartbeat goes quiet for ``heartbeat_timeout``
-  seconds is presumed dead (``worker-died``); its shard is requeued
-  and its per-shard retry count incremented, failing the sweep past
-  ``max_retries`` — the socket-world analogue of a SIGKILLed pool
-  worker;
-* a lease held longer than the sweep's ``stall_timeout`` is presumed
-  hung (``worker-stalled``): the worker is deregistered and the shard
-  requeued on the same retry budget.  If the "hung" worker later
-  delivers anyway, the first result for a shard wins and later
-  duplicates are dropped as stale;
-* shards whose point functions accept checkpoint kwargs resume from
-  their last :mod:`repro.checkpoint` snapshot on retry, provided
-  coordinator and workers share the checkpoint directory (loopback or
-  a shared filesystem — see ``docs/service.md``).
+  seconds is presumed dead — the socket-world analogue of a SIGKILLed
+  pool worker;
+* a worker whose lease the scheduler reports as stalled is
+  deregistered.  If the "hung" worker later delivers anyway, its post
+  gets ``410`` and the result is dropped;
+* checkpoint resume needs coordinator and workers to share the
+  checkpoint directory (loopback or a shared filesystem — see
+  ``docs/service.md``).
 
-Every progress event — including those relayed by workers — is
-re-emitted through the coordinator's own stream, so ``seq`` and ``t``
-are coordinator-stamped and the merged file is totally ordered:
-:func:`repro.obs.read_progress`, :func:`repro.obs.rollup_results`,
-and ``repro report`` consume it with no changes.  The coordinator
-upholds the one-terminal-event-per-point invariant
-(:func:`repro.obs.verify_point_trails`) on abort paths too.
+Every progress event is written by the coordinator's own stream per
+sweep, so ``seq`` and ``t`` are coordinator-stamped and the file is
+totally ordered: :func:`repro.obs.read_progress`,
+:func:`repro.obs.rollup_results`, and ``repro report`` consume it with
+no changes.
 
 All handler code runs on the event loop thread; nothing here locks.
 """
@@ -47,31 +38,20 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.progress import ProgressStream
 from repro.runner.cache import ResultCache, default_cache_dir
-from repro.runner.elastic import _accepts_checkpoint
-from repro.runner.sweep import (
-    PointOutcome,
-    SweepPoint,
-    _emit_outcome,
-    _label_str,
-    _unwrap,
-)
+from repro.runner.scheduler import Scheduler
 from repro.runner.service.wire import (
     decode_payload,
     encode_payload,
     start_http_server,
 )
+from repro.runner.sweep import SweepPoint, WithMetrics
 from repro.schema import SCHEMA_VERSION
 
 __all__ = ["Coordinator", "ServiceConfig", "serve"]
 
-#: Supervisor wake-up cadence (mirrors elastic's ``_HEARTBEAT``).
+#: Reaper wake-up cadence (seconds).
 _REAP_INTERVAL = 0.05
-
-#: Seconds between ``worker-heartbeat`` progress records per sweep
-#: (mirrors elastic's ``_PROGRESS_HEARTBEAT_EVERY``).
-_PROGRESS_HEARTBEAT_EVERY = 1.0
 
 
 @dataclass
@@ -80,8 +60,8 @@ class ServiceConfig:
 
     The per-*sweep* budgets (``max_retries``, ``stall_timeout``,
     ``checkpoint_every``) arrive with each submission and keep
-    :func:`~repro.runner.elastic.run_sweep_elastic`'s semantics; this
-    config holds only fleet-level policy.
+    :func:`~repro.runner.sweep.run_sweep`'s semantics; this config
+    holds only fleet-level policy.
     """
 
     host: str = "127.0.0.1"
@@ -105,61 +85,6 @@ class _Worker:
         self.last_seen = time.monotonic()
         #: (sweep_id, index) of the held lease, or None when idle.
         self.task: Optional[Tuple[str, int]] = None
-        self.lease_started: float = 0.0
-
-
-@dataclass
-class _Shard:
-    """One sweep cell as the coordinator tracks it."""
-
-    point: SweepPoint
-    #: (fn, kwargs) actually executed — kwargs may carry injected
-    #: checkpoint arguments the cache key must never see.
-    task: Tuple[Any, Dict[str, Any]]
-    cache_key: Optional[str]
-    checkpoint_path: Optional[str] = None
-    retries: int = 0
-    outcome: Optional[PointOutcome] = None
-    #: The raw (possibly WithMetrics-wrapped) value, kept verbatim so
-    #: the report endpoint ships exactly what a local run would see.
-    raw_value: Any = None
-    worker_pid: Optional[int] = None
-
-
-class _Sweep:
-    """Authoritative state of one submitted sweep."""
-
-    def __init__(
-        self,
-        sweep_id: str,
-        label: str,
-        shards: List[_Shard],
-        progress_path: str,
-        cache: Optional[ResultCache],
-        max_retries: int,
-        stall_timeout: Optional[float],
-    ) -> None:
-        self.id = sweep_id
-        self.label = label
-        self.shards = shards
-        self.progress_path = progress_path
-        self.progress = ProgressStream(progress_path, label=label)
-        self.cache = cache
-        self.max_retries = max_retries
-        self.stall_timeout = stall_timeout
-        self.status = "running"  # -> "ok" | "failed"
-        self.error: Optional[str] = None
-        self.backlog: List[int] = []
-        self.open_points: set = set()
-        self.remaining = 0
-        self.total_retries = 0
-        self.started = time.perf_counter()
-        self.elapsed = 0.0
-        self.workers_seen: set = set()
-        self.last_beat = time.monotonic()
-
-    def label_of(self, index: int) -> str:
-        return _label_str(self.shards[index].point)
 
 
 class Coordinator:
@@ -194,8 +119,8 @@ class Coordinator:
         os.makedirs(self.checkpoint_dir, exist_ok=True)
         os.makedirs(self.progress_dir, exist_ok=True)
         self.url: Optional[str] = None
-        self.sweeps: "Dict[str, _Sweep]" = {}
-        self.workers: "Dict[str, _Worker]" = {}
+        self.sweeps: Dict[str, Scheduler] = {}
+        self.workers: Dict[str, _Worker] = {}
         self._next_sweep = 0
         self._next_worker = 0
         self._server: Optional[asyncio.AbstractServer] = None
@@ -288,12 +213,12 @@ class Coordinator:
                 if sweep is None:
                     return 404, {"error": f"unknown sweep {parts[1]!r}"}
                 if len(parts) == 2 and method == "GET":
-                    return self._status(sweep)
+                    return self._status(parts[1], sweep)
                 if len(parts) == 3 and method == "GET":
                     if parts[2] == "report":
-                        return self._report(sweep)
+                        return self._report(parts[1], sweep)
                     if parts[2] == "progress":
-                        return self._progress_text(sweep)
+                        return self._progress_text(parts[1])
         if parts and parts[0] == "workers":
             if len(parts) == 1 and method == "POST":
                 return self._register(body or {})
@@ -310,8 +235,6 @@ class Coordinator:
                     return self._lease(worker)
                 if parts[2] == "result":
                     return self._result(worker, body or {})
-                if parts[2] == "events":
-                    return self._events(worker, body or {})
         return 404, {"error": f"no route for {method} {path}"}
 
     # ------------------------------------------------------------------
@@ -326,148 +249,92 @@ class Coordinator:
             "sweeps": len(self.sweeps),
         }
 
+    def _progress_path(self, sweep_id: str) -> str:
+        return os.path.join(self.progress_dir, f"{sweep_id}.jsonl")
+
     def _submit(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         try:
             points: List[SweepPoint] = decode_payload(body["points"])
+            stall_timeout = body.get("stall_timeout")
+            budgets = {
+                "checkpoint_every": int(body.get("checkpoint_every", 0)),
+                "max_retries": int(body.get("max_retries", 2)),
+                "stall_timeout": (
+                    float(stall_timeout) if stall_timeout is not None else None
+                ),
+            }
         except Exception as exc:
-            return 400, {"error": f"bad points payload: {exc}"}
-        label = str(body.get("label", "sweep"))
-        use_cache = bool(body.get("use_cache", True))
-        checkpoint_every = int(body.get("checkpoint_every", 0))
-        max_retries = int(body.get("max_retries", 2))
-        stall_timeout = body.get("stall_timeout")
-        if stall_timeout is not None:
-            stall_timeout = float(stall_timeout)
-
+            return 400, {"error": f"bad sweep submission: {exc}"}
         self._next_sweep += 1
         sweep_id = f"s{self._next_sweep}"
-        cache = self.cache if use_cache else None
-
-        shards: List[_Shard] = []
-        for i, point in enumerate(points):
-            kwargs = dict(point.kwargs)
-            checkpoint_path = None
-            if checkpoint_every and _accepts_checkpoint(point.fn):
-                checkpoint_path = os.path.join(
-                    self.checkpoint_dir, f"{sweep_id}-shard-{i}.ckpt"
-                )
-                kwargs["checkpoint_every"] = checkpoint_every
-                kwargs["checkpoint_path"] = checkpoint_path
-            shards.append(
-                _Shard(
-                    point=point,
-                    task=(point.fn, kwargs),
-                    # Keyed on the original kwargs only, exactly as the
-                    # local schedulers key: local and distributed sweeps
-                    # share cache entries.
-                    cache_key=(
-                        cache.key_for(point.fn, point.kwargs)
-                        if cache is not None
-                        else None
-                    ),
-                    checkpoint_path=checkpoint_path,
-                )
-            )
-
-        sweep = _Sweep(
-            sweep_id=sweep_id,
-            label=label,
-            shards=shards,
-            progress_path=os.path.join(
-                self.progress_dir, f"{sweep_id}.jsonl"
-            ),
-            cache=cache,
-            max_retries=max_retries,
-            stall_timeout=stall_timeout,
-        )
-        self.sweeps[sweep_id] = sweep
-
-        sweep.progress.emit(
-            "sweep-begin",
-            n_points=len(points),
+        sweep = Scheduler(
+            points,
+            label=str(body.get("label", "sweep")),
+            cache=self.cache if body.get("use_cache", True) else None,
+            progress_out=self._progress_path(sweep_id),
             workers=len(self.workers),
             elastic=True,
+            checkpoint_dir=os.path.join(self.checkpoint_dir, sweep_id),
             service=sweep_id,
-            cache_dir=str(cache.directory) if cache is not None else None,
-            code_version=cache.version if cache is not None else None,
-            points=[_label_str(p) for p in points],
+            **budgets,
         )
-        for i, point in enumerate(points):
-            sweep.progress.emit(
-                "point-queued", index=i, point=_label_str(point)
-            )
+        self.sweeps[sweep_id] = sweep
         for worker in self.workers.values():
-            sweep.progress.emit("worker-spawned", worker=worker.pid)
-
-        for i, shard in enumerate(shards):
-            if cache is not None:
-                hit, value = cache.get(shard.cache_key)
-                if hit:
-                    result, metrics = _unwrap(value)
-                    shard.raw_value = value
-                    shard.outcome = PointOutcome(
-                        shard.point,
-                        result,
-                        cached=True,
-                        elapsed=0.0,
-                        metrics=metrics,
-                    )
-                    _emit_outcome(sweep.progress, i, shard.outcome)
-                    continue
-            sweep.backlog.append(i)
-            sweep.remaining += 1
-
-        if sweep.remaining == 0:
-            self._finish(sweep)
+            sweep.spawned(worker.pid)
+        sweep.start()
         return 200, {"sweep": sweep_id, "queued": sweep.remaining}
 
-    def _status(self, sweep: _Sweep) -> Tuple[int, Dict[str, Any]]:
+    def _status(
+        self, sweep_id: str, sweep: Scheduler
+    ) -> Tuple[int, Dict[str, Any]]:
         return 200, {
-            "sweep": sweep.id,
+            "sweep": sweep_id,
             "label": sweep.label,
             "status": sweep.status,
             "error": sweep.error,
-            "total": len(sweep.shards),
+            "total": len(sweep.points),
             "remaining": sweep.remaining,
             "retries": sweep.total_retries,
             "backlog": len(sweep.backlog),
         }
 
-    def _report(self, sweep: _Sweep) -> Tuple[int, Dict[str, Any]]:
+    def _report(
+        self, sweep_id: str, sweep: Scheduler
+    ) -> Tuple[int, Dict[str, Any]]:
         if sweep.status != "ok":
             return 409, {
                 "error": (
-                    f"sweep {sweep.id} is {sweep.status}; a report exists "
+                    f"sweep {sweep_id} is {sweep.status}; a report exists "
                     f"only once the sweep completed ok"
                 )
             }
-        outcomes = []
-        for shard in sweep.shards:
-            assert shard.outcome is not None
-            outcomes.append(
-                {
-                    "value": encode_payload(shard.raw_value),
-                    "cached": shard.outcome.cached,
-                    "elapsed": shard.outcome.elapsed,
-                    "worker": shard.worker_pid,
-                    "retries": shard.retries,
-                }
-            )
+        report = sweep.report(max(1, len(sweep.workers_seen)))
         return 200, {
-            "sweep": sweep.id,
-            "label": sweep.label,
-            "outcomes": outcomes,
-            "workers": max(1, len(sweep.workers_seen)),
-            "elapsed": sweep.elapsed,
-            "cache_dir": (
-                str(sweep.cache.directory) if sweep.cache is not None else None
-            ),
-            "retries": sweep.total_retries,
+            "sweep": sweep_id,
+            "label": report.label,
+            "outcomes": [
+                {
+                    # Re-wrapped so the client unwraps exactly what a
+                    # local run would have cached.
+                    "value": encode_payload(
+                        WithMetrics(o.result, o.metrics)
+                        if o.metrics is not None
+                        else o.result
+                    ),
+                    "cached": o.cached,
+                    "elapsed": o.elapsed,
+                }
+                for o in report.outcomes
+            ],
+            "workers": report.workers,
+            "elapsed": report.elapsed,
+            "cache_dir": report.cache_dir,
+            "retries": report.retries,
         }
 
-    def _progress_text(self, sweep: _Sweep) -> Tuple[int, Tuple[str, str]]:
-        with open(sweep.progress_path, "r", encoding="utf-8") as handle:
-            return 200, ("text/plain", handle.read())
+    def _progress_text(self, sweep_id: str) -> Tuple[int, Tuple[str, str]]:
+        with open(self._progress_path(sweep_id), "r", encoding="utf-8") as f:
+            return 200, ("text/plain", f.read())
 
     def _register(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         worker_version = body.get("code_version")
@@ -489,8 +356,7 @@ class Coordinator:
         )
         self.workers[worker.id] = worker
         for sweep in self.sweeps.values():
-            if sweep.status == "running":
-                sweep.progress.emit("worker-spawned", worker=worker.pid)
+            sweep.spawned(worker.pid)
         return 200, {
             "worker": worker.id,
             "heartbeat_every": self.config.heartbeat_every,
@@ -499,32 +365,22 @@ class Coordinator:
     def _lease(self, worker: _Worker) -> Tuple[int, Dict[str, Any]]:
         if worker.task is not None:
             # A worker polling while it still holds a lease lost track of
-            # it (e.g. its result post failed); revoke and requeue so the
-            # shard is not stranded.
-            self._requeue(worker, reason="lease abandoned")
-        for sweep in self.sweeps.values():
-            if sweep.status != "running" or not sweep.backlog:
+            # it (e.g. its result post failed); return the shard to the
+            # backlog so it is not stranded.
+            sweep_id, index = worker.task
+            worker.task = None
+            self.sweeps[sweep_id].release(index)
+        for sweep_id, sweep in self.sweeps.items():
+            task = sweep.lease(worker.pid)
+            if task is None:
                 continue
-            index = sweep.backlog.pop(0)
-            shard = sweep.shards[index]
-            worker.task = (sweep.id, index)
-            worker.lease_started = time.monotonic()
-            sweep.open_points.add(index)
-            sweep.workers_seen.add(worker.id)
-            sweep.progress.emit(
-                "point-running",
-                index=index,
-                point=sweep.label_of(index),
-                worker=worker.pid,
-                retry=shard.retries,
-            )
+            worker.task = (sweep_id, task.index)
             return 200, {
                 "task": {
-                    "sweep": sweep.id,
-                    "index": index,
-                    "point": sweep.label_of(index),
-                    "payload": encode_payload(shard.task),
-                    "checkpoint_path": shard.checkpoint_path,
+                    "sweep": sweep_id,
+                    "index": task.index,
+                    "point": task.point,
+                    "payload": encode_payload((task.fn, task.kwargs)),
                 }
             }
         return 200, {"task": None}
@@ -532,92 +388,34 @@ class Coordinator:
     def _result(
         self, worker: _Worker, body: Dict[str, Any]
     ) -> Tuple[int, Dict[str, Any]]:
-        sweep = self.sweeps.get(str(body.get("sweep")))
+        sweep_id = str(body.get("sweep"))
+        sweep = self.sweeps.get(sweep_id)
         if sweep is None:
             return 404, {"error": f"unknown sweep {body.get('sweep')!r}"}
-        index = int(body["index"])
-        shard = sweep.shards[index]
-        if worker.task == (sweep.id, index):
-            worker.task = None
-        if sweep.status != "running" or shard.outcome is not None:
-            # Stale: the shard was re-leased after a stall and another
-            # attempt won, or the sweep already aborted.  First result
-            # wins; determinism makes duplicates interchangeable.
+        try:
+            index = sweep.check_index(body.get("index"))
+        except ValueError as exc:
+            return 400, {"error": str(exc)}
+        if worker.task != (sweep_id, index):
+            # Not this worker's lease (released, or the sweep ended):
+            # the scheduler already moved on without it.
             return 200, {"ok": True, "stale": True}
+        worker.task = None
         if not body.get("ok"):
             error = str(body.get("error", "unknown worker error"))
-            sweep.open_points.discard(index)
-            sweep.progress.emit(
-                "point-failed",
-                index=index,
-                point=sweep.label_of(index),
-                error=error,
-                worker=worker.pid,
-            )
-            self._abort(
-                sweep,
-                f"sweep {sweep.label!r} point "
-                f"{sweep.shards[index].point.label!r} failed: {error}",
-            )
+            sweep.fail(index, error, worker.pid)
             return 200, {"ok": True}
-        value = decode_payload(body["value"])
-        elapsed = float(body.get("elapsed", 0.0))
-        if sweep.cache is not None:
-            sweep.cache.put(
-                shard.cache_key,
-                value,
-                meta={
-                    "label": sweep.label,
-                    "point": repr(shard.point.label),
-                },
-            )
-        result, metrics = _unwrap(value)
-        shard.raw_value = value
-        shard.worker_pid = worker.pid
-        shard.outcome = PointOutcome(
-            shard.point, result, cached=False, elapsed=elapsed, metrics=metrics
-        )
-        _emit_outcome(sweep.progress, index, shard.outcome, worker=worker.pid)
-        sweep.open_points.discard(index)
-        sweep.remaining -= 1
-        if shard.checkpoint_path is not None:
-            try:
-                os.unlink(shard.checkpoint_path)
-            except OSError:
-                pass
-        if sweep.remaining == 0:
-            self._finish(sweep)
-        return 200, {"ok": True}
-
-    def _events(
-        self, worker: _Worker, body: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Relay a worker's progress events into the merged stream.
-
-        The coordinator re-emits through its own ProgressStream, which
-        stamps fresh ``seq``/``t``/``schema_version`` — worker-side
-        stamps (if any) never reach the merged file, so the stream stays
-        totally ordered for read_progress/rollup/report.
-        """
-        sweep = self.sweeps.get(str(body.get("sweep")))
-        if sweep is None:
-            return 404, {"error": f"unknown sweep {body.get('sweep')!r}"}
-        if sweep.status != "running":
-            return 200, {"ok": True, "stale": True}
-        for event in body.get("events", []):
-            name = event.get("event")
-            fields = {
-                k: v
-                for k, v in event.items()
-                if k not in ("event", "seq", "t", "schema_version", "sweep",
-                             "record")
-            }
-            fields.setdefault("worker", worker.pid)
-            sweep.progress.emit(name, **fields)  # validates the vocabulary
-        return 200, {"ok": True}
+        try:
+            value = decode_payload(body["value"])
+            elapsed = float(body.get("elapsed", 0.0))
+        except Exception as exc:
+            sweep.fail(index, f"bad result payload: {exc}", worker.pid)
+            return 400, {"error": f"bad result payload: {exc}"}
+        stale = not sweep.complete(index, value, elapsed, worker.pid)
+        return 200, {"ok": True, "stale": stale}
 
     # ------------------------------------------------------------------
-    # supervision (reaper / heartbeats), on the event loop
+    # supervision, on the event loop
 
     async def _supervise(self) -> None:
         while True:
@@ -625,171 +423,25 @@ class Coordinator:
             now = time.monotonic()
             for worker in list(self.workers.values()):
                 if now - worker.last_seen > self.config.heartbeat_timeout:
-                    self._reap(worker, stalled=False)
-            for sweep in self.sweeps.values():
-                if sweep.status != "running":
-                    continue
-                if sweep.stall_timeout is not None:
+                    self._reap(worker)
+            idle = sum(1 for w in self.workers.values() if w.task is None)
+            for sweep_id, sweep in self.sweeps.items():
+                for index in sweep.tick(len(self.workers), idle):
                     for worker in list(self.workers.values()):
-                        if worker.task is None or worker.task[0] != sweep.id:
-                            continue
-                        held = now - worker.lease_started
-                        if held > sweep.stall_timeout:
-                            sweep.progress.emit(
-                                "worker-stalled",
-                                worker=worker.pid,
-                                index=worker.task[1],
-                                point=sweep.label_of(worker.task[1]),
-                                held_s=round(held, 3),
-                                stall_timeout=sweep.stall_timeout,
-                            )
-                            self._reap(worker, stalled=True)
-                if (
-                    sweep.status == "running"
-                    and now - sweep.last_beat >= _PROGRESS_HEARTBEAT_EVERY
-                ):
-                    sweep.last_beat = now
-                    busy = sum(
-                        1
-                        for w in self.workers.values()
-                        if w.task is not None and w.task[0] == sweep.id
-                    )
-                    sweep.progress.emit(
-                        "worker-heartbeat",
-                        workers=len(self.workers),
-                        busy=busy,
-                        backlog=len(sweep.backlog),
-                        remaining=sweep.remaining,
-                    )
+                        if worker.task == (sweep_id, index):
+                            self._reap(worker)
 
-    def _reap(self, worker: _Worker, stalled: bool) -> None:
-        """Deregister ``worker``; requeue or fail its shard.
+    def _reap(self, worker: _Worker) -> None:
+        """Deregister ``worker``; every running sweep sees it go.
 
-        ``stalled=False`` is the heartbeat-timeout path (presumed dead —
-        the SIGKILL analogue); ``stalled=True`` is the stall-budget path
-        (presumed hung, possibly still computing — its late result will
-        be dropped as stale).
+        The sweep whose shard it held requeues or fails that shard on
+        its retry budget.
         """
         self.workers.pop(worker.id, None)
-        task = worker.task
-        worker.task = None
-        if task is None:
-            # Idle death still shrinks the pool every running sweep sees.
-            for sweep in self.sweeps.values():
-                if sweep.status == "running":
-                    sweep.progress.emit("worker-died", worker=worker.pid)
-            return
-        sweep_id, index = task
-        sweep = self.sweeps.get(sweep_id)
-        if sweep is None or sweep.status != "running":
-            return
-        if not stalled:
-            sweep.progress.emit(
-                "worker-died",
-                worker=worker.pid,
-                index=index,
-                point=sweep.label_of(index),
-            )
-        shard = sweep.shards[index]
-        if shard.outcome is not None:
-            return  # result already landed; nothing to recover
-        shard.retries += 1
-        sweep.total_retries += 1
-        if shard.retries > sweep.max_retries:
-            sweep.open_points.discard(index)
-            sweep.progress.emit(
-                "point-failed",
-                index=index,
-                point=sweep.label_of(index),
-                error=(
-                    f"retries exhausted ({sweep.max_retries}) after worker "
-                    f"{'stall' if stalled else 'death'}"
-                ),
-                worker=worker.pid,
-            )
-            self._abort(
-                sweep,
-                f"sweep {sweep.label!r} point {shard.point.label!r} "
-                f"exceeded {sweep.max_retries} retries",
-            )
-            return
-        resume = bool(
-            shard.checkpoint_path is not None
-            and os.path.exists(shard.checkpoint_path)
-        )
-        sweep.progress.emit(
-            "point-retried",
-            index=index,
-            point=sweep.label_of(index),
-            retry=shard.retries,
-            max_retries=sweep.max_retries,
-            resume=resume,
-            worker=worker.pid,
-        )
-        # Re-queue at the front: a half-done shard (with a checkpoint to
-        # resume) beats starting fresh work.
-        sweep.backlog.insert(0, index)
-
-    def _requeue(self, worker: _Worker, reason: str) -> None:
-        """Return a worker's lease to the backlog without reaping it."""
-        assert worker.task is not None
-        sweep_id, index = worker.task
-        worker.task = None
-        sweep = self.sweeps.get(sweep_id)
-        if sweep is None or sweep.status != "running":
-            return
-        if sweep.shards[index].outcome is None:
-            sweep.backlog.insert(0, index)
-
-    # ------------------------------------------------------------------
-    # sweep termination
-
-    def _abort(self, sweep: _Sweep, error: str) -> None:
-        """Fail the sweep, closing every still-open point trail first."""
-        sweep.status = "failed"
-        sweep.error = error
-        sweep.backlog = []
-        reason = f"aborted: sweep {sweep.label!r} failed"
-        for index in sorted(sweep.open_points):
-            sweep.progress.emit(
-                "point-failed",
-                index=index,
-                point=sweep.label_of(index),
-                error=reason,
-            )
-        sweep.open_points.clear()
-        sweep.elapsed = time.perf_counter() - sweep.started
-        sweep.progress.emit(
-            "sweep-end",
-            status="failed",
-            error=error,
-            retries=sweep.total_retries,
-            elapsed=sweep.elapsed,
-        )
-        sweep.progress.close()
-        # Leases on a failed sweep are void; late results drop as stale.
-        for worker in self.workers.values():
-            if worker.task is not None and worker.task[0] == sweep.id:
-                worker.task = None
-
-    def _finish(self, sweep: _Sweep) -> None:
-        sweep.status = "ok"
-        sweep.elapsed = time.perf_counter() - sweep.started
-        hits = sum(
-            1
-            for s in sweep.shards
-            if s.outcome is not None and s.outcome.cached
-        )
-        sweep.progress.emit(
-            "sweep-end",
-            status="ok",
-            n_points=len(sweep.shards),
-            cache_hits=hits,
-            executed=len(sweep.shards) - hits,
-            retries=sweep.total_retries,
-            elapsed=sweep.elapsed,
-        )
-        sweep.progress.close()
+        task, worker.task = worker.task, None
+        for sweep_id, sweep in self.sweeps.items():
+            held = task[1] if task is not None and task[0] == sweep_id else None
+            sweep.lost(held, worker.pid)
 
 
 def serve(config: Optional[ServiceConfig] = None) -> None:

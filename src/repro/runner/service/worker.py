@@ -3,7 +3,7 @@
 One worker process serves one coordinator: register (with the
 ``code_version`` handshake — a mismatched tree is refused before it
 can touch the shared cache), then loop leasing shards and executing
-them through :func:`repro.runner.sweep._execute` — the same call
+them through :func:`repro.runner.scheduler.execute` — the same call
 local pool workers make, so timing and :class:`WithMetrics`
 unwrapping behave identically.  A daemon thread heartbeats at the
 cadence the coordinator advertised; the main thread never has to come
@@ -11,13 +11,9 @@ up for air mid-shard.  A SIGKILL takes both threads out at once,
 which is exactly the silence the coordinator's heartbeat reaper is
 budgeted for.
 
-Checkpoint resume is the worker's only progress *relay*: when a
-leased shard's ``checkpoint_path`` already exists, the shard is
-resuming from a predecessor's snapshot (:mod:`repro.checkpoint` makes
-the resumed run bit-identical), and the worker posts a
-``point-checkpointed`` event for the coordinator to re-stamp into the
-merged stream.  Everything else — running/retried/done/failed — is
-emitted coordinator-side, where it survives this process's death.
+A worker emits no progress events: running, retried, checkpointed,
+done and failed are all written coordinator-side, where they survive
+this process's death.
 """
 
 from __future__ import annotations
@@ -30,13 +26,13 @@ import traceback
 from typing import Optional
 
 from repro.runner.cache import code_version
+from repro.runner.scheduler import execute
 from repro.runner.service.wire import (
     ServiceError,
     decode_payload,
     encode_payload,
     request_json,
 )
-from repro.runner.sweep import _execute
 
 __all__ = ["run_worker"]
 
@@ -141,31 +137,6 @@ def run_worker(
             index = task["index"]
             sweep_id = task["sweep"]
             fn, kwargs = decode_payload(task["payload"])
-            checkpoint_path = task.get("checkpoint_path")
-            if checkpoint_path and os.path.exists(checkpoint_path):
-                # Resuming a predecessor's snapshot: relay the fact so
-                # the merged stream records it (the coordinator
-                # re-stamps seq/t on our behalf).
-                try:
-                    request_json(
-                        coordinator_url,
-                        "POST",
-                        f"/workers/{worker_id}/events",
-                        {
-                            "sweep": sweep_id,
-                            "events": [
-                                {
-                                    "event": "point-checkpointed",
-                                    "index": index,
-                                    "point": task.get("point"),
-                                    "path": checkpoint_path,
-                                }
-                            ],
-                        },
-                    )
-                except (ServiceError, OSError):
-                    pass  # telemetry, not correctness
-
             if verbose:
                 print(
                     f"[repro-worker {worker_id}] running {sweep_id}"
@@ -173,7 +144,7 @@ def run_worker(
                     flush=True,
                 )
             try:
-                value, elapsed = _execute(fn, kwargs)
+                value, elapsed = execute(fn, kwargs)
             except Exception:
                 result_body = {
                     "sweep": sweep_id,

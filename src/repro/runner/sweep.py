@@ -1,16 +1,20 @@
-"""Parallel sweep execution with result caching.
+"""Sweeps: grids of independent simulation points, run with caching.
 
 A *sweep* is a list of independent simulation points — (function,
-kwargs) pairs, typically one per cell of a results table.  Points run
-across a :class:`~concurrent.futures.ProcessPoolExecutor`; results land
-in an on-disk :class:`~repro.runner.cache.ResultCache`, so re-running a
-bench after an unrelated change is effectively free, and editing any
-``repro`` source invalidates everything (see ``cache.code_version``).
+kwargs) pairs, typically one per cell of a results table.
+:func:`run_sweep` runs them inline or on a supervised worker pool;
+results land in an on-disk :class:`~repro.runner.cache.ResultCache`, so
+re-running a bench after an unrelated change is effectively free, and
+editing any ``repro`` source invalidates everything (see
+``cache.code_version``).  Every scheduling decision — cache pre-pass,
+retries, stalls, progress events — belongs to
+:class:`~repro.runner.scheduler.Scheduler`, whichever transport runs
+the points.
 
 Determinism: each point carries its own explicit seed (pin one in the
 kwargs, or derive one with :func:`~repro.runner.seeds.derive_seed`), so
-results are identical regardless of worker count, execution order, or
-whether a value came from the cache.
+results are identical regardless of transport, worker count, execution
+order, retries, or whether a value came from the cache.
 
 Point functions must be module-level (picklable by reference) and their
 kwargs must have stable ``repr`` (builtins and the config dataclasses
@@ -28,13 +32,9 @@ produces the same rollup-ready stream as a cold one.
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.progress import ProgressStream, as_progress_stream
 from repro.runner.cache import ResultCache, default_cache_dir
 
 
@@ -123,7 +123,7 @@ class SweepReport:
     workers: int
     elapsed: float
     cache_dir: Optional[str]
-    #: Worker-death/stall retries performed (elastic sweeps only).
+    #: Worker-death/stall retries performed (0 for inline sweeps).
     retries: int = 0
 
     @property
@@ -203,83 +203,6 @@ def _label_str(point: SweepPoint) -> str:
     return repr(label)
 
 
-def _emit_outcome(
-    progress: Optional[ProgressStream],
-    index: int,
-    outcome: PointOutcome,
-    worker: Optional[int] = None,
-) -> None:
-    """``point-done`` (+ ``point-metrics``) for one completed point.
-
-    Called for cache hits too: replaying a hit's cached ``WithMetrics``
-    payload into the stream is what keeps reports complete on warm
-    caches — without it, a fully cached sweep would stream no telemetry
-    at all.
-    """
-    if progress is None:
-        return
-    point = _label_str(outcome.point)
-    done: Dict[str, Any] = {
-        "index": index,
-        "point": point,
-        "cached": outcome.cached,
-        "elapsed": outcome.elapsed,
-    }
-    if worker is not None:
-        done["worker"] = worker
-    progress.emit("point-done", **done)
-    if outcome.metrics is not None:
-        progress.emit(
-            "point-metrics",
-            index=index,
-            point=point,
-            cached=outcome.cached,
-            metrics=outcome.metrics,
-        )
-
-
-def _emit_manifest(
-    progress: Optional[ProgressStream],
-    points: Sequence[SweepPoint],
-    workers: int,
-    cache: Optional[ResultCache],
-    elastic: bool,
-) -> None:
-    """The ``sweep-begin`` run manifest + one ``point-queued`` each."""
-    if progress is None:
-        return
-    progress.emit(
-        "sweep-begin",
-        n_points=len(points),
-        workers=workers,
-        elastic=elastic,
-        cache_dir=str(cache.directory) if cache is not None else None,
-        code_version=cache.version if cache is not None else None,
-        points=[_label_str(p) for p in points],
-    )
-    for i, point in enumerate(points):
-        progress.emit("point-queued", index=i, point=_label_str(point))
-
-
-def _execute(
-    fn: Callable[..., Any], kwargs: Dict[str, Any]
-) -> Tuple[Any, float]:
-    # Module-level so the pool can pickle it by reference.  Timing lives
-    # here, in the worker, so a parallel point's elapsed reflects its own
-    # run time rather than how long the caller waited on earlier futures.
-    t0 = time.perf_counter()
-    value = fn(**kwargs)
-    return value, time.perf_counter() - t0
-
-
-def _pool(workers: int) -> ProcessPoolExecutor:
-    # fork keeps already-imported bench modules importable in workers
-    # (their functions pickle by reference); fall back where unavailable.
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        ctx = multiprocessing.get_context()
-    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
 
 
 def run_sweep(
@@ -290,13 +213,19 @@ def run_sweep(
     label: str = "sweep",
     verbose: bool = False,
     progress_out: Optional[Any] = None,
+    checkpoint_every: int = 0,
+    checkpoint_dir: Optional[str] = None,
+    max_retries: int = 2,
+    stall_timeout: Optional[float] = None,
 ) -> SweepReport:
-    """Run every point, in parallel, consulting/filling the result cache.
+    """Run every point, consulting/filling the result cache.
 
     Args:
         points: the sweep cells; order is preserved in the report.
-        workers: process count; ``None`` / ``1`` runs inline (no pool),
-            which is also the fallback if a pool cannot be created.
+        workers: ``None`` runs inline, in this process; an integer runs
+            a supervised pool of that many processes
+            (:mod:`repro.runner.pool`), which replaces workers that die
+            or stall and retries their shards.
         cache_dir: result cache directory; ``None`` uses
             :func:`~repro.runner.cache.default_cache_dir`.
         use_cache: set False to force re-execution (cache is not read
@@ -306,220 +235,74 @@ def run_sweep(
         progress_out: path, file-like, or ProgressStream for the JSONL
             lifecycle event stream (None = off); see
             :mod:`repro.obs.progress`.
+        checkpoint_every: cycle interval for per-shard machine
+            checkpoints (0 = retried shards restart from scratch).
+            Only applied to point functions that accept the
+            ``checkpoint_every``/``checkpoint_path`` kwargs.
+        checkpoint_dir: where shard checkpoints live; a temporary
+            directory when omitted.
+        max_retries: how many times one shard may be retried after
+            worker death/stall before the sweep fails.
+        stall_timeout: seconds a shard may hold a worker before it is
+            presumed hung and its worker killed (None = no stall check).
 
     Raises:
-        SweepError: if any point raises; the original exception chains.
+        SweepError: a point raised (the original exception chains when
+            it ran inline), or a shard exhausted its retries.
+        ValueError: a pool-only budget (``stall_timeout``,
+            ``checkpoint_every``, ``checkpoint_dir``) was given for an
+            inline sweep, which has no worker to lose.
     """
-    started = time.perf_counter()
+    # Imported here: the scheduler builds this module's types.
+    from repro.runner.pool import run_pool
+    from repro.runner.scheduler import Scheduler, execute
+
+    if workers is None and (
+        stall_timeout is not None or checkpoint_every or checkpoint_dir
+    ):
+        raise ValueError(
+            "stall_timeout, checkpoint_every and checkpoint_dir need a "
+            "worker pool (workers=N): an inline sweep has no worker to "
+            "lose"
+        )
     cache = (
         ResultCache(cache_dir if cache_dir is not None else default_cache_dir())
         if use_cache
         else None
     )
     n_workers = 1 if workers is None else max(1, int(workers))
-    progress = as_progress_stream(progress_out, label)
-    _emit_manifest(progress, points, n_workers, cache, elastic=False)
-
-    outcomes: List[Optional[PointOutcome]] = [None] * len(points)
-    pending: List[int] = []
-    #: Indices with a point-running emitted but no terminal event yet;
-    #: closed with point-failed on any abort so the
-    #: one-terminal-event-per-point invariant (docs/observability.md)
-    #: holds on failure paths too.
-    open_points: set = set()
+    scheduler = Scheduler(
+        points,
+        label=label,
+        cache=cache,
+        progress_out=progress_out,
+        workers=n_workers,
+        elastic=workers is not None,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+        max_retries=max_retries,
+        stall_timeout=stall_timeout,
+        verbose=verbose,
+    )
     try:
-        for i, point in enumerate(points):
-            if cache is not None:
-                hit, value = cache.get(cache.key_for(point.fn, point.kwargs))
-                if hit:
-                    value, metrics = _unwrap(value)
-                    outcomes[i] = PointOutcome(
-                        point, value, cached=True, elapsed=0.0, metrics=metrics
-                    )
-                    _emit_outcome(progress, i, outcomes[i])
-                    if verbose:
-                        print(f"[sweep {label}] {point.label}: cached")
-                    continue
-            pending.append(i)
-
-        if pending:
-            if n_workers == 1 or len(pending) == 1:
-                for i in pending:
-                    open_points.add(i)
-                    if progress is not None:
-                        progress.emit(
-                            "point-running",
-                            index=i,
-                            point=_label_str(points[i]),
-                        )
-                    try:
-                        outcomes[i] = _run_one(
-                            points[i], cache, label, verbose, progress, i
-                        )
-                    except SweepError:
-                        # _run_one already emitted this point's terminal
-                        # point-failed; keep it out of the abort closer.
-                        open_points.discard(i)
-                        raise
-                    _emit_outcome(progress, i, outcomes[i])
-                    open_points.discard(i)
-            else:
-                with _pool(min(n_workers, len(pending))) as pool:
-                    index_of = {
-                        pool.submit(
-                            _execute, points[i].fn, points[i].kwargs
-                        ): i
-                        for i in pending
-                    }
-                    if progress is not None:
-                        for i in index_of.values():
-                            progress.emit(
-                                "point-running",
-                                index=i,
-                                point=_label_str(points[i]),
-                            )
-                    # Collect in completion order, not submission order:
-                    # point-done timing is honest, and the first failure
-                    # can cancel work that has not started yet.  Every
-                    # dispatched point still gets exactly one terminal
-                    # event (point-done or point-failed) before the
-                    # sweep-end — in-flight points finish and report,
-                    # cancelled ones fail explicitly, instead of dying
-                    # silently inside the pool's __exit__.
-                    first_failure: Optional[Tuple[int, BaseException]] = None
-                    open_points.update(index_of.values())
-                    for future in as_completed(index_of):
-                        i = index_of[future]
-                        point = points[i]
-                        try:
-                            value, elapsed = future.result()
-                        except CancelledError:
-                            open_points.discard(i)
-                            if progress is not None:
-                                progress.emit(
-                                    "point-failed",
-                                    index=i,
-                                    point=_label_str(point),
-                                    error="cancelled: sweep aborted",
-                                )
-                        except Exception as exc:
-                            open_points.discard(i)
-                            if progress is not None:
-                                progress.emit(
-                                    "point-failed",
-                                    index=i,
-                                    point=_label_str(point),
-                                    error=str(exc),
-                                )
-                            if first_failure is None:
-                                first_failure = (i, exc)
-                                for other in index_of:
-                                    other.cancel()
-                        else:
-                            outcomes[i] = _record(
-                                point, value, elapsed, cache, label, verbose
-                            )
-                            _emit_outcome(progress, i, outcomes[i])
-                            open_points.discard(i)
-                    if first_failure is not None:
-                        i, exc = first_failure
-                        raise SweepError(
-                            f"sweep {label!r} point {points[i].label!r} "
-                            f"failed: {exc}"
-                        ) from exc
-
-        done: List[PointOutcome] = [o for o in outcomes if o is not None]
-        assert len(done) == len(points)
-        report = SweepReport(
-            label=label,
-            outcomes=done,
-            workers=n_workers,
-            elapsed=time.perf_counter() - started,
-            cache_dir=str(cache.directory) if cache is not None else None,
-        )
-        if progress is not None:
-            progress.emit(
-                "sweep-end",
-                status="ok",
-                n_points=len(points),
-                cache_hits=report.cache_hits,
-                executed=report.executed,
-                retries=0,
-                elapsed=report.elapsed,
-            )
+        scheduler.start()
+        if workers is not None:
+            run_pool(scheduler, n_workers)
+        else:
+            for task in iter(scheduler.lease, None):
+                try:
+                    value, elapsed = execute(task.fn, task.kwargs)
+                except Exception as exc:
+                    scheduler.fail(task.index, str(exc))
+                    raise SweepError(scheduler.error) from exc
+                scheduler.complete(task.index, value, elapsed)
     except BaseException as exc:
-        # Close any trail the failure path itself did not terminate
-        # (e.g. KeyboardInterrupt mid-pool) before the terminal
-        # sweep-end: consumers may trust that a failed stream still
-        # carries exactly one terminal event per dispatched point.
-        if progress is not None:
-            for i in sorted(open_points):
-                progress.emit(
-                    "point-failed",
-                    index=i,
-                    point=_label_str(points[i]),
-                    error=f"aborted: sweep {label!r} failed",
-                )
-        open_points.clear()
-        if progress is not None:
-            progress.emit(
-                "sweep-end",
-                status="failed",
-                error=str(exc),
-                elapsed=time.perf_counter() - started,
-            )
+        # e.g. KeyboardInterrupt: the stream still closes every trail.
+        scheduler.abort(f"sweep {label!r} failed: {exc}")
         raise
-    finally:
-        if progress is not None and progress is not progress_out:
-            progress.close()
+    if scheduler.status != "ok":
+        raise SweepError(scheduler.error)
+    report = scheduler.report(n_workers)
     if verbose:
         print(report.summary())
     return report
-
-
-def _run_one(
-    point: SweepPoint,
-    cache: Optional[ResultCache],
-    label: str,
-    verbose: bool,
-    progress: Optional[ProgressStream] = None,
-    index: int = -1,
-) -> PointOutcome:
-    try:
-        value, elapsed = _execute(point.fn, point.kwargs)
-    except Exception as exc:
-        if progress is not None:
-            progress.emit(
-                "point-failed",
-                index=index,
-                point=_label_str(point),
-                error=str(exc),
-            )
-        raise SweepError(
-            f"sweep {label!r} point {point.label!r} failed: {exc}"
-        ) from exc
-    return _record(point, value, elapsed, cache, label, verbose)
-
-
-def _record(
-    point: SweepPoint,
-    value: Any,
-    elapsed: float,
-    cache: Optional[ResultCache],
-    label: str,
-    verbose: bool,
-) -> PointOutcome:
-    if cache is not None:
-        # The wrapped WithMetrics pair (when present) is what's cached,
-        # so a later hit restores the telemetry too.
-        cache.put(
-            cache.key_for(point.fn, point.kwargs),
-            value,
-            meta={"label": label, "point": repr(point.label)},
-        )
-    if verbose:
-        print(f"[sweep {label}] {point.label}: executed in {elapsed:.2f}s")
-    value, metrics = _unwrap(value)
-    return PointOutcome(
-        point, value, cached=False, elapsed=elapsed, metrics=metrics
-    )

@@ -6,7 +6,7 @@ work``), one of which SIGKILLs itself mid-shard.  The sweep must
 complete anyway — the dead worker reaped on the heartbeat budget, its
 shard resumed from a :mod:`repro.checkpoint` snapshot on the surviving
 worker — with results bit-identical to a purely local
-``run_sweep_elastic`` of the same grid, a merged coordinator-stamped
+worker-pool ``run_sweep`` of the same grid, a merged coordinator-stamped
 progress stream that passes ``read_progress(strict=True)`` and
 :func:`~repro.obs.verify_point_trails`, and cache entries a later
 *local* sweep hits verbatim.
@@ -28,7 +28,7 @@ import pytest
 
 from repro.api import Experiment, run_point
 from repro.obs import read_progress, verify_point_trails
-from repro.runner import SweepError, SweepPoint, run_sweep, run_sweep_elastic
+from repro.runner import SweepError, SweepPoint, run_sweep
 from repro.runner.service import run_sweep_service
 
 _REPO_ROOT = os.path.dirname(
@@ -207,9 +207,9 @@ def test_service_survives_sigkilled_worker_bit_identical(tmp_path, fleet):
     assert report.retries >= 1
     assert report.cache_hits == 0
 
-    # Bit-identical to a purely local elastic run of the same grid
+    # Bit-identical to a purely local pool run of the same grid
     # (fresh cache; the marker file keeps the killer fn benign now).
-    local = run_sweep_elastic(
+    local = run_sweep(
         points,
         workers=2,
         cache_dir=str(tmp_path / "local-cache"),
@@ -280,10 +280,17 @@ def test_service_failure_aborts_with_closed_trails(tmp_path, fleet):
 
 
 def test_service_rejects_unparseable_and_unknown(tmp_path):
-    # Protocol hygiene without any workers: unknown routes 404, an
-    # unknown sweep 404s, and healthz reports the tree's fingerprint.
+    # Protocol hygiene without worker agents: unknown routes 404, an
+    # unknown sweep 404s, healthz reports the tree's fingerprint, and a
+    # result post naming a shard outside the sweep is a structured 400
+    # that leaves the sweep untouched.
     from repro.runner.cache import code_version
-    from repro.runner.service.wire import ServiceError, request_json
+    from repro.runner.service import submit_sweep, sweep_status
+    from repro.runner.service.wire import (
+        ServiceError,
+        encode_payload,
+        request_json,
+    )
 
     coordinator, url = _start_coordinator(tmp_path)
     try:
@@ -293,8 +300,64 @@ def test_service_rejects_unparseable_and_unknown(tmp_path):
         with pytest.raises(ServiceError) as excinfo:
             request_json(url, "GET", "/sweeps/nope")
         assert excinfo.value.status == 404
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError) as excinfo:
             request_json(url, "POST", "/sweeps", {"points": "not-base64!"})
+        assert excinfo.value.status == 400
+
+        # A hand-driven worker leases shard 0 of a 3-point sweep...
+        experiment = Experiment(
+            protocol="twobit", n_processors=2, refs_per_proc=40, warmup_refs=10
+        )
+        points = experiment.sweep_points({"q": [0.02, 0.05, 0.1]})
+        sweep = submit_sweep(url, points, label="hygiene", use_cache=False)
+        worker = request_json(
+            url, "POST", "/workers", {"pid": 1, "code_version": code_version()}
+        )["worker"]
+        task = request_json(url, "POST", f"/workers/{worker}/lease", {})["task"]
+        assert task["index"] == 0
+
+        # ...then posts results for shards that do not exist.
+        for index in (-1, 3, 7, "0", 0.0, None, True):
+            with pytest.raises(ServiceError) as excinfo:
+                request_json(
+                    url,
+                    "POST",
+                    f"/workers/{worker}/result",
+                    {
+                        "sweep": sweep,
+                        "index": index,
+                        "ok": True,
+                        "value": encode_payload(999),
+                    },
+                )
+            assert excinfo.value.status == 400, index
+            assert "shard index" in str(excinfo.value)
+        # A real shard this worker never leased is dropped as stale.
+        reply = request_json(
+            url,
+            "POST",
+            f"/workers/{worker}/result",
+            {"sweep": sweep, "index": 2, "ok": True,
+             "value": encode_payload(999)},
+        )
+        assert reply["stale"] is True
+        status = sweep_status(url, sweep)
+        assert status["status"] == "running"
+        assert status["remaining"] == 3
+
+        # The held lease still completes normally.
+        request_json(
+            url,
+            "POST",
+            f"/workers/{worker}/result",
+            {
+                "sweep": sweep,
+                "index": 0,
+                "ok": True,
+                "value": encode_payload(run_point(**points[0].kwargs)),
+            },
+        )
+        assert sweep_status(url, sweep)["remaining"] == 2
     finally:
         _stop_all(coordinator)
 

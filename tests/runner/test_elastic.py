@@ -1,11 +1,19 @@
-"""Work-stealing elastic sweep: crash recovery, parity, shard resume.
+"""Scheduler behaviour on every transport: recovery, budgets, parity.
 
-Worker functions live at module scope so they pickle by reference
-across the scheduler's pipes.  Crashes are injected with real SIGKILL
-(no cleanup handlers run — exactly the failure mode the scheduler must
-survive), with marker files making each failure strike once.
+Part of the sweep behaviour suite (harness: ``tests/runner/transports.py``).
+Each test runs its scenario on every transport that can exhibit it —
+the pool and the service for anything that loses a worker, inline too
+where a point raises — because one scheduler makes the decisions and
+each transport must deliver them unchanged.
+
+Worker functions live at module scope so they pickle by reference.
+Crashes are injected with real SIGKILL (no cleanup handlers run —
+exactly the failure mode the scheduler must survive), with one marker
+file per transport run making each failure strike once.
 """
 
+import hashlib
+import json
 import os
 import signal
 import time
@@ -13,16 +21,13 @@ import time
 import pytest
 
 from repro.api import Experiment, run_point
-from repro.runner import SweepError, SweepPoint, run_sweep, run_sweep_elastic
+from repro.runner import SweepError, SweepPoint
+from tests.runner.transports import LOSSY, TRANSPORTS, run
 
 #: Env var naming the marker file for the checkpoint-resume kill test;
 #: an env var (inherited by worker processes) because the worker fn is
 #: pickled by reference and cannot close over a tmp_path.
 _KILL_MARKER_VAR = "REPRO_TEST_KILL_MARKER"
-
-
-def _times_ten(x):
-    return x * 10
 
 
 def _flaky(x, marker):
@@ -49,64 +54,85 @@ def _stalls(x, marker):
     return x
 
 
+def _digest(results):
+    return hashlib.sha256(
+        json.dumps(results, sort_keys=True).encode()
+    ).hexdigest()
+
+
 def test_crash_recovery_retries_killed_point(tmp_path):
-    marker = str(tmp_path / "flaky.marker")
-    points = [SweepPoint(_flaky, {"x": i, "marker": marker}) for i in range(5)]
-    report = run_sweep_elastic(points, workers=2, use_cache=False, max_retries=2)
-    assert report.results == [0, 10, 20, 30, 40]
-    assert report.retries == 1
+    for transport in LOSSY:
+        marker = str(tmp_path / f"{transport}.marker")
+        points = [
+            SweepPoint(_flaky, {"x": i, "marker": marker}) for i in range(5)
+        ]
+        report = run(transport, points, tmp_path, use_cache=False)
+        assert report.results == [0, 10, 20, 30, 40], transport
+        assert report.retries == 1, transport
 
 
-def test_retry_exhaustion_raises():
+def test_retry_exhaustion_raises(tmp_path):
     points = [SweepPoint(_always_dies, {"x": 0})]
-    with pytest.raises(SweepError, match="retr"):
-        run_sweep_elastic(points, workers=1, use_cache=False, max_retries=1)
+    for transport in LOSSY:
+        with pytest.raises(SweepError, match="retries exhausted"):
+            run(
+                transport, points, tmp_path, workers=1, use_cache=False,
+                max_retries=1,
+            )
 
 
-def test_worker_exception_propagates():
+def test_worker_exception_propagates(tmp_path):
     points = [SweepPoint(_raises, {"x": 7})]
-    with pytest.raises(SweepError, match="bad point 7"):
-        run_sweep_elastic(points, workers=2, use_cache=False)
+    for transport in TRANSPORTS:
+        with pytest.raises(SweepError, match="bad point 7"):
+            run(transport, points, tmp_path, use_cache=False)
 
 
 def test_stalled_worker_is_killed_and_point_retried(tmp_path):
-    marker = str(tmp_path / "stall.marker")
-    points = [SweepPoint(_stalls, {"x": i, "marker": marker}) for i in range(3)]
-    report = run_sweep_elastic(
-        points, workers=2, use_cache=False, max_retries=2, stall_timeout=0.5,
-    )
-    assert report.results == [0, 1, 2]
-    assert report.retries == 1
+    for transport in LOSSY:
+        marker = str(tmp_path / f"{transport}.marker")
+        points = [
+            SweepPoint(_stalls, {"x": i, "marker": marker}) for i in range(3)
+        ]
+        report = run(
+            transport, points, tmp_path, use_cache=False, stall_timeout=0.5,
+        )
+        assert report.results == [0, 1, 2], transport
+        assert report.retries == 1, transport
 
 
 def test_elastic_matches_plain_and_shares_cache(tmp_path):
+    # One grid, every transport: bit-identical results (checkpointing
+    # on for the pool and the service, where shards may resume), and
+    # cache entries any transport hits.
     experiment = Experiment(
         protocol="twobit", n_processors=2, refs_per_proc=200, warmup_refs=40,
     )
     axes = {"q": [0.02, 0.1], "protocol": ["twobit", "fullmap"]}
+    points = experiment.sweep_points(axes)
     cache = str(tmp_path / "cache")
 
-    plain = run_sweep(experiment.sweep_points(axes), workers=2, cache_dir=cache)
+    inline = run("inline", points, tmp_path, cache_dir=cache)
+    assert inline.cache_hits == 0
+    digests = {"inline": _digest(inline.results)}
+    for transport in LOSSY:
+        cold = run(
+            transport,
+            points,
+            tmp_path,
+            cache_dir=str(tmp_path / f"{transport}-cache"),
+            checkpoint_every=200,
+            checkpoint_dir=str(tmp_path / f"{transport}-ck"),
+        )
+        assert cold.cache_hits == 0 and cold.retries == 0, transport
+        digests[transport] = _digest(cold.results)
 
-    # A fresh elastic run (own cache, with checkpointing enabled) must
-    # reproduce the plain scheduler's results exactly.
-    elastic = run_sweep_elastic(
-        experiment.sweep_points(axes),
-        workers=2,
-        cache_dir=str(tmp_path / "cache2"),
-        checkpoint_every=200,
-        checkpoint_dir=str(tmp_path / "ck"),
-    )
-    assert elastic.results == plain.results
-    assert elastic.retries == 0
-
-    # Cache keys ignore the injected checkpoint kwargs, so an elastic
-    # run pointed at the plain run's cache is pure hits.
-    warmed = run_sweep_elastic(
-        experiment.sweep_points(axes), workers=2, cache_dir=cache,
-    )
-    assert warmed.cache_hits == len(plain.results)
-    assert warmed.results == plain.results
+        # Cache keys ignore the injected checkpoint kwargs, so a run
+        # pointed at the inline run's cache is pure hits.
+        warmed = run(transport, points, tmp_path, cache_dir=cache)
+        assert warmed.cache_hits == len(points), transport
+        assert warmed.results == inline.results, transport
+    assert len(set(digests.values())) == 1, digests
 
 
 def _killer_point(checkpoint_every=0, checkpoint_path=None, **kwargs):
@@ -129,27 +155,33 @@ def _killer_point(checkpoint_every=0, checkpoint_path=None, **kwargs):
     )
 
 
-def test_retry_resumes_from_shard_checkpoint(tmp_path, monkeypatch):
-    marker = str(tmp_path / "killed.marker")
-    monkeypatch.setenv(_KILL_MARKER_VAR, marker)
+def killer_points():
     experiment = Experiment(
         protocol="twobit", n_processors=2, refs_per_proc=200, warmup_refs=40,
     )
-    points = [
+    return [
         SweepPoint(_killer_point, p.kwargs, key=p.key)
         for p in experiment.sweep_points({"q": [0.05]})
     ]
-    report = run_sweep_elastic(
-        points,
-        workers=1,
-        use_cache=False,
-        checkpoint_every=150,
-        checkpoint_dir=str(tmp_path / "shards"),
-        max_retries=2,
-    )
-    assert report.retries == 1
-    assert os.path.exists(marker + ".resumed"), (
-        "retry did not find the shard checkpoint"
-    )
-    # The resumed result is bit-identical to an uninterrupted run.
-    assert report.results[0] == run_point(**points[0].kwargs)
+
+
+def test_retry_resumes_from_shard_checkpoint(tmp_path, monkeypatch):
+    points = killer_points()
+    for transport in LOSSY:
+        marker = str(tmp_path / f"{transport}.marker")
+        monkeypatch.setenv(_KILL_MARKER_VAR, marker)
+        report = run(
+            transport,
+            points,
+            tmp_path,
+            workers=1,
+            use_cache=False,
+            checkpoint_every=150,
+            checkpoint_dir=str(tmp_path / f"{transport}-shards"),
+        )
+        assert report.retries == 1, transport
+        assert os.path.exists(marker + ".resumed"), (
+            f"{transport}: retry did not find the shard checkpoint"
+        )
+        # The resumed result is bit-identical to an uninterrupted run.
+        assert report.results[0] == run_point(**points[0].kwargs), transport

@@ -14,6 +14,8 @@ from repro.runner import (
     code_version,
     run_sweep,
 )
+from repro.api import Experiment
+from repro.runner.scheduler import Scheduler
 from repro.runner.sweep import _label_str
 from repro.runner import cache as cache_mod
 
@@ -256,3 +258,52 @@ def test_label_str_never_renders_blank():
     assert _label_str(SweepPoint(square, {})) == "()"
     assert _label_str(SweepPoint(square, {}, key="named")) == "'named'"
     assert _label_str(SweepPoint(square, {"x": 2})) == "x=2"
+
+
+def test_pool_enforces_budgets_and_inline_rejects_them(tmp_path):
+    # Regression: Experiment.sweep used to drop stall_timeout,
+    # max_retries and the checkpoint budgets unless elastic=True.  Every
+    # point holds its worker far longer than 1 ms, so the stall budget
+    # must fire and, with no retries allowed, fail the sweep.
+    experiment = Experiment(
+        protocol="twobit", n_processors=2, refs_per_proc=5000, warmup_refs=100
+    )
+    with pytest.raises(SweepError, match="retries exhausted"):
+        experiment.sweep(
+            {"q": [0.01, 0.05]}, workers=2, use_cache=False,
+            stall_timeout=0.001, max_retries=0,
+        )
+    for budget in (
+        {"stall_timeout": 1.0},
+        {"checkpoint_every": 100},
+        {"checkpoint_dir": str(tmp_path)},
+    ):
+        with pytest.raises(ValueError, match="workers"):
+            experiment.sweep({"q": [0.01]}, use_cache=False, **budget)
+
+
+def test_scheduler_rejects_foreign_shard_index():
+    scheduler = Scheduler(_points([1, 2, 3]))
+    scheduler.start()
+    task = scheduler.lease("w")
+    for bad in (-1, 3, 7, "0", 1.0, None, True):
+        with pytest.raises(ValueError, match="shard index"):
+            scheduler.complete(bad, 999, 0.0, "w")
+        with pytest.raises(ValueError, match="shard index"):
+            scheduler.fail(bad, "boom", "w")
+        with pytest.raises(ValueError, match="shard index"):
+            scheduler.check_index(bad)
+    assert scheduler.outcomes == [None, None, None]
+    assert scheduler.status == "running" and scheduler.remaining == 3
+    assert scheduler.complete(task.index, 1, 0.0, "w")
+    assert scheduler.remaining == 2
+
+
+def test_scheduler_requeues_a_lost_shard_at_the_front():
+    scheduler = Scheduler(_points([1, 2, 3]), max_retries=1)
+    scheduler.start()
+    first = scheduler.lease("a")
+    scheduler.lost(first.index, "a")
+    assert scheduler.backlog[0] == first.index
+    assert scheduler.lease("b").index == first.index
+    assert scheduler.retries[first.index] == 1

@@ -279,3 +279,12 @@ def test_hunt_promote_and_replay(tmp_path, capsys):
 def test_hunt_nak_objective_needs_faults(capsys):
     with pytest.raises(SystemExit):
         main(["hunt", "--objective", "nak_retries", "--budget", "4"])
+
+
+def test_sweep_pool_budget_without_workers_exits(capsys):
+    # An inline sweep has no worker to lose: a stall budget is an error,
+    # not a silently ignored flag.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--axis", "q=0.02", "-n", "2", "--refs", "40",
+              "--no-cache", "--stall-timeout", "1"])
+    assert "workers" in str(excinfo.value.code)

@@ -50,7 +50,6 @@ SURFACE = [
     ("repro.runner", "SweepReport"),
     ("repro.runner", "derive_seed"),
     ("repro.runner", "run_sweep"),
-    ("repro.runner", "run_sweep_elastic"),
     ("repro.runner.service", "Coordinator"),
     ("repro.runner.service", "ServiceConfig"),
     ("repro.runner.service", "ServiceError"),
