@@ -40,6 +40,7 @@ from repro.config import NETWORKS, MachineConfig
 from repro.faults import CANNED_PLANS, FAULT_PROTOCOLS, parse_faults
 from repro.core.spec import render_spec
 from repro.protocols import registry
+from repro.protocols.fullmap import render_full_map_spec
 from repro.stats.tables import Table
 from repro.verification.audit import audit_machine
 from repro.workloads.registry import WorkloadSpecError
@@ -565,6 +566,8 @@ def cmd_topology(args: argparse.Namespace) -> int:
 
 def cmd_spec(args: argparse.Namespace) -> int:
     print(render_spec())
+    print()
+    print(render_full_map_spec())
     return 0
 
 
@@ -1035,7 +1038,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="assemble the machine and describe it fully")
     p_topo.set_defaults(fn=cmd_topology)
 
-    p_spec = sub.add_parser("spec", help="print the two-bit protocol table")
+    p_spec = sub.add_parser("spec", help="print the directory protocol tables")
     p_spec.set_defaults(fn=cmd_spec)
 
     p_cmp = sub.add_parser("compare", help="run every protocol")

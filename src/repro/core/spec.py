@@ -1,56 +1,34 @@
-"""Declarative specification of the two-bit directory protocol.
+"""The two-bit directory protocol as a transition table.
 
-§3.2 specifies the controller's behaviour in prose; this module captures
-it as a transition table — (global state, request) → (commands sent,
-next global state) — which serves three purposes:
+§3.2 specifies the controller's behaviour in prose; this module states
+it as a table — (global state, request) → (commands sent, next global
+state) — and the table *is* the controller: the two-bit home controller
+(:mod:`repro.core.controller`) looks up the row for the block's state
+and the shared :class:`~repro.protocols.directory.DirectoryController`
+runs the steps its ``sends`` column names.  The table also
 
-* it renders the protocol specification as a table
-  (:func:`render_spec`, also reachable via ``python -m repro spec``);
-* the conformance tests (`tests/core/test_conformance.py`) drive the
-  real controller through every row and check the implementation against
-  it — the systematic version of "the protocols ... need to be ...
-  proven correct";
-* readers get the whole §3.2 state machine on one screen.
+* renders the protocol specification (:func:`render_spec`, also
+  reachable via ``python -m repro spec``);
+* gives readers the whole §3.2 state machine on one screen;
+* anchors the conformance suite (`tests/core/test_conformance.py`),
+  which drives the real controller through every row and checks the
+  message choreography (command order, next state, memory effect) the
+  row's steps produce.
 
 The table describes the *default* design (DESIGN.md ambiguity
 resolutions); :func:`expected` adjusts rows for the paper-literal and
-no-Present1 option variants.
+no-Present1 option variants, and each controller resolves its rows by
+the same rules once, when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from repro.config import ProtocolOptions
 from repro.core.states import GlobalState
-from repro.stats.tables import Table
-
-#: Request kinds a home controller serializes (Table 3-1's commands as
-#: classified by the four §3.2 instances).
-EVENTS = (
-    "read_miss",     # REQUEST(k, a, "read")
-    "write_miss",    # REQUEST(k, a, "write")
-    "mrequest",      # MREQUEST(k, a)
-    "eject_clean",   # EJECT(k, a, "read")
-    "eject_dirty",   # EJECT(k, a, "write") + put(b_k, a)
-)
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One row of the protocol: what the controller sends and becomes."""
-
-    state: GlobalState
-    event: str
-    #: Command kinds the controller emits, in order.  "GET"/"MGRANTED+"
-    #: /"MGRANTED-" are directed at the requester; "BROADINV"/"BROADQUERY"
-    #: are broadcast; "EJECT_ACK" closes replacement notices.
-    sends: Tuple[str, ...]
-    next_state: GlobalState
-    #: Main memory is written during this transition (write-back landing).
-    memory_write: bool = False
-    note: str = ""
+from repro.protocols.directory import EVENTS, Transition, render_rows
 
 
 def _rows_default() -> Tuple[Transition, ...]:
@@ -84,30 +62,47 @@ def _rows_default() -> Tuple[Transition, ...]:
         Transition(
             P1, "mrequest", ("MGRANTED+",), PM,
             note="the payoff of encoding Present1: no broadcast",
+            counter="mreq_granted_present1",
         ),
         Transition(PS, "mrequest", ("BROADINV", "MGRANTED+"), PM),
         Transition(
             PM, "mrequest", ("MGRANTED-",), PM,
             note="requester lost a race (§3.2.5); it reissues a write miss",
+            counter="mreq_denied",
         ),
-        Transition(A, "mrequest", ("MGRANTED-",), A, note="race leftover"),
+        Transition(
+            A, "mrequest", ("MGRANTED-",), A, note="race leftover",
+            counter="mreq_denied",
+        ),
         # §3.2.1 replacement
         Transition(
             P1, "eject_clean", ("EJECT_ACK",), A,
             note="the transition that reduces later broadcasts",
+            counter="eject_present1_to_absent",
         ),
         Transition(
             PS, "eject_clean", ("EJECT_ACK",), PS,
             note="count unknown: Present* must absorb the loss",
+            counter="eject_present_star",
         ),
-        Transition(PM, "eject_clean", ("EJECT_ACK",), PM, note="stale notice"),
-        Transition(A, "eject_clean", ("EJECT_ACK",), A, note="stale notice"),
+        *(
+            Transition(
+                st, "eject_clean", ("EJECT_ACK",), st, note="stale notice",
+                counter="eject_stale_clean",
+            )
+            for st in (PM, A)
+        ),
         Transition(
             PM, "eject_dirty", ("EJECT_ACK",), A, memory_write=True,
+            counter="writebacks_absorbed",
         ),
-        Transition(A, "eject_dirty", ("EJECT_ACK",), A, note="stale write-back dropped"),
-        Transition(P1, "eject_dirty", ("EJECT_ACK",), P1, note="stale write-back dropped"),
-        Transition(PS, "eject_dirty", ("EJECT_ACK",), PS, note="stale write-back dropped"),
+        *(
+            Transition(
+                st, "eject_dirty", ("EJECT_ACK",), st,
+                note="stale write-back dropped", counter="eject_dropped_stale",
+            )
+            for st in (A, P1, PS)
+        ),
     )
 
 
@@ -129,45 +124,35 @@ def expected(
     options = options or ProtocolOptions()
     if state is GlobalState.PRESENT1 and not options.keep_present1:
         raise ValueError("Present1 is not reachable with keep_present1=False")
-    row = _INDEX[(state, event)]
+    return _resolve(_INDEX[(state, event)], options)
+
+
+def resolve_rows(
+    rows: Tuple[Transition, ...], options: ProtocolOptions
+) -> Tuple[Transition, ...]:
+    """``rows`` as a controller built with ``options`` runs them: the
+    :func:`expected` rules applied, unreachable Present1 rows dropped."""
+    return tuple(
+        _resolve(row, options)
+        for row in rows
+        if options.keep_present1 or row.state is not GlobalState.PRESENT1
+    )
+
+
+def _resolve(row: Transition, options: ProtocolOptions) -> Transition:
     next_state = row.next_state
-    if state is GlobalState.PRESENTM and event == "read_miss":
+    if row.state is GlobalState.PRESENTM and row.event == "read_miss":
         if options.owner_invalidates_on_read_query:
             next_state = GlobalState.PRESENT1  # paper-literal §3.2.2
     if next_state is GlobalState.PRESENT1 and not options.keep_present1:
         next_state = GlobalState.PRESENT_STAR
     if row.next_state is next_state:
         return row
-    return Transition(
-        state=row.state,
-        event=row.event,
-        sends=row.sends,
-        next_state=next_state,
-        memory_write=row.memory_write,
-        note=row.note,
-    )
+    return replace(row, next_state=next_state)
 
 
 def render_spec() -> str:
     """The §3.2 protocol as one table."""
-    table = Table(
-        header=["state", "request", "controller sends", "next state", "mem"],
-        title="Two-bit directory protocol (§3.2), default design",
+    return render_rows(
+        TWO_BIT_SPEC, "Two-bit directory protocol (§3.2), default design"
     )
-    for row in TWO_BIT_SPEC:
-        table.add_row(
-            [
-                row.state.name,
-                row.event,
-                " -> ".join(row.sends),
-                row.next_state.name,
-                "W" if row.memory_write else "",
-            ]
-        )
-    lines = [table.render(), "", "notes:"]
-    for row in TWO_BIT_SPEC:
-        if row.note:
-            lines.append(
-                f"  {row.state.name:<12} {row.event:<11} {row.note}"
-            )
-    return "\n".join(lines)

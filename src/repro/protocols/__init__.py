@@ -4,6 +4,8 @@ The paper's own contribution (the two-bit directory controller) lives in
 :mod:`repro.core`; this package holds the machinery it shares with the
 baselines and the baselines themselves:
 
+* ``directory`` — the table-driven home controller the two-bit and
+  full-map directories share (§3.2's transaction choreography),
 * ``fullmap`` — Censier-Feautrier n+1-bit presence vectors (§2.4.2),
 * ``fullmap_local`` — Yen-Fu exclusive-clean extension (§2.4.3),
 * ``classical`` — write-through + invalidate-all (§2.3),
@@ -22,6 +24,7 @@ from repro.protocols.classical import (
     ClassicalCacheController,
     ClassicalMemoryController,
 )
+from repro.protocols.directory import DirectoryController
 from repro.protocols.engine import TransactionEngine
 from repro.protocols.fullmap import (
     FullMapDirectory,
@@ -64,6 +67,7 @@ __all__ = [
     "ClassicalCacheController",
     "ClassicalMemoryController",
     "DirectoryCacheController",
+    "DirectoryController",
     "FullMapDirectory",
     "FullMapDirectoryController",
     "FullMapEntry",

@@ -8,19 +8,31 @@ holders.  No broadcasts ever occur; this is the reference point against
 which the two-bit scheme's extra commands are measured (§4.1: "the number
 of 'forced' write-backs and invalidations are independent of the mapping
 method").
+
+The protocol is the table :data:`FULL_MAP_SPEC`, keyed by the block's
+:class:`Situation` relative to the requesting cache; the shared
+:class:`~repro.protocols.directory.DirectoryController` dispatches on
+it exactly as it does on the two-bit table, and this module says only
+how a row commits to the presence vector and the modified/exclusive
+bits.  ``tests/protocols/test_fullmap_conformance.py`` drives every row
+through the real controller and checks the commands it sends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Dict, Iterable, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from enum import Enum
+from typing import Dict, FrozenSet, Iterable, Optional, Set
 
-from repro.interconnect.message import Message, MessageKind
+from repro.interconnect.message import Message
 from repro.interconnect.network import Network
 from repro.memory.module import MemoryModule
-from repro.protocols.base import AbstractMemoryController
-from repro.protocols.engine import TransactionEngine
+from repro.protocols.directory import (
+    DirectoryController,
+    Transition,
+    _Txn,
+    render_rows,
+)
 from repro.sim.kernel import Simulator
 from repro.config import MachineConfig
 
@@ -69,21 +81,141 @@ class FullMapDirectory:
         return (n_caches + 1) * len(self._entries)
 
 
-@dataclass
-class _Txn:
-    msg: Message
-    phase: str = "start"
-    acks_expected: int = 0
-    #: Distinct caches that acked (identity-based, duplicate-proof).
-    ack_sources: Set[str] = field(default_factory=set)
 
 
-class FullMapDirectoryController(AbstractMemoryController):
+class Situation(Enum):
+    """A block's full-map entry as the requesting cache sees it."""
+
+    UNCACHED = "no cache holds a copy"
+    SOLE = "the requester holds the only copy; memory is current"
+    SHARED = "other caches hold clean copies; the requester holds none"
+    SHARER = "the requester and other caches hold clean copies"
+    OWNED = "the requester holds the only copy, possibly dirty"
+    DIRTY = "another cache may hold the block dirty"
+
+
+def _rows_full_map():
+    U, SO, SH, SR, OW, D = (
+        Situation.UNCACHED,
+        Situation.SOLE,
+        Situation.SHARED,
+        Situation.SHARER,
+        Situation.OWNED,
+        Situation.DIRTY,
+    )
+    stale_holder = "stale: the requester's eject is still in flight"
+    return (
+        # Read miss
+        Transition(U, "read_miss", ("GET",), SO),
+        Transition(SO, "read_miss", ("GET",), SO, note=stale_holder),
+        Transition(SH, "read_miss", ("GET",), SR),
+        Transition(SR, "read_miss", ("GET",), SR, note=stale_holder),
+        Transition(
+            D, "read_miss", ("PURGE", "GET"), SR, memory_write=True,
+            note="owner supplies data, keeps a clean copy",
+        ),
+        Transition(
+            OW, "read_miss", ("PURGE", "GET"), SO, memory_write=True,
+            note="the requester's own write-back is still in flight",
+        ),
+        # Write miss
+        Transition(U, "write_miss", ("GET",), OW),
+        Transition(
+            SO, "write_miss", ("INVALIDATE", "GET"), OW,
+            note="stale holder: a round with no one to invalidate",
+        ),
+        Transition(SH, "write_miss", ("INVALIDATE", "GET"), OW),
+        Transition(SR, "write_miss", ("INVALIDATE", "GET"), OW, note=stale_holder),
+        Transition(
+            D, "write_miss", ("PURGE", "GET"), OW, memory_write=True,
+            note="owner supplies data and invalidates",
+        ),
+        Transition(
+            OW, "write_miss", ("PURGE", "GET"), OW, memory_write=True,
+            note="the requester's own write-back is still in flight",
+        ),
+        # MREQUEST: write hit on an unmodified copy
+        Transition(
+            SO, "mrequest", ("MGRANTED+",), OW,
+            note="sole holder: no one to invalidate",
+            counter="mreq_granted_sole_owner",
+        ),
+        Transition(SR, "mrequest", ("INVALIDATE", "MGRANTED+"), OW),
+        *(
+            Transition(
+                st, "mrequest", ("MGRANTED-",), st,
+                note="requester lost its copy; it reissues a write miss",
+                counter="mreq_denied",
+            )
+            for st in (U, SH, D)
+        ),
+        Transition(
+            OW, "mrequest", ("MGRANTED-",), OW,
+            note="stale: the requester already owns the block",
+            counter="mreq_denied",
+        ),
+        # Replacement notices (the requester is the ejector)
+        Transition(SO, "eject_clean", ("EJECT_ACK",), U, counter="eject_clean"),
+        Transition(SR, "eject_clean", ("EJECT_ACK",), SH, counter="eject_clean"),
+        Transition(
+            OW, "eject_clean", ("EJECT_ACK",), U, counter="eject_clean",
+            note="the exclusive-clean owner leaves",
+        ),
+        *(
+            Transition(
+                st, "eject_clean", ("EJECT_ACK",), st, counter="eject_clean",
+                note="stale notice: the ejector is already gone",
+            )
+            for st in (U, SH, D)
+        ),
+        Transition(
+            OW, "eject_dirty", ("EJECT_ACK",), U, memory_write=True,
+            counter="writebacks_absorbed",
+        ),
+        *(
+            Transition(
+                st, "eject_dirty", ("EJECT_ACK",), st,
+                note="stale write-back dropped", counter="eject_dropped_stale",
+            )
+            for st in (U, SO, SR, SH, D)
+        ),
+    )
+
+
+#: The full map's protocol: (situation, request) -> row.
+FULL_MAP_SPEC = _rows_full_map()
+
+#: The local-state variant (Yen-Fu, §2.4.3) differs in one row: a read
+#: fill from uncached is granted exclusive-clean.
+FULL_MAP_LOCAL_SPEC = tuple(
+    replace(
+        row, next_state=Situation.OWNED,
+        note="exclusive-clean fill: a later write hit needs no MREQUEST",
+    )
+    if (row.state, row.event) == (Situation.UNCACHED, "read_miss")
+    else row
+    for row in FULL_MAP_SPEC
+)
+
+
+def render_full_map_spec() -> str:
+    """The full map's table, then the row the local-state variant
+    changes."""
+    changed = [row for row in FULL_MAP_LOCAL_SPEC if row not in FULL_MAP_SPEC]
+    return "\n\n".join(
+        (
+            render_rows(FULL_MAP_SPEC, "Full-map directory (§2.4.2)"),
+            render_rows(changed, "Full map with local state (§2.4.3): changed rows"),
+        )
+    )
+
+
+class FullMapDirectoryController(DirectoryController):
     """Home controller with the n+1-bit presence-vector directory."""
 
-    #: Grant exclusive-clean on a read fill from Absent (local-state
-    #: variant overrides to True).
-    grant_exclusive_clean = False
+    table = FULL_MAP_SPEC
+    selective_inv_counter = "invalidations_sent"
+    selective_purge_counter = "purges_sent"
 
     def __init__(
         self,
@@ -94,415 +226,90 @@ class FullMapDirectoryController(AbstractMemoryController):
         module: MemoryModule,
         n_caches: int,
     ) -> None:
-        super().__init__(sim, index, config)
-        self.net = net
-        self.module = module
-        self.n_caches = n_caches
+        super().__init__(
+            sim, index, config, net, module, n_caches, rows=self.table
+        )
         self.directory = FullMapDirectory(
             blocks=(b for b in range(config.n_blocks) if module.owns(b))
         )
-        self.engine = TransactionEngine(self._begin, config.options.serialization)
-        self._txns: Dict[int, _Txn] = {}
-        self._eject_data: Dict[Tuple[str, int], int] = {}
+
+    def _situation(self, txn: _Txn) -> Situation:
+        entry = self.directory.entry(txn.msg.block)
+        requester = self._requester(txn)
+        owners = entry.owners
+        if entry.possibly_dirty:
+            return Situation.OWNED if owners == {requester} else Situation.DIRTY
+        if requester in owners:
+            return Situation.SHARER if len(owners) > 1 else Situation.SOLE
+        return Situation.SHARED if owners else Situation.UNCACHED
 
     # ==================================================================
-    # Network interface
+    # Rounds: the presence vector names every target
     # ==================================================================
-    def deliver(self, message: Message) -> None:
-        kind = message.kind
-        if kind in (MessageKind.REQUEST, MessageKind.MREQUEST, MessageKind.EJECT):
-            if not self._fault_admit(message):
-                return
-            self.counters.add(f"rx_{kind.name.lower()}")
-            self.engine.submit(message)
-        elif kind is MessageKind.PUT:
-            self._on_put(message)
-        elif kind is MessageKind.INV_ACK:
-            self._on_inv_ack(message)
-        elif kind is MessageKind.QUERY_NOCOPY:
-            self._on_query_nocopy(message)
-        elif kind is MessageKind.MREQ_CANCEL:
-            if not self._fault_dedupe(message, "txn"):
-                return
-            # The full map would deny the stale MREQUEST anyway (the
-            # sender is no longer in the owner set); scrubbing it just
-            # saves the round trip.
-            removed = self.engine.scrub(
-                message.block,
-                lambda m: (
-                    m.kind is MessageKind.MREQUEST
-                    and m.src == message.src
-                    and m.meta.get("txn") == message.meta.get("txn")
-                ),
+    def _invalidation_targets(self, txn: _Txn) -> Set[int]:
+        return self.directory.entry(txn.msg.block).owners - {self._requester(txn)}
+
+    def _query_target(self, txn: _Txn) -> int:
+        block = txn.msg.block
+        owners = self.directory.entry(block).owners
+        if len(owners) != 1:
+            raise RuntimeError(
+                f"{self.name}: dirty/exclusive block {block} with owners "
+                f"{owners}"
             )
-            self.counters.add("mrequests_cancelled", len(removed))
-        elif kind is MessageKind.EJECT_REVOKE:
-            # Presence vectors make stale clean ejects harmless.
-            self.counters.add("eject_revokes_ignored")
-        else:
-            raise ValueError(f"{self.name} cannot handle {message!r}")
+        (owner,) = owners
+        return owner
 
-    def _begin(self, message: Message) -> None:
-        txn = _Txn(msg=message)
-        self._txns[message.block] = txn
-        self.counters.add("transactions")
-        done = self.sim.now + self.config.timing.directory_access
-        self.sim.post_at(done, self._dispatch, txn)
+    def _memory_current(self, txn: _Txn, message: Message) -> bool:
+        # The exclusive-clean owner answered a PURGE without data.
+        self.counters.add("purge_found_clean")
+        return True
 
-    def _dispatch(self, txn: _Txn) -> None:
-        msg = txn.msg
-        if msg.kind is MessageKind.REQUEST:
-            if msg.rw == "read":
-                self._do_read_request(txn)
-            else:
-                self._do_write_request(txn)
-        elif msg.kind is MessageKind.MREQUEST:
-            self._do_mrequest(txn)
-        else:
-            self._do_eject(txn)
-
-    def _finish(self, txn: _Txn) -> None:
-        block = txn.msg.block
-        del self._txns[block]
-        self.engine.complete(block)
+    def _on_stray_nocopy(self, message: Message) -> None:
+        self.counters.add("stray_query_nocopy")
 
     # ==================================================================
-    # Read miss
+    # How a row commits to the presence vector
     # ==================================================================
-    def _do_read_request(self, txn: _Txn) -> None:
-        block = txn.msg.block
-        entry = self.directory.entry(block)
-        if entry.possibly_dirty:
-            txn.phase = "query"
-            self._purge_owner(txn, rw="read")
-            return
-        exclusive = self.grant_exclusive_clean and not entry.owners
-        done = self._use_memory()
-        self.sim.post_at(done, self._serve_read_from_memory, txn, exclusive)
-
-    def _serve_read_from_memory(self, txn: _Txn, exclusive: bool) -> None:
-        block = txn.msg.block
-        entry = self.directory.entry(block)
+    def _commit_data(self, txn: _Txn, answer: Optional[Message]) -> bool:
+        entry = self.directory.entry(txn.msg.block)
         requester = self._requester(txn)
-        entry.owners.add(requester)
-        entry.modified = False
-        entry.exclusive = exclusive
-        self._send_get(txn, version=self.module.read(block), exclusive=exclusive)
-        self._finish(txn)
+        write = txn.msg.rw == "write"
+        if answer is not None:
+            entry.owners = self._holders_after_query(txn, answer)
+        elif write:
+            entry.owners = {requester}
+        else:
+            entry.owners.add(requester)
+        entry.modified = write
+        entry.exclusive = not write and txn.row.next_state is Situation.OWNED
+        return entry.exclusive
 
-    # ==================================================================
-    # Write miss
-    # ==================================================================
-    def _do_write_request(self, txn: _Txn) -> None:
-        block = txn.msg.block
-        entry = self.directory.entry(block)
-        if entry.possibly_dirty:
-            txn.phase = "query"
-            self._purge_owner(txn, rw="write")
-            return
-        if entry.owners:
-            txn.phase = "inv-wait"
-            self._invalidate_holders(txn, entry.owners)
-            return
-        done = self._use_memory()
-        self.sim.post_at(done, self._serve_write_from_memory, txn)
-
-    def _serve_write_from_memory(self, txn: _Txn) -> None:
-        block = txn.msg.block
-        entry = self.directory.entry(block)
-        requester = self._requester(txn)
-        entry.owners = {requester}
+    def _commit_modify(self, txn: _Txn) -> None:
+        entry = self.directory.entry(txn.msg.block)
+        entry.owners = {self._requester(txn)}
         entry.modified = True
         entry.exclusive = False
-        self._send_get(txn, version=self.module.read(block))
-        self._finish(txn)
 
-    # ==================================================================
-    # Write hit on unmodified (MREQUEST)
-    # ==================================================================
-    def _do_mrequest(self, txn: _Txn) -> None:
-        block = txn.msg.block
-        entry = self.directory.entry(block)
-        requester = self._requester(txn)
-        if requester not in entry.owners or entry.modified:
-            # Lost a race; the cache reissues as a write miss.
-            self.counters.add("mreq_denied")
-            self._grant_modify(txn, granted=False)
-            return
-        others = entry.owners - {requester}
-        if not others:
-            self.counters.add("mreq_granted_sole_owner")
-            self._grant_modify(txn, granted=True)
-            return
-        txn.phase = "inv-wait"
-        self._invalidate_holders(txn, others)
-
-    def _grant_modify(self, txn: _Txn, granted: bool) -> None:
-        block = txn.msg.block
-        requester = self._requester(txn)
-        if granted:
-            entry = self.directory.entry(block)
-            entry.owners = {requester}
-            entry.modified = True
+    def _commit_eject(self, txn: _Txn) -> None:
+        # A stale notice (copy invalidated in flight) is harmless here:
+        # the presence vector already dropped the ejector, and
+        # discarding a non-member is a no-op.
+        entry = self.directory.entry(txn.msg.block)
+        entry.owners.discard(self._requester(txn))
+        if not entry.owners:
             entry.exclusive = False
-        self._send(
-            MessageKind.MGRANTED,
-            dst=self._cache_name(requester),
-            block=block,
-            flag=granted,
-            requester=requester,
-            meta={"txn": txn.msg.meta.get("txn")},
-        )
-        self._finish(txn)
 
-    # ==================================================================
-    # Ejects
-    # ==================================================================
-    def _do_eject(self, txn: _Txn) -> None:
-        block = txn.msg.block
-        requester = self._requester(txn)
-        entry = self.directory.entry(block)
-        if txn.msg.rw == "read":
-            # A stale notice (copy invalidated in flight) is harmless
-            # here: the presence vector already dropped the ejector, and
-            # discarding a non-member is a no-op.
-            entry.owners.discard(requester)
-            if not entry.owners:
-                entry.exclusive = False
-            self.counters.add("eject_clean")
-            self._send(
-                MessageKind.EJECT_ACK,
-                dst=txn.msg.src,
-                block=block,
-                meta={"ej": txn.msg.meta.get("ej")},
-            )
-            self._finish(txn)
-            return
-        key = (txn.msg.src, block)
-        if key in self._eject_data:
-            self._consume_eject_data(txn, self._eject_data.pop(key))
-        else:
-            txn.phase = "eject-data"
-
-    def _consume_eject_data(self, txn: _Txn, version: int) -> None:
-        block = txn.msg.block
-        requester = self._requester(txn)
-        entry = self.directory.entry(block)
-        if entry.possibly_dirty and entry.owners == {requester}:
-            done = self._use_memory()
-            self.sim.post_at(done, self._absorb_writeback, txn, version)
-        else:
-            # Superseded by a purge that already collected the data.
-            self.counters.add("eject_dropped_stale")
-            self._ack_eject_and_finish(txn)
-
-    def _absorb_writeback(self, txn: _Txn, version: int) -> None:
-        block = txn.msg.block
-        entry = self.directory.entry(block)
-        self.module.write(block, version)
+    def _commit_writeback(self, txn: _Txn) -> None:
+        entry = self.directory.entry(txn.msg.block)
         entry.owners = set()
         entry.modified = False
         entry.exclusive = False
-        self.counters.add("writebacks_absorbed")
-        self._ack_eject_and_finish(txn)
 
-    def _ack_eject_and_finish(self, txn: _Txn) -> None:
-        self._send(MessageKind.EJECT_ACK, dst=txn.msg.src, block=txn.msg.block)
-        self._finish(txn)
-
-    # ==================================================================
-    # Selective commands
-    # ==================================================================
-    def _invalidate_holders(self, txn: _Txn, holders: Set[int]) -> None:
-        block = txn.msg.block
-        requester = self._requester(txn)
-        if self.config.options.scrub_queued_mrequests:
-            removed = self.engine.scrub(
-                block,
-                lambda m: (
-                    m.kind is MessageKind.MREQUEST and m.requester != requester
-                ),
-            )
-            if removed:
-                self.counters.add("mrequests_scrubbed", len(removed))
-        targets = sorted(holders - {requester})
-        txn.acks_expected = (
-            len(targets) if self.config.options.invalidation_acks else 0
-        )
-        self.counters.add("invalidations_sent", len(targets))
-        # §4.1: selective commands are handled sequentially — each
-        # additional recipient costs selection/queueing time (0 by the
-        # paper's simplifying assumption).
-        stagger = self.config.timing.selective_send_overhead
-        for i, pid in enumerate(targets):
-            self.sim.post(
-                i * stagger,
-                partial(
-                    self._send,
-                    MessageKind.INVALIDATE,
-                    dst=self._cache_name(pid),
-                    block=block,
-                    requester=requester,
-                ),
-            )
-        if txn.acks_expected == 0:
-            self._invalidations_done(txn)
-
-    def _on_inv_ack(self, message: Message) -> None:
-        txn = self._txns.get(message.block)
-        if (
-            txn is None
-            or txn.phase != "inv-wait"
-            or message.src in txn.ack_sources
-        ):
-            self.counters.add("stray_inv_acks")
-            return
-        txn.ack_sources.add(message.src)
-        if len(txn.ack_sources) >= txn.acks_expected:
-            self._invalidations_done(txn)
-
-    def _invalidations_done(self, txn: _Txn) -> None:
-        if txn.msg.kind is MessageKind.MREQUEST:
-            self._grant_modify(txn, granted=True)
-            return
-        done = self._use_memory()
-        self.sim.post_at(done, self._serve_write_from_memory, txn)
-
-    def _purge_owner(self, txn: _Txn, rw: str) -> None:
-        block = txn.msg.block
-        entry = self.directory.entry(block)
-        if len(entry.owners) != 1:
-            raise RuntimeError(
-                f"{self.name}: dirty/exclusive block {block} with owners "
-                f"{entry.owners}"
-            )
-        (owner,) = entry.owners
-        self.counters.add("purges_sent")
-        self._send(
-            MessageKind.PURGE,
-            dst=self._cache_name(owner),
-            block=block,
-            rw=rw,
-            requester=self._requester(txn),
-        )
-
-    # ==================================================================
-    # Query answers
-    # ==================================================================
-    def _on_put(self, message: Message) -> None:
-        if message.meta.get("for") == "eject":
-            if not self._fault_dedupe(message, "ej"):
-                return
-            key = (message.src, message.block)
-            txn = self._txns.get(message.block)
-            assert message.version is not None
-            if (
-                txn is not None
-                and txn.msg.kind is MessageKind.EJECT
-                and txn.msg.src == message.src
-                and txn.phase == "eject-data"
-            ):
-                self._consume_eject_data(txn, message.version)
-            else:
-                self._eject_data[key] = message.version
-            return
-        txn = self._txns.get(message.block)
-        if txn is None or txn.phase != "query":
-            if self.net.faults is not None:
-                # A duplicated query answer (the first copy retired the
-                # query): absorb it rather than treating the transport as
-                # broken.
-                self.counters.add("duplicate_query_data_dropped")
-                return
-            raise RuntimeError(f"{self.name}: unexpected query data {message!r}")
-        assert message.version is not None
-        txn.phase = "query-done"  # a second answer must fail loudly
-        done = self._use_memory()
-        self.sim.post_at(done, self._complete_query, txn, message, message.version)
-
-    def _on_query_nocopy(self, message: Message) -> None:
-        # The exclusive-clean owner answered a PURGE without data:
-        # memory is current, serve from it.
-        txn = self._txns.get(message.block)
-        if txn is None or txn.phase != "query":
-            self.counters.add("stray_query_nocopy")
-            return
-        self.counters.add("purge_found_clean")
-        txn.phase = "query-done"
-        done = self._use_memory()
-        self.sim.post_at(done, self._complete_query, txn, message, None)
-
-    def _complete_query(
-        self, txn: _Txn, answer: Message, version: Optional[int]
-    ) -> None:
-        block = txn.msg.block
-        entry = self.directory.entry(block)
-        requester = self._requester(txn)
-        responder = answer.requester
-        if version is not None:
-            self.module.write(block, version)
-        else:
-            version = self.module.read(block)
-        is_write = txn.msg.rw == "write"
-        if is_write:
-            entry.owners = {requester}
-            entry.modified = True
-        else:
-            entry.owners = {requester}
-            keep_clean_copy = (
-                not self.config.options.owner_invalidates_on_read_query
-                and not answer.meta.get("from_wb")
-                and responder is not None
-            )
-            if keep_clean_copy:
-                entry.owners.add(responder)
-            entry.modified = False
-        entry.exclusive = False
-        self._send_get(txn, version=version)
-        self._finish(txn)
-
-    # ==================================================================
-    # Helpers
-    # ==================================================================
-    def _send_get(self, txn: _Txn, version: int, exclusive: bool = False) -> None:
-        requester = self._requester(txn)
-        # Echo the REQUEST uid so the cache can reject a duplicated grant
-        # from an earlier miss on the same block (faults only).
-        meta = {"txn": txn.msg.meta.get("txn")}
-        if exclusive:
-            meta["exclusive"] = True
-        self._send(
-            MessageKind.GET,
-            dst=self._cache_name(requester),
-            block=txn.msg.block,
-            version=version,
-            requester=requester,
-            meta=meta,
-        )
-        self.counters.add("data_grants")
-
-    def copy_holders(self, block: int):
+    def copy_holders(self, block: int) -> FrozenSet[int]:
         """Exact pids holding a valid copy of ``block`` (the full map).
 
         Mirrors ``TwoBitDirectoryController.copy_holders`` so tests can
         compare the sparse superset index against the precise map.
         """
         return frozenset(self.directory.entry(block).owners)
-
-    @staticmethod
-    def _cache_name(pid: int) -> str:
-        return f"cache{pid}"
-
-    def _requester(self, txn: _Txn) -> int:
-        requester = txn.msg.requester
-        if requester is None:
-            raise ValueError(f"message without requester: {txn.msg!r}")
-        return requester
-
-    def _send(self, kind: MessageKind, dst: str, block: int, **fields) -> None:
-        self.net.send(
-            Message(kind=kind, src=self.name, dst=dst, block=block, **fields)
-        )
-
-    def quiescent(self) -> bool:
-        return self.engine.idle and not self._txns and not self._eject_data

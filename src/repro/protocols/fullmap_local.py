@@ -13,7 +13,7 @@ data if it silently upgraded, or with a clean acknowledgement if not.
 from __future__ import annotations
 
 from repro.protocols.cache_side import DirectoryCacheController
-from repro.protocols.fullmap import FullMapDirectoryController
+from repro.protocols.fullmap import FULL_MAP_LOCAL_SPEC, FullMapDirectoryController
 
 
 class LocalStateCacheController(DirectoryCacheController):
@@ -27,6 +27,8 @@ class LocalStateCacheController(DirectoryCacheController):
 
 
 class LocalStateFullMapController(FullMapDirectoryController):
-    """Directory side granting exclusive-clean fills from Absent."""
+    """Directory side granting exclusive-clean fills from uncached: the
+    one row in which :data:`~repro.protocols.fullmap.FULL_MAP_LOCAL_SPEC`
+    differs from the full map's table."""
 
-    grant_exclusive_clean = True
+    table = FULL_MAP_LOCAL_SPEC

@@ -117,6 +117,7 @@ _SKIP_ATTRS = frozenset(
         "exhausted",
         "obs",  # Simulator's observability hub (telemetry only)
         "observer",  # TwoBitDirectory's transition probe callback
+        "_rows",  # a directory controller's protocol table: fixed at build
     }
 )
 

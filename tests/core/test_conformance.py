@@ -1,10 +1,11 @@
-"""Conformance: the controller implementation vs the §3.2 spec table.
+"""Conformance: the message choreography of every §3.2 table row.
 
-A harness hosts one TwoBitDirectoryController over a stub network that
-plays the role of every cache (answering queries with data and
-invalidations with acks), injects each request kind from each global
-state, and checks the emitted commands, the next state, and the memory
-effect against ``repro.core.spec``.
+The controller dispatches on the rows of ``repro.core.spec``.  A harness
+hosts one TwoBitDirectoryController over a stub network that plays the
+role of every cache (answering queries with data and invalidations with
+acks), injects each request kind from each global state, and checks
+that the steps the row names emit its commands in order and leave its
+next state and memory effect.
 """
 
 from typing import List, Optional, Set

@@ -99,11 +99,11 @@ PROTOCOL_GOLDEN = {
     ('classical', 'instrumented'): (2653, 2699, '5f5992843251d4d8', 'ebaa93b131c2aef0'),
     ('classical', 'tie_seed'): (2657, 2690, 'ba9efafba92e2de1', None),
     ('fullmap', 'bare'): (2624, 1655, '89279419e59df367', None),
-    ('fullmap', 'instrumented'): (2624, 1655, '89279419e59df367', '0e2278f03cdbb5ef'),
+    ('fullmap', 'instrumented'): (2624, 1655, '89279419e59df367', '786dd35e2dbfc281'),
     ('fullmap', 'tie_seed'): (2622, 1643, 'baff5ded904129f9', None),
     ('fullmap', 'faulted'): (2697, 1688, '1438bb0dff9428a9', None),
     ('fullmap_local', 'bare'): (2498, 1530, 'c592f76d808c866b', None),
-    ('fullmap_local', 'instrumented'): (2498, 1530, 'c592f76d808c866b', '0ebdce75be4b0eca'),
+    ('fullmap_local', 'instrumented'): (2498, 1530, 'c592f76d808c866b', '5b2d9cd5c9baa8f4'),
     ('fullmap_local', 'tie_seed'): (2498, 1507, 'd7da29bea3a7ee33', None),
     ('fullmap_local', 'faulted'): (2563, 1555, 'a4b228524c7aac75', None),
     ('illinois', 'bare'): (2027, 1800, 'a555e0918e15826e', None),

@@ -1,5 +1,7 @@
 """Full-machine instrumentation: counter consistency, samplers, tracer."""
 
+import pytest
+
 from repro.config import MachineConfig
 from repro.obs import instrument_machine, machine_metrics
 from repro.sim.trace import MessageTracer
@@ -7,11 +9,11 @@ from repro.system.builder import build_machine
 from repro.workloads.synthetic import DuboisBriggsWorkload
 
 
-def _instrumented_run(**obs_kwargs):
+def _instrumented_run(protocol="twobit", **obs_kwargs):
     workload = DuboisBriggsWorkload(
         n_processors=4, q=0.20, w=0.4, private_blocks_per_proc=32, seed=1
     )
-    config = MachineConfig(n_processors=4, n_modules=2, protocol="twobit")
+    config = MachineConfig(n_processors=4, n_modules=2, protocol=protocol)
     machine = build_machine(config, workload)
     obs = instrument_machine(machine, **obs_kwargs)
     machine.run(refs_per_proc=300, warmup_refs=50)
@@ -36,6 +38,15 @@ def test_span_histograms_agree_with_protocol_counters():
     }
     assert actual == {k: v for k, v in expected.items() if v}
     assert sum(actual.values()) == 4 * 300  # one span per measured ref
+
+
+@pytest.mark.parametrize("protocol", ["twobit", "fullmap", "fullmap_local"])
+def test_directory_misses_record_directory_and_grant_phases(protocol):
+    # Every directory home runs the same controller choreography, so a
+    # miss span marks the directory visit and the grant whatever the map.
+    _, obs = _instrumented_run(protocol)
+    for key in ("RM/directory", "RM/grant", "WM/directory", "WM/grant"):
+        assert key in obs.phases, (protocol, key, sorted(obs.phases))
 
 
 def test_system_sampler_covers_all_subsystems():

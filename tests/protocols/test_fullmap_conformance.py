@@ -4,17 +4,25 @@ Mirror of the two-bit conformance suite: a stub network plays every
 cache, each directory situation is injected directly, and the emitted
 command sequence plus the resulting presence vector are checked against
 the expected behaviour.  Situations are described relative to the
-requester: who else holds the block, and whether it is dirty/exclusive.
+requester: who else holds the block, and whether it is dirty/exclusive
+(:class:`~repro.protocols.fullmap.Situation`).  The controller dispatches
+on the rows of ``FULL_MAP_SPEC``, so the suite checks the message
+choreography each row produces; every declared row has a case.
 """
 
-from typing import List, Optional, Set
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 import pytest
 
 from repro.config import MachineConfig, ProtocolOptions
 from repro.interconnect.message import Message, MessageKind
 from repro.memory.module import MemoryModule
-from repro.protocols.fullmap import FullMapDirectoryController
+from repro.protocols.fullmap import (
+    FULL_MAP_LOCAL_SPEC,
+    FULL_MAP_SPEC,
+    FullMapDirectoryController,
+    Situation,
+)
 from repro.protocols.fullmap_local import LocalStateFullMapController
 from repro.sim.kernel import Simulator
 from repro.stats.counters import CounterSet
@@ -128,6 +136,33 @@ def request(ctrl, kind, requester, rw=None):
             meta={"txn": 5},
         )
     )
+
+
+def eject(ctrl, ejector, dirty):
+    """A replacement notice; a dirty one is followed by its put data."""
+    ctrl.deliver(
+        Message(
+            kind=MessageKind.EJECT,
+            src=f"cache{ejector}",
+            dst=ctrl.name,
+            block=BLOCK,
+            rw="write" if dirty else "read",
+            requester=ejector,
+            meta={"ej": 7},
+        )
+    )
+    if dirty:
+        ctrl.deliver(
+            Message(
+                kind=MessageKind.PUT,
+                src=f"cache{ejector}",
+                dst=ctrl.name,
+                block=BLOCK,
+                requester=ejector,
+                version=DIRTY_VERSION,
+                meta={"for": "eject", "ej": 7},
+            )
+        )
 
 
 # ----------------------------------------------------------------------
@@ -253,3 +288,200 @@ def test_storage_grows_with_processor_count(n):
 
     directory = FullMapDirectory(blocks=range(8))
     assert directory.storage_bits(n) == (n + 1) * 8
+
+
+# ----------------------------------------------------------------------
+# Write miss on an uncached block; ejects; MREQUEST on a modified block
+# ----------------------------------------------------------------------
+def test_write_miss_uncached_fetches_memory():
+    sim, net, ctrl, module = make(set(), modified=False)
+    request(ctrl, MessageKind.REQUEST, requester=0, rw="write")
+    sim.run(max_events=10_000)
+    assert net.sent == ["GET"]
+    entry = ctrl.directory.entry(BLOCK)
+    assert entry.owners == {0} and entry.modified
+
+
+def test_clean_eject_drops_the_ejector():
+    sim, net, ctrl, module = make({0, 1}, modified=False)
+    eject(ctrl, 0, dirty=False)
+    sim.run(max_events=10_000)
+    assert net.sent == ["EJECT_ACK"]
+    assert ctrl.directory.entry(BLOCK).owners == {1}
+    assert ctrl.counters["eject_clean"] == 1
+
+
+def test_last_clean_eject_clears_exclusive():
+    sim, net, ctrl, module = make(
+        {0}, modified=False, exclusive=True, local_state=True
+    )
+    eject(ctrl, 0, dirty=False)
+    sim.run(max_events=10_000)
+    assert net.sent == ["EJECT_ACK"]
+    entry = ctrl.directory.entry(BLOCK)
+    assert entry.owners == set() and not entry.exclusive
+
+
+def test_dirty_eject_from_the_owner_is_absorbed():
+    sim, net, ctrl, module = make({0}, modified=True)
+    eject(ctrl, 0, dirty=True)
+    sim.run(max_events=10_000)
+    assert net.sent == ["EJECT_ACK"]
+    entry = ctrl.directory.entry(BLOCK)
+    assert entry.owners == set() and not entry.modified
+    assert module.peek(BLOCK) == DIRTY_VERSION
+    assert ctrl.counters["writebacks_absorbed"] == 1
+
+
+def test_stale_dirty_eject_is_dropped():
+    # A purge already moved ownership to cache 2; cache 0's write-back
+    # is stale and must not overwrite memory.
+    sim, net, ctrl, module = make({2}, modified=True)
+    eject(ctrl, 0, dirty=True)
+    sim.run(max_events=10_000)
+    assert net.sent == ["EJECT_ACK"]
+    entry = ctrl.directory.entry(BLOCK)
+    assert entry.owners == {2} and entry.modified
+    assert module.peek(BLOCK) == CLEAN_VERSION
+    assert ctrl.counters["eject_dropped_stale"] == 1
+
+
+def test_mrequest_on_modified_block_denied():
+    sim, net, ctrl, module = make({2}, modified=True)
+    request(ctrl, MessageKind.MREQUEST, requester=0)
+    sim.run(max_events=10_000)
+    assert net.sent == ["MGRANTED-"]
+    entry = ctrl.directory.entry(BLOCK)
+    assert entry.owners == {2} and entry.modified
+
+
+# ----------------------------------------------------------------------
+# Every row of the table
+# ----------------------------------------------------------------------
+class Case(NamedTuple):
+    """One row's setup (the entry; cache 0 always asks) and outcome."""
+
+    owners: Set[int]
+    modified: bool
+    exclusive: bool
+    sends: Tuple[str, ...]
+    #: Entry afterwards: (owners, modified, exclusive).
+    after: Tuple[Set[int], bool, bool]
+    memory: int = CLEAN_VERSION
+
+
+S = Situation
+GET, ACK = ("GET",), ("EJECT_ACK",)
+PURGE2, PURGE0 = ("PURGE->cache2", "GET"), ("PURGE->cache0", "GET")
+
+#: (situation, event) -> the case that drives the row with cache 0.
+ROW_CASES = {
+    (S.UNCACHED, "read_miss"): Case(set(), False, False, GET, ({0}, False, False)),
+    (S.SOLE, "read_miss"): Case({0}, False, False, GET, ({0}, False, False)),
+    (S.SHARED, "read_miss"): Case({1, 3}, False, False, GET,
+                                  ({0, 1, 3}, False, False)),
+    (S.SHARER, "read_miss"): Case({0, 1}, False, False, GET,
+                                  ({0, 1}, False, False)),
+    (S.DIRTY, "read_miss"): Case({2}, True, False, PURGE2,
+                                 ({0, 2}, False, False), DIRTY_VERSION),
+    (S.OWNED, "read_miss"): Case({0}, True, False, PURGE0,
+                                 ({0}, False, False), DIRTY_VERSION),
+    (S.UNCACHED, "write_miss"): Case(set(), False, False, GET, ({0}, True, False)),
+    (S.SOLE, "write_miss"): Case({0}, False, False, GET, ({0}, True, False)),
+    (S.SHARED, "write_miss"): Case(
+        {1, 3}, False, False,
+        ("INVALIDATE->cache1", "INVALIDATE->cache3", "GET"), ({0}, True, False),
+    ),
+    (S.SHARER, "write_miss"): Case(
+        {0, 1}, False, False, ("INVALIDATE->cache1", "GET"), ({0}, True, False),
+    ),
+    (S.DIRTY, "write_miss"): Case({2}, True, False, PURGE2,
+                                  ({0}, True, False), DIRTY_VERSION),
+    (S.OWNED, "write_miss"): Case({0}, True, False, PURGE0,
+                                  ({0}, True, False), DIRTY_VERSION),
+    (S.SOLE, "mrequest"): Case({0}, False, False, ("MGRANTED+",),
+                               ({0}, True, False)),
+    (S.SHARER, "mrequest"): Case(
+        {0, 1}, False, False, ("INVALIDATE->cache1", "MGRANTED+"),
+        ({0}, True, False),
+    ),
+    (S.UNCACHED, "mrequest"): Case(set(), False, False, ("MGRANTED-",),
+                                   (set(), False, False)),
+    (S.SHARED, "mrequest"): Case({1, 3}, False, False, ("MGRANTED-",),
+                                 ({1, 3}, False, False)),
+    (S.DIRTY, "mrequest"): Case({2}, True, False, ("MGRANTED-",),
+                                ({2}, True, False)),
+    (S.OWNED, "mrequest"): Case({0}, True, False, ("MGRANTED-",),
+                                ({0}, True, False)),
+    (S.SOLE, "eject_clean"): Case({0}, False, False, ACK, (set(), False, False)),
+    (S.SHARER, "eject_clean"): Case({0, 1}, False, False, ACK,
+                                    ({1}, False, False)),
+    (S.OWNED, "eject_clean"): Case({0}, False, True, ACK, (set(), False, False)),
+    (S.UNCACHED, "eject_clean"): Case(set(), False, False, ACK,
+                                      (set(), False, False)),
+    (S.SHARED, "eject_clean"): Case({1, 3}, False, False, ACK,
+                                    ({1, 3}, False, False)),
+    (S.DIRTY, "eject_clean"): Case({2}, True, False, ACK, ({2}, True, False)),
+    (S.OWNED, "eject_dirty"): Case({0}, True, False, ACK,
+                                   (set(), False, False), DIRTY_VERSION),
+    (S.UNCACHED, "eject_dirty"): Case(set(), False, False, ACK,
+                                      (set(), False, False)),
+    (S.SOLE, "eject_dirty"): Case({0}, False, False, ACK, ({0}, False, False)),
+    (S.SHARER, "eject_dirty"): Case({0, 1}, False, False, ACK,
+                                    ({0, 1}, False, False)),
+    (S.SHARED, "eject_dirty"): Case({1, 3}, False, False, ACK,
+                                    ({1, 3}, False, False)),
+    (S.DIRTY, "eject_dirty"): Case({2}, True, False, ACK, ({2}, True, False)),
+}
+
+#: The local-state variant's one different row: an exclusive-clean fill.
+LOCAL_CASES = {
+    **ROW_CASES,
+    (S.UNCACHED, "read_miss"): Case(set(), False, False, GET, ({0}, False, True)),
+}
+
+
+def _drive(ctrl, event):
+    if event.startswith("eject"):
+        eject(ctrl, 0, dirty=event == "eject_dirty")
+    elif event == "mrequest":
+        request(ctrl, MessageKind.MREQUEST, requester=0)
+    else:
+        rw = "read" if event == "read_miss" else "write"
+        request(ctrl, MessageKind.REQUEST, requester=0, rw=rw)
+
+
+@pytest.mark.parametrize("local_state", [False, True], ids=["fullmap", "local"])
+@pytest.mark.parametrize(
+    "situation,event", list(ROW_CASES),
+    ids=[f"{s.name}-{e}" for s, e in ROW_CASES],
+)
+def test_every_row_runs_as_declared(situation, event, local_state):
+    case = (LOCAL_CASES if local_state else ROW_CASES)[(situation, event)]
+    sim, net, ctrl, module = make(
+        case.owners, case.modified, case.exclusive, local_state=local_state
+    )
+    dispatched = []
+    situation_of = ctrl._situation
+
+    def recording(txn):
+        dispatched.append(situation_of(txn))
+        return dispatched[-1]
+
+    ctrl._situation = recording
+    _drive(ctrl, event)
+    sim.run(max_events=10_000)
+    assert dispatched == [situation]  # the case exercises the row it names
+    assert net.sent == list(case.sends)
+    entry = ctrl.directory.entry(BLOCK)
+    assert (entry.owners, entry.modified, entry.exclusive) == case.after
+    assert module.peek(BLOCK) == case.memory
+    assert ctrl.quiescent()
+
+
+def test_every_declared_row_has_a_case():
+    for table, cases in ((FULL_MAP_SPEC, ROW_CASES),
+                         (FULL_MAP_LOCAL_SPEC, LOCAL_CASES)):
+        declared = [(row.state, row.event) for row in table]
+        assert len(declared) == len(set(declared))  # one row per pair
+        assert set(declared) == set(cases)
