@@ -9,12 +9,17 @@ message holds the link for ``size`` cycles per hop, so broadcasts — which
 in a delta network are n-1 separate messages — create real contention,
 reproducing the paper's caveat that "broadcasts do increase the
 probability of conflicts in the interconnection network".
+
+Routes are static once the topology is built.  Each (source name,
+destination name) pair resolves once to a tuple of integer link ids
+(plane, stage and link folded into one int, see :meth:`DeltaNetwork._route`),
+so a message — delivered or phantom — costs one route lookup, a walk
+over plain ints, and at most two counter updates.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.interconnect.message import Message
 from repro.interconnect.network import Network
@@ -47,15 +52,11 @@ class DeltaNetwork(Network):
         self.radix = radix
         self._ports: Dict[str, Tuple[str, int]] = {}  # name -> (side, port)
         self._side_counts = {"proc": 0, "mem": 0}
-        # (plane, stage, link) -> busy-until time
-        self._port_busy: Dict[Tuple[str, int, int], int] = {}
-        # (plane, src_port, dst_port) -> hop list; routes are static once
-        # the topology is built, so the per-message digit arithmetic is
-        # paid once per (source, destination) pair rather than per hop
-        # per message.
-        self._route_cache: Dict[
-            Tuple[str, int, int], List[Tuple[str, int, int]]
-        ] = {}
+        # link id -> busy-until time
+        self._port_busy: Dict[int, int] = {}
+        # (src name, dst name) -> link ids of the route, resolved on
+        # first use; derived from the topology, so not machine state.
+        self._routes: Dict[Tuple[str, str], Tuple[int, ...]] = {}
         self._built_stages = self.n_stages
 
     # ------------------------------------------------------------------
@@ -71,13 +72,13 @@ class DeltaNetwork(Network):
         port = self._side_counts[side]
         self._side_counts[side] += 1
         self._ports[component.name] = (side, port)
-        self._route_cache.clear()  # stage count may change as ports attach
         stages = self.n_stages
         if stages != self._built_stages:
-            # The fabric grew a stage: every (plane, stage, link) key now
-            # names a different physical link, so stale busy-until
-            # entries would charge phantom contention.
+            # The fabric grew a stage: every route is longer and every
+            # link id names a different physical link, so stale routes
+            # and busy-until entries would charge phantom contention.
             self._built_stages = stages
+            self._routes.clear()
             self._port_busy.clear()
         return port
 
@@ -92,72 +93,69 @@ class DeltaNetwork(Network):
     # ------------------------------------------------------------------
     # Routing & contention
     # ------------------------------------------------------------------
-    def _route(
-        self, plane: str, src_port: int, dst_port: int
-    ) -> List[Tuple[str, int, int]]:
-        """Switch output links traversed from ``src_port`` to ``dst_port``.
+    def _route(self, src: str, dst: str) -> Tuple[int, ...]:
+        """Link ids traversed from endpoint ``src`` to endpoint ``dst``.
 
         Omega-style destination-tag routing, source-aware: after stage s
         the message sits on the link whose label keeps the low
-        ``stages-1-s`` radix digits of the *source* and has absorbed the
-        high ``s+1`` digits of the *destination*.  Distinct sources
-        therefore only share links once their paths have actually merged
-        (at the final stage they all share the destination's output
-        link), instead of charging every source for every hop of every
-        other message to the same destination.
+        ``stages-1-s`` radix digits of the *source* port and has absorbed
+        the high ``s+1`` digits of the *destination* port,
+        ``link = (src % radix**(stages-1-s)) * radix**(s+1)
+        + dst // radix**(stages-1-s)``.  Distinct sources therefore only
+        share links once their paths have actually merged (at the final
+        stage they all share the destination's output link), instead of
+        charging every source for every hop of every other message to
+        the same destination.  Labels run below ``radix**stages``, so
+        ``(plane * stages + stage) * radix**stages + link`` (plane 0 is
+        forward, toward a memory-side port) is one id per physical link.
         """
+        if src not in self._ports:
+            raise KeyError(f"no endpoint named {src!r} on {self.name}")
+        src_port = self._ports[src][1]
+        side, dst_port = self._ports[dst]
         stages = self.n_stages
         radix = self.radix
+        width = radix**stages
+        first = 0 if side == "mem" else stages * width
         hops = []
         for stage in range(stages):
             rem = radix ** (stages - stage - 1)
             link = (src_port % rem) * (radix ** (stage + 1)) + dst_port // rem
-            hops.append((plane, stage, link))
-        return hops
+            hops.append(first + stage * width + link)
+        return tuple(hops)
 
-    def _traverse(
-        self, plane: str, src_port: int, dst_port: int, size: int
-    ) -> int:
-        """Walk the route reserving each hop; return arrival time."""
-        key = (plane, src_port, dst_port)
-        route = self._route_cache.get(key)
+    def _reserve(self, src: str, dst: str, size: int) -> int:
+        """Hold each link of the route for ``size`` cycles; return arrival."""
+        route = self._routes.get((src, dst))
         if route is None:
-            route = self._route_cache[key] = self._route(
-                plane, src_port, dst_port
-            )
+            route = self._routes[src, dst] = self._route(src, dst)
         time = self.sim.now
         port_busy = self._port_busy
         latency = self.latency
+        waited = 0
+        for link in route:
+            free_at = port_busy.get(link, 0)
+            if free_at > time:
+                waited += free_at - time
+                time = free_at
+            time += size  # one cycle per size unit per hop
+            port_busy[link] = time
+            time += latency
         add = self.counters.add
-        for hop in route:
-            free_at = port_busy.get(hop, 0)
-            start = max(time, free_at)
-            wait = start - time
-            if wait:
-                add("wait_cycles", wait)
-            end = start + size * 1  # one cycle per size unit per hop
-            port_busy[hop] = end
-            time = end + latency
-            add("hop_cycles", size)
+        if waited:
+            add("wait_cycles", waited)
+        add("hop_cycles", size * len(route))
         return time
 
     def _delivery_time(self, message: Message) -> int:
-        side, dst_port = self._ports[message.dst]  # type: ignore[index]
-        plane = "fwd" if side == "mem" else "rev"
-        src = self._ports.get(message.src)
-        src_port = src[1] if src is not None else 0
-        return self._traverse(plane, src_port, dst_port, message.size)
+        return self._reserve(message.src, message.dst, message.size)  # type: ignore[arg-type]
 
     def _phantom_delivery(self, message: Message, name: str) -> None:
         # A suppressed broadcast copy still occupies its route: the
         # paper's caveat that broadcasts "increase the probability of
         # conflicts" is a property of the fabric, not of whether the
         # recipient does anything with the command.  Reserving the same
-        # hops in the same recipient order keeps the link schedule — and
+        # links in the same recipient order keeps the link schedule — and
         # therefore every *delivered* message's timing — bit-identical
         # to the dense path.
-        side, dst_port = self._ports[name]
-        plane = "fwd" if side == "mem" else "rev"
-        src = self._ports.get(message.src)
-        src_port = src[1] if src is not None else 0
-        self._traverse(plane, src_port, dst_port, message.size)
+        self._reserve(message.src, name, message.size)

@@ -88,6 +88,7 @@ for _kind in MessageKind:
 del _kind
 
 _msg_ids = itertools.count()
+_new_message = object.__new__
 
 
 class Message:
@@ -155,17 +156,20 @@ class Message:
 
     def copy_for(self, dst: str) -> "Message":
         """A per-recipient broadcast copy (fresh uid, own meta dict)."""
-        return Message(
-            kind=self.kind,
-            src=self.src,
-            dst=dst,
-            block=self.block,
-            requester=self.requester,
-            rw=self.rw,
-            version=self.version,
-            flag=self.flag,
-            meta=dict(self.meta),
-        )
+        copy = _new_message(Message)
+        copy.kind = self.kind
+        copy.src = self.src
+        copy.dst = dst
+        copy.block = self.block
+        copy.requester = self.requester
+        copy.rw = self.rw
+        copy.version = self.version
+        copy.flag = self.flag
+        copy.meta = dict(self.meta)
+        copy.uid = next(_msg_ids)
+        copy.is_data = self.is_data
+        copy.size = self.size
+        return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         dst = self.dst if self.dst is not None else "*"

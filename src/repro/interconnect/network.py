@@ -54,20 +54,6 @@ class Network(Component):
             self._broadcast_group.append(component.name)
             self._broadcast_members.add(component.name)
 
-    def endpoint(self, name: str) -> Component:
-        try:
-            return self._endpoints[name]
-        except KeyError:
-            raise KeyError(f"no endpoint named {name!r} on {self.name}") from None
-
-    @property
-    def endpoints(self) -> List[str]:
-        return sorted(self._endpoints)
-
-    @property
-    def broadcast_group(self) -> List[str]:
-        return list(self._broadcast_group)
-
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
@@ -112,8 +98,9 @@ class Network(Component):
         excluded: Set[str] = set(exclude or ())
         excluded.add(message.src)
         recipients = [n for n in self._broadcast_group if n not in excluded]
-        self.counters.add("broadcasts")
-        self.counters.add("broadcast_deliveries", len(recipients))
+        add = self.counters.add
+        add("broadcasts")
+        add("broadcast_deliveries", len(recipients))
         obs = self.sim.obs
         if obs is not None:
             # Before _broadcast_times: bus subclasses deliver the copies
@@ -122,46 +109,53 @@ class Network(Component):
                 message, self.sim.now, len(recipients), excluded,
                 track=self.name,
             )
-        if targets is None:
-            for name in self._broadcast_times(message, recipients):
-                copy = message.copy_for(name)
-                self._account(copy)
-                delivery = self._delivery_time(copy)
-                deliver = self._deliver_fns[name]
-                if self.faults is not None:
-                    delivery = self.faults.on_deliver(self, copy, deliver, delivery)
-                self.sim.post_at(delivery, deliver, copy)
-            return len(recipients)
-        if self.faults is not None:
+        faults = self.faults
+        if targets is not None and faults is not None:
             raise RuntimeError(
                 "sparse fan-out cannot run under a fault plan "
                 "(skipped deliveries would desynchronize the fault RNG)"
             )
-        add = self.counters.add
+        names = self._broadcast_times(message, recipients)
+        if names:
+            # The per-copy _account charges, once for the whole round;
+            # a phantom copy costs the same as a delivered one.
+            add("data_transfers" if message.is_data else "commands", len(names))
+            add("traffic_units", message.size * len(names))
+        copy_for = message.copy_for
+        delivery_time = self._delivery_time
+        deliver_fns = self._deliver_fns
+        post_at = self.sim.post_at
+        if targets is None:
+            for name in names:
+                copy = copy_for(name)
+                delivery = delivery_time(copy)
+                deliver = deliver_fns[name]
+                if faults is not None:
+                    delivery = faults.on_deliver(self, copy, deliver, delivery)
+                post_at(delivery, deliver, copy)
+            return len(recipients)
         add("sparse_broadcast_rounds")
+        endpoints = self._endpoints
+        phantom = self._phantom_delivery
         skipped = 0
-        for name in self._broadcast_times(message, recipients):
+        for name in names:
             if name in targets:
-                copy = message.copy_for(name)
-                self._account(copy)
-                delivery = self._delivery_time(copy)
-                self.sim.post_at(delivery, self._deliver_fns[name], copy)
-                self._endpoints[name].counters.add("sparse_net_addressed")
+                copy = copy_for(name)
+                post_at(delivery_time(copy), deliver_fns[name], copy)
+                endpoints[name].counters.add("sparse_net_addressed")
             else:
                 # Phantom copy: same cost-model charges, no event.  The
                 # hook reproduces timing side effects (delta networks
                 # reserve the same links in the same order).
                 skipped += 1
-                self._phantom_delivery(message, name)
+                phantom(message, name)
         if skipped:
-            add("commands", skipped)
-            add("traffic_units", message.size * skipped)
             add("sparse_deliveries_suppressed", skipped)
         for name in excluded:
             # Excluded members never receive the round on either path,
             # so the lazy reconciliation must not charge them for it.
             if name in self._broadcast_members:
-                self._endpoints[name].counters.add("sparse_net_excluded")
+                endpoints[name].counters.add("sparse_net_excluded")
         return len(recipients)
 
     def reconcile_sparse_accounting(self) -> None:

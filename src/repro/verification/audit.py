@@ -37,32 +37,53 @@ class AuditReport:
             )
 
 
-def _lines_by_block(machine, block: int) -> List[tuple]:
-    """(pid, line) pairs for every valid cached copy of ``block``."""
-    found = []
-    for cache in machine.caches:
-        array = getattr(cache, "array", None)
-        if array is None:
-            continue
-        line = array.lookup(block)
-        if line is not None:
-            found.append((cache.pid, line))
-    return found
+class _CopyIndex:
+    """Which caches hold which blocks, found in one pass over the arrays.
+
+    Only a bitmask of cache positions is kept per block, so the index
+    costs a few bytes per block; a pass asking for a block looks up just
+    the caches whose bit is set.
+    """
+
+    def __init__(self, machine) -> None:
+        self.arrays = [
+            (cache.pid, cache.array)
+            for cache in machine.caches
+            if getattr(cache, "array", None) is not None
+        ]
+        masks = self.masks = [0] * machine.config.n_blocks
+        for bit, (_, array) in enumerate(self.arrays):
+            for line in array.valid_lines():
+                if line.block < len(masks):
+                    masks[line.block] |= 1 << bit
+
+    def copies(self, block: int) -> List[tuple]:
+        """(pid, line) pairs for every valid cached copy of ``block``."""
+        found = []
+        mask = self.masks[block]
+        while mask:
+            pid, array = self.arrays[(mask & -mask).bit_length() - 1]
+            mask &= mask - 1
+            line = array.lookup(block)
+            if line is not None:
+                found.append((pid, line))
+        return found
 
 
 def audit_machine(machine) -> AuditReport:
     """Full quiescent audit; see module docstring."""
     report = AuditReport()
     _audit_quiescence(machine, report)
+    copies = _CopyIndex(machine).copies
     for block in range(machine.config.n_blocks):
-        _audit_block_values(machine, block, report)
+        _audit_block_values(machine, block, copies(block), report)
     protocol = machine.config.protocol
     if protocol in ("twobit", "twobit_wt"):
-        _audit_twobit_directory(machine, report)
+        _audit_twobit_directory(machine, copies, report)
     elif protocol in ("fullmap", "fullmap_local"):
-        _audit_fullmap_directory(machine, report)
+        _audit_fullmap_directory(machine, copies, report)
     if protocol in ("twobit", "twobit_wt", "classical"):
-        _audit_holder_index(machine, report)
+        _audit_holder_index(machine, copies, report)
     if machine.oracle.violations:
         for violation in machine.oracle.violations:
             report.fail(f"oracle: {violation}")
@@ -80,8 +101,9 @@ def _audit_quiescence(machine, report: AuditReport) -> None:
             report.fail(f"{ctrl.name} not quiescent")
 
 
-def _audit_block_values(machine, block: int, report: AuditReport) -> None:
-    copies = _lines_by_block(machine, block)
+def _audit_block_values(
+    machine, block: int, copies: List[tuple], report: AuditReport
+) -> None:
     dirty = [(pid, line) for pid, line in copies if line.modified]
     clean = [(pid, line) for pid, line in copies if not line.modified]
     if len(dirty) > 1:
@@ -119,13 +141,13 @@ def _audit_block_values(machine, block: int, report: AuditReport) -> None:
                 )
 
 
-def _audit_twobit_directory(machine, report: AuditReport) -> None:
+def _audit_twobit_directory(machine, copies_of, report: AuditReport) -> None:
     for ctrl in machine.controllers:
         for block in range(machine.config.n_blocks):
             if block not in ctrl.directory:
                 continue
             state = ctrl.directory.state(block)
-            copies = _lines_by_block(machine, block)
+            copies = copies_of(block)
             n_copies = len(copies)
             n_dirty = sum(1 for _, line in copies if line.modified)
             if state is GlobalState.ABSENT and n_copies:
@@ -168,7 +190,7 @@ def _audit_tbuf_entry(ctrl, block, copies, report: AuditReport) -> None:
         )
 
 
-def _audit_holder_index(machine, report: AuditReport) -> None:
+def _audit_holder_index(machine, copies_of, report: AuditReport) -> None:
     """Sparse fan-out soundness: every valid copy is an index member.
 
     The copy-holder index may carry stale extra members (silent
@@ -189,7 +211,7 @@ def _audit_holder_index(machine, report: AuditReport) -> None:
     if not indexes:
         return
     for block in range(machine.config.n_blocks):
-        actual = {pid for pid, _ in _lines_by_block(machine, block)}
+        actual = {pid for pid, _ in copies_of(block)}
         if not actual:
             continue
         members = set()
@@ -203,13 +225,13 @@ def _audit_holder_index(machine, report: AuditReport) -> None:
             )
 
 
-def _audit_fullmap_directory(machine, report: AuditReport) -> None:
+def _audit_fullmap_directory(machine, copies_of, report: AuditReport) -> None:
     for ctrl in machine.controllers:
         for block in range(machine.config.n_blocks):
             if block not in ctrl.directory:
                 continue
             entry = ctrl.directory.entry(block)
-            copies = _lines_by_block(machine, block)
+            copies = copies_of(block)
             actual = {pid for pid, _ in copies}
             if entry.owners != actual:
                 report.fail(

@@ -118,6 +118,7 @@ _SKIP_ATTRS = frozenset(
         "obs",  # Simulator's observability hub (telemetry only)
         "observer",  # TwoBitDirectory's transition probe callback
         "_rows",  # a directory controller's protocol table: fixed at build
+        "_routes",  # a delta network's route table: derived from its ports
     }
 )
 

@@ -6,7 +6,7 @@ perturb event orderings: for a fixed seed the machine must execute the
 exact same schedule.  Any drift in event count, final cycle, or the
 measured results means the ordering contract broke.
 
-Two tiers:
+Three tiers:
 
 * ``GOLDEN`` — the historical twobit goldens (4 processors, three seeds).
 * ``PROTOCOL_GOLDEN`` — every registry protocol in four modes: bare,
@@ -15,6 +15,10 @@ Two tiers:
   faulted (the ``check`` fault plan, for protocols with a recovery
   path).  These pin the processor-side transition tables: every hit,
   upgrade and miss of every protocol runs through them.
+* ``DELTA_GOLDEN`` — twobit and fullmap at n=16 on the delta network
+  (radix 2 and 4), bare, tie-seeded and faulted.  The link wait and hop
+  counters are part of the golden, so these pin the network's routes
+  and link reservations.
 
 If an *intentional* semantic change shifts these values, recapture them
 with :func:`_protocol_run` and explain the change in the commit: event
@@ -26,11 +30,13 @@ import json
 
 import pytest
 
-from repro.config import MachineConfig
+from repro.config import MachineConfig, ProtocolOptions, sparse_options
 from repro.faults import FAULT_PROTOCOLS, attach_faults, parse_faults
 from repro.protocols import registry
+from repro.protocols.base import ProtocolError
 from repro.system.builder import build_machine
 from repro.verification.audit import audit_machine
+from repro.verification.fingerprint import machine_fingerprint
 from repro.workloads.synthetic import DuboisBriggsWorkload
 
 #: seed -> (events_processed, final_cycle, extra_commands_per_ref,
@@ -188,3 +194,105 @@ def test_instrumented_protocol_run_matches_bare(protocol):
     bare = PROTOCOL_GOLDEN[(protocol, "bare")]
     instrumented = PROTOCOL_GOLDEN[(protocol, "instrumented")]
     assert instrumented[:3] == bare[:3]
+
+
+# ----------------------------------------------------------------------
+# Delta network timing
+# ----------------------------------------------------------------------
+#: (protocol, radix, mode) -> (events_processed, final_cycle,
+#: wait_cycles, hop_cycles, outcome).  The outcome is the results
+#: digest, or the text of the ProtocolError that ended the run.  These
+#: pin every link reservation of the delta network: a route or
+#: reservation change moves the wait/hop counters, and any timing shift
+#: moves the schedule.
+DELTA_GOLDEN = {
+    ('fullmap', 2, 'bare'): (4797, 3206, 1267.0, 5812.0, '074c3017e33b2c89'),
+    ('fullmap', 2, 'tie_seed'): (4815, 3232, 1337.0, 5920.0, '138b617d8c74e6db'),
+    ('fullmap', 2, 'faulted'): (4954, 3390, 1587.0, 6072.0, '99fc60104c233f71'),
+    ('fullmap', 4, 'bare'): (4794, 1919, 643.0, 2924.0, 'a0eef014cc5ea6ca'),
+    ('fullmap', 4, 'tie_seed'): (4824, 1956, 799.0, 2982.0, '8ce72f86922fc654'),
+    ('fullmap', 4, 'faulted'): (
+        1184, 487, 94.0, 1536.0,
+        'cache10: REQUEST for block 101 NAKed 3 times; giving up',
+    ),
+    ('twobit', 2, 'bare'): (6804, 3328, 11873.0, 13540.0, '14bbe8fc5813b2e8'),
+    ('twobit', 2, 'tie_seed'): (6829, 3374, 12594.0, 13652.0, 'b465338a2bcd61d4'),
+    ('twobit', 2, 'faulted'): (7056, 3647, 11815.0, 13676.0, '9e66bc1dc9182057'),
+    ('twobit', 4, 'bare'): (6809, 2121, 9064.0, 6770.0, 'd2c9af252ac59dd6'),
+    ('twobit', 4, 'tie_seed'): (6811, 2094, 8337.0, 6774.0, '7721dd3c3bb725b6'),
+    ('twobit', 4, 'faulted'): (7062, 2195, 8853.0, 6866.0, '03dfb7f7837e0969'),
+}
+
+DELTA_MODES = ("bare", "tie_seed", "faulted")
+DELTA_CASES = [
+    (protocol, radix, mode)
+    for protocol in ("fullmap", "twobit")
+    for radix in (2, 4)
+    for mode in DELTA_MODES
+]
+
+
+def _delta_machine(protocol, radix, mode="bare", sparse=None):
+    """n=16 on a delta network; ``sparse`` None keeps default options."""
+    workload = DuboisBriggsWorkload(
+        n_processors=16, q=0.2, w=0.4, private_blocks_per_proc=8, seed=11
+    )
+    config = MachineConfig(
+        n_processors=16, n_modules=4, n_blocks=workload.n_blocks,
+        protocol=protocol, network="delta", delta_radix=radix,
+        tie_seed=5 if mode == "tie_seed" else None,
+        options=ProtocolOptions() if sparse is None else sparse_options(),
+        sparse_fanout=bool(sparse),
+    )
+    machine = build_machine(config, workload)
+    if mode == "faulted":
+        attach_faults(machine, parse_faults("check"))
+    return machine
+
+
+def _delta_run(protocol, radix, mode):
+    machine = _delta_machine(protocol, radix, mode)
+    try:
+        machine.run(refs_per_proc=60, warmup_refs=15)
+    except ProtocolError as exc:
+        # The check plan allows two NAK retries, which a 16-way machine
+        # can exhaust; where it gives up is as much a timing pin as a
+        # results digest.
+        outcome = str(exc)
+    else:
+        audit_machine(machine).raise_if_failed()
+        outcome = _digest(machine.results().to_dict())
+    counters = machine.network.counters
+    return (
+        machine.sim.events_processed,
+        machine.sim.now,
+        counters.get("wait_cycles"),
+        counters.get("hop_cycles"),
+        outcome,
+    )
+
+
+@pytest.mark.parametrize("protocol,radix,mode", DELTA_CASES)
+def test_delta_run_matches_golden(protocol, radix, mode):
+    assert _delta_run(protocol, radix, mode) == DELTA_GOLDEN[
+        (protocol, radix, mode)
+    ]
+
+
+def test_delta_goldens_cover_the_cases():
+    assert set(DELTA_GOLDEN) == set(DELTA_CASES)
+
+
+@pytest.mark.parametrize("radix", (2, 4))
+def test_delta_sparse_twin_fingerprints_equal_dense(radix):
+    # Phantom copies reserve the same links in the same order as real
+    # ones, so the sparse machine keeps the dense machine's schedule.
+    twins = []
+    for sparse in (False, True):
+        machine = _delta_machine("twobit", radix, sparse=sparse)
+        machine.run(refs_per_proc=60, warmup_refs=15)
+        audit_machine(machine).raise_if_failed()
+        twins.append(machine)
+    dense, sparse = twins
+    assert sparse.network.counters.get("sparse_deliveries_suppressed") > 0
+    assert machine_fingerprint(sparse) == machine_fingerprint(dense)
