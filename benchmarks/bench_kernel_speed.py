@@ -18,9 +18,9 @@ def test_kernel_event_throughput(benchmark):
 
         def tick(i):
             if i < count:
-                sim.schedule(1, tick, i + 1)
+                sim.post(1, tick, i + 1)
 
-        sim.schedule(0, tick, 0)
+        sim.post(0, tick, 0)
         sim.run()
         return sim.events_processed
 

@@ -54,6 +54,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
 from repro.schema import SCHEMA_VERSION, check_schema
+from repro.sim.kernel import SimulationError
 
 #: First line of every checkpoint file.
 MAGIC = b"%REPRO-CKPT\n"
@@ -216,7 +217,10 @@ def restore_bytes(data: bytes, allow_code_mismatch: bool = False):
     Verifies the magic, schema version, payload digest and (unless
     ``allow_code_mismatch``) that the ``repro`` sources are the ones the
     checkpoint was taken under, then unpickles the machine and advances
-    the uid streams past their checkpointed floors.
+    the uid streams past their checkpointed floors.  The kernel checks
+    its event queue as it unpickles; a queue it could not run (another
+    code version's entry layout, a crafted payload) is a
+    :class:`CheckpointError`.
     """
     from repro.runner.cache import code_version
 
@@ -238,7 +242,12 @@ def restore_bytes(data: bytes, allow_code_mismatch: bool = False):
             f"allow_code_mismatch=True to restore anyway)"
         )
     _apply_uid_floors(header.uid_floors)
-    return _Unpickler(io.BytesIO(payload)).load()
+    try:
+        return _Unpickler(io.BytesIO(payload)).load()
+    except SimulationError as exc:
+        raise CheckpointError(
+            f"checkpoint holds an invalid event queue: {exc}"
+        ) from exc
 
 
 # ----------------------------------------------------------------------

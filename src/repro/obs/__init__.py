@@ -32,6 +32,7 @@ from repro.obs.export import (
     chrome_trace_events,
     metrics_records,
     read_metrics_jsonl,
+    render_events,
     write_chrome_trace,
     write_jsonl,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "metrics_records",
     "read_metrics_jsonl",
     "read_progress",
+    "render_events",
     "render_markdown",
     "rollup_outcomes",
     "rollup_results",

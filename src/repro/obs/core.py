@@ -10,9 +10,9 @@ kernel's fast-path numbers are preserved (gated by
 Three telemetry streams share the hub:
 
 * **Events** (:class:`ObsEvent`) — point records for network sends,
-  broadcasts, and directory state transitions, fanned out to listeners
-  (e.g. :class:`~repro.sim.trace.MessageTracer`) and optionally
-  retained for the Chrome-trace exporter.
+  broadcasts, and directory state transitions, retained (unless
+  ``keep_events=False``) for the exporters: the Chrome trace and the
+  plain-text :func:`~repro.obs.export.render_events` log.
 * **Transaction spans** (:class:`TransactionSpan`) — one per memory
   reference, from processor issue to retire, with phase marks added by
   the protocol layers along the way.  Completed spans feed per-outcome
@@ -106,8 +106,6 @@ class TransactionSpan:
         )
 
 
-Listener = Callable[[ObsEvent], None]
-
 #: ``(pid, now, ref)`` callback fired once per issued memory reference.
 RefListener = Callable[[int, int, Any], None]
 
@@ -128,19 +126,11 @@ class Observability:
         #: "outcome/phase" -> segment-latency Histogram.
         self.phases: Dict[str, Histogram] = {}
         self._active: Dict[int, TransactionSpan] = {}
-        self._listeners: List[Listener] = []
         self._ref_listeners: List[RefListener] = []
 
     # ------------------------------------------------------------------
-    # Listeners
+    # Ref listeners
     # ------------------------------------------------------------------
-    def add_listener(self, listener: Listener) -> None:
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: Listener) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def add_ref_listener(self, listener: RefListener) -> None:
         """Register a per-issued-reference callback.
 
@@ -165,12 +155,9 @@ class Observability:
     def emit(
         self, name: str, time: int, track: str, data: Dict[str, Any]
     ) -> None:
-        """Record a point event and fan it out to listeners."""
-        event = ObsEvent(name, time, track, data)
+        """Record a point event (retained only with ``keep_events``)."""
         if self.keep_events:
-            self.events.append(event)
-        for listener in self._listeners:
-            listener(event)
+            self.events.append(ObsEvent(name, time, track, data))
         self.tick(time)
 
     # Convenience wrappers so probe sites stay one-liners.

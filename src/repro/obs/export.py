@@ -1,4 +1,5 @@
-"""Exporters: Chrome trace-event JSON and JSONL metrics records.
+"""Exporters: Chrome trace-event JSON, a plain-text event log, and JSONL
+metrics records.
 
 **Chrome trace** — the output of :func:`write_chrome_trace` loads
 directly in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
@@ -8,6 +9,18 @@ threads of a single process; transaction spans and their phase
 segments are complete ("X") events, broadcasts and directory state
 transitions are instants ("i"), and sampler windows become counter
 ("C") series.
+
+**Event log** — :func:`render_events` prints the retained sends,
+broadcasts and directory state transitions one per line, optionally
+filtered by block; the tool to reach for when a run misbehaves::
+
+    obs = instrument_machine(machine)
+    machine.run(refs_per_proc=500)
+    print(render_events(obs, blocks={7}, last=40))
+
+Both trace exporters read the hub's retained events, so they cover the
+measured window (:meth:`~repro.obs.core.Observability.reset` clears
+them at the end of warm-up).
 
 **JSONL metrics** — :func:`metrics_records` yields one JSON-ready dict
 per line: a ``run`` header (config + merged counters), one ``latency``
@@ -20,7 +33,7 @@ documented in ``docs/observability.md``; ``runner.sweep`` points and
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.obs.core import Observability
 
@@ -173,6 +186,50 @@ def write_chrome_trace(path, obs: Observability) -> int:
         json.dump(trace, handle, indent=1)
         handle.write("\n")
     return len(trace["traceEvents"])
+
+
+def _event_line(event) -> Tuple[Optional[int], Optional[str]]:
+    """``(block, line)`` for one retained event (``line`` None: skip)."""
+    data = event.data
+    if event.name == "state":
+        block = data["block"]
+        detail = f"{event.track}: block {block} -> {data['new'].name}"
+    elif event.name in ("send", "broadcast"):
+        message = data["message"]
+        block = message.block
+        detail = repr(message)
+        if event.name == "broadcast":
+            detail += f" exclude={sorted(data['exclude'] or ())}"
+    else:
+        return None, None
+    return block, f"{event.time:>8}  {event.name:<9} {detail}"
+
+
+def render_events(
+    obs: Observability,
+    blocks: Optional[Set[int]] = None,
+    last: Optional[int] = None,
+) -> str:
+    """Human-readable log of the retained events (see module doc).
+
+    ``blocks`` keeps only events about those blocks; ``last`` shows only
+    the trailing entries.  Raises ``ValueError`` on a hub built with
+    ``keep_events=False``, which retains nothing to render.
+    """
+    if not obs.keep_events:
+        raise ValueError("render_events needs a hub built with keep_events=True")
+    lines = []
+    for event in obs.events:
+        block, line = _event_line(event)
+        if line is not None and (blocks is None or block in blocks):
+            lines.append(line)
+    chosen = lines if last is None else lines[-last:]
+    if not chosen:
+        return "(trace empty)"
+    header = f"trace: {len(lines)} events"
+    if last is not None and len(lines) > last:
+        header += f" (showing last {last})"
+    return "\n".join([header] + chosen)
 
 
 # ----------------------------------------------------------------------

@@ -138,10 +138,9 @@ class Processor(Component):
         sim._seq = seq + 1
         heappush(
             sim._queue,
-            (done, 0.0 if rng is None else rng.random(), seq, None,
+            (done, 0.0 if rng is None else rng.random(), seq,
              cache._step, (ref, None, now)),
         )
-        sim._live += 1
 
     def _completed(self, result: AccessResult) -> None:
         """Completion callback for references the cache's table escaped."""
@@ -179,10 +178,9 @@ class Processor(Component):
             heappush(
                 sim._queue,
                 (sim.now + self.think_time,
-                 0.0 if rng is None else rng.random(), seq, None,
+                 0.0 if rng is None else rng.random(), seq,
                  self._issue_next, ()),
             )
-            sim._live += 1
 
     def _flush_counters(self) -> None:
         """Move the batched stats into the CounterSets and histogram."""

@@ -1,14 +1,6 @@
 """Discrete-event simulation kernel."""
 
 from repro.sim.component import Component
-from repro.sim.kernel import Event, SimulationError, Simulator
-from repro.sim.trace import MessageTracer, TraceEntry
+from repro.sim.kernel import SimulationError, Simulator
 
-__all__ = [
-    "Component",
-    "Event",
-    "MessageTracer",
-    "SimulationError",
-    "Simulator",
-    "TraceEntry",
-]
+__all__ = ["Component", "SimulationError", "Simulator"]

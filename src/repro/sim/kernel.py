@@ -6,21 +6,16 @@ time ties with a monotonically increasing sequence number, so two runs with
 the same seed produce identical event orderings.
 
 All times are integer cycles.  Components schedule work with
-:meth:`Simulator.schedule` (relative delay) or :meth:`Simulator.at`
-(absolute time).  Hot paths that never cancel can use :meth:`Simulator.post`
-/ :meth:`Simulator.post_at`, which skip the :class:`Event` handle
-allocation entirely.
+:meth:`Simulator.post` (relative delay) or :meth:`Simulator.post_at`
+(absolute time); events are fire-and-forget — there is no handle and no
+cancellation.
 
 Hot-path layout
 ---------------
-The heap holds plain ``(time, tie, seq, event_or_None, fn, args)`` tuples:
-``seq`` is unique, so tuple comparison is resolved in C by the first three
-fields and never touches the payload.  ``event_or_None`` is a slotted
-:class:`Event` handle when the caller wants cancellation, or ``None`` for
-the handle-free fast path.  Cancelled entries stay in the heap (removing
-from a heap is O(n)) and are skipped on pop; the live-event count is
-maintained incrementally, and when more than half the heap is dead weight
-the kernel compacts it in one O(n) pass.
+The heap holds plain ``(time, tie, seq, fn, args)`` tuples: ``seq`` is
+unique, so tuple comparison is resolved in C by the first three fields
+and never touches the payload.  Every queued entry is live, so
+:attr:`Simulator.pending` is the heap's length.
 """
 
 from __future__ import annotations
@@ -28,9 +23,6 @@ from __future__ import annotations
 import heapq
 import random
 from typing import Any, Callable, List, Optional, Tuple
-
-#: Compact the heap only past this size; below it the dead weight is noise.
-_COMPACT_MIN = 64
 
 
 class SimulationError(RuntimeError):
@@ -56,56 +48,37 @@ class SimClock:
         return self.sim.now
 
 
-class Event:
-    """A cancellable scheduled callback.
+#: A heap entry: (time, tie, seq, fn, args).
+_Entry = Tuple[int, float, int, Callable[..., None], tuple]
 
-    Events order by ``(time, tie, seq)``; the callback and its arguments
-    do not participate in the ordering.  ``tie`` is 0 in deterministic
-    mode; with a tie-breaking RNG it randomizes the order of same-cycle
-    events (see :class:`Simulator`).
+
+def _check_queue(queue: Any, now: Any, next_seq: Any) -> None:
+    """Reject an event queue the run loop could not drain safely.
+
+    Called on unpickling: a checkpoint from another code version (or a
+    crafted payload) must fail here, not with a ``TypeError`` deep in
+    :meth:`Simulator.run`.
     """
-
-    __slots__ = ("time", "tie", "seq", "fn", "args", "cancelled", "_sim")
-
-    def __init__(
-        self,
-        time: int,
-        tie: float,
-        seq: int,
-        fn: Callable[..., None],
-        args: tuple = (),
-        sim: Optional["Simulator"] = None,
-    ) -> None:
-        self.time = time
-        self.tie = tie
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Mark the event so the kernel skips it when popped.
-
-        Cancelling an event that already ran is a no-op for the
-        bookkeeping: the kernel detaches executed handles (``_sim`` is
-        cleared), so the live count only reflects cancellations of
-        events still in the queue.
-        """
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            sim._note_cancelled()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} seq={self.seq}{state}>"
-
-
-#: A heap entry: (time, tie, seq, event_or_None, fn, args).
-_Entry = Tuple[int, float, int, Optional[Event], Callable[..., None], tuple]
+    if not (type(now) is type(next_seq) is int and type(queue) is list):
+        raise SimulationError("the clock and seq must be ints, the queue a list")
+    seqs = set()
+    for i, entry in enumerate(queue):
+        if not (
+            type(entry) is tuple and len(entry) == 5
+            and type(entry[0]) is int and entry[0] >= now
+            and type(entry[1]) is float
+            and type(entry[2]) is int and entry[2] < next_seq
+            and entry[2] not in seqs
+            and callable(entry[3]) and type(entry[4]) is tuple
+        ):
+            raise SimulationError(
+                f"entry {i} is not a (time >= {now}, float tie, unique "
+                f"int seq < {next_seq}, callable, args tuple) tuple"
+            )
+        seqs.add(entry[2])
+    for i in range(1, len(queue)):
+        if queue[i][:3] < queue[(i - 1) // 2][:3]:
+            raise SimulationError("queue violates the heap order")
 
 
 class Simulator:
@@ -113,8 +86,8 @@ class Simulator:
 
     >>> sim = Simulator()
     >>> order = []
-    >>> _ = sim.schedule(5, order.append, "b")
-    >>> _ = sim.schedule(1, order.append, "a")
+    >>> sim.post(5, order.append, "b")
+    >>> sim.post(1, order.append, "a")
     >>> sim.run()
     >>> order
     ['a', 'b']
@@ -140,11 +113,13 @@ class Simulator:
         self.obs = None
         self._seq: int = 0
         self._queue: List[_Entry] = []
-        self._live: int = 0
-        self._cancelled: int = 0
         self._events_processed: int = 0
         self._running: bool = False
         self._tie_rng = random.Random(tie_seed) if tie_seed is not None else None
+
+    def __setstate__(self, state: dict) -> None:
+        _check_queue(state.get("_queue"), state.get("now"), state.get("_seq"))
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -156,45 +131,20 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of live events still queued (cancelled ones excluded)."""
-        return self._live
+        """Number of events still queued."""
+        return len(self._queue)
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: int, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.at(self.now + delay, fn, *args)
-
-    def at(self, time: int, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute ``time``; returns a handle."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time}; current time is {self.now}"
-            )
-        tie = self._tie_rng.random() if self._tie_rng is not None else 0.0
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, tie, seq, fn, args, self)
-        heapq.heappush(self._queue, (time, tie, seq, event, fn, args))
-        self._live += 1
-        return event
-
     def post(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
-        """:meth:`schedule` without a cancellation handle (hot path)."""
+        """Schedule ``fn(*args)`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self.post_at(self.now + delay, fn, *args)
 
     def post_at(self, time: int, fn: Callable[..., None], *args: Any) -> None:
-        """:meth:`at` without a cancellation handle (hot path).
-
-        Skips the :class:`Event` allocation; the entry cannot be cancelled
-        or introspected.  Ordering is identical to :meth:`at` — the same
-        sequence number would have been assigned either way.
-        """
+        """Schedule ``fn(*args)`` at absolute cycle ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time}; current time is {self.now}"
@@ -202,58 +152,20 @@ class Simulator:
         tie = self._tie_rng.random() if self._tie_rng is not None else 0.0
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (time, tie, seq, None, fn, args))
-        self._live += 1
-
-    # ------------------------------------------------------------------
-    # Cancellation bookkeeping
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel`; keeps the live count O(1)."""
-        self._live -= 1
-        self._cancelled += 1
-        if (
-            self._cancelled > _COMPACT_MIN
-            and self._cancelled > len(self._queue) // 2
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify (amortized O(1) per event).
-
-        Compaction can fire from inside an event callback (via
-        ``Event.cancel``) while :meth:`run` / :meth:`step` hold a local
-        alias to the queue, so it must mutate the list in place — slice
-        assignment — rather than rebind ``self._queue``.
-        """
-        self._queue[:] = [
-            entry
-            for entry in self._queue
-            if entry[3] is None or not entry[3].cancelled
-        ]
-        heapq.heapify(self._queue)
-        self._cancelled = 0
+        heapq.heappush(self._queue, (time, tie, seq, fn, args))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next event.  Returns False if the queue is empty."""
-        queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            event = entry[3]
-            if event is not None:
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                event._sim = None  # detach: late cancel() is a no-op
-            self._live -= 1
-            self.now = entry[0]
-            entry[4](*entry[5])
-            self._events_processed += 1
-            return True
-        return False
+        if not self._queue:
+            return False
+        time, _tie, _seq, fn, args = heapq.heappop(self._queue)
+        self.now = time
+        fn(*args)
+        self._events_processed += 1
+        return True
 
     def run(
         self,
@@ -284,13 +196,7 @@ class Simulator:
         heappop = heapq.heappop
         try:
             while queue:
-                head = queue[0]
-                event = head[3]
-                if event is not None and event.cancelled:
-                    heappop(queue)
-                    self._cancelled -= 1
-                    continue
-                time = head[0]
+                time = queue[0][0]
                 if until is not None and time > until:
                     self.now = until
                     return
@@ -298,34 +204,20 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; likely livelock"
                     )
-                heappop(queue)
-                self._live -= 1
+                head = heappop(queue)
                 self.now = time
-                if event is not None:
-                    event._sim = None  # detach: late cancel() is a no-op
-                head[4](*head[5])
+                head[3](*head[4])
                 self._events_processed += 1
                 executed += 1
-                # Batch same-cycle pops: while the head is live and due at
-                # the cycle we already advanced to, skip the until check.
-                while queue:
-                    head = queue[0]
-                    if head[0] != time:
-                        break
-                    event = head[3]
-                    if event is not None and event.cancelled:
-                        heappop(queue)
-                        self._cancelled -= 1
-                        continue
+                # Batch same-cycle pops: while the head is due at the
+                # cycle we already advanced to, skip the until check.
+                while queue and queue[0][0] == time:
                     if max_events is not None and executed >= max_events:
                         raise SimulationError(
                             f"exceeded max_events={max_events}; likely livelock"
                         )
-                    heappop(queue)
-                    self._live -= 1
-                    if event is not None:
-                        event._sim = None  # detach: late cancel() is a no-op
-                    head[4](*head[5])
+                    head = heappop(queue)
+                    head[3](*head[4])
                     self._events_processed += 1
                     executed += 1
             if advance_clock and until is not None and until > self.now:
@@ -333,43 +225,24 @@ class Simulator:
         finally:
             self._running = False
 
-    def drain_check(self) -> bool:
-        """True when no live events remain (system quiescent)."""
-        return self._live == 0
-
     # ------------------------------------------------------------------
     # Model-checking interface
     # ------------------------------------------------------------------
     def enabled(self) -> List[_Entry]:
-        """Live entries due at the earliest queued cycle, in pop order.
+        """Entries due at the earliest queued cycle, in pop order.
 
         This is the set of schedulable choices a model checker may
         reorder: events at strictly later cycles can never legally run
         before these, so the only interleaving freedom the kernel offers
         is the order of same-cycle events.  The returned list is sorted
         by ``(tie, seq)`` — index 0 is what :meth:`step` would run.
-
-        Purges cancelled entries from the head as a side effect; the
-        heap itself is not otherwise modified.
         """
         queue = self._queue
-        while queue:
-            head_event = queue[0][3]
-            if head_event is not None and head_event.cancelled:
-                heapq.heappop(queue)
-                self._cancelled -= 1
-                continue
-            break
         if not queue:
             return []
         due = queue[0][0]
-        entries = [
-            entry
-            for entry in queue
-            if entry[0] == due and (entry[3] is None or not entry[3].cancelled)
-        ]
-        entries.sort(key=lambda entry: (entry[1], entry[2]))
-        return entries
+        # Equal times and unique seqs: tuple order is (tie, seq) order.
+        return sorted(entry for entry in queue if entry[0] == due)
 
     def step_select(self, index: int) -> None:
         """Execute the ``index``-th entry of :meth:`enabled`.
@@ -391,10 +264,6 @@ class Simulator:
         # this entry without comparing the payload fields.
         self._queue.remove(entry)
         heapq.heapify(self._queue)
-        self._live -= 1
-        event = entry[3]
-        if event is not None:
-            event._sim = None  # detach: late cancel() is a no-op
         self.now = entry[0]
-        entry[4](*entry[5])
+        entry[3](*entry[4])
         self._events_processed += 1

@@ -68,7 +68,7 @@ def _callable_label(fn: Any) -> str:
 
 def describe_entry(entry: Tuple) -> str:
     """One-line label for a heap entry: ``t=12 cache0._classify(...)``."""
-    time, _tie, _seq, _event, fn, args = entry
+    time, _tie, _seq, fn, args = entry
     brief = []
     for arg in args:
         text = repr(arg)
@@ -230,19 +230,12 @@ class StateFingerprinter:
         return ("uid", self._uid_map.setdefault(uid, len(self._uid_map)))
 
     def _freeze_queue(self) -> Tuple:
-        sim = self.machine.sim
-        live = [
-            entry
-            for entry in sim._queue
-            if entry[3] is None or not entry[3].cancelled
-        ]
-        live.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
         # seq is omitted: only the relative order matters for future
         # behaviour, and absolute values depend on how many events the
         # particular interleaving has allocated so far.
         return tuple(
-            (entry[0], self._freeze(entry[4]), self._freeze(entry[5]))
-            for entry in live
+            (entry[0], self._freeze(entry[3]), self._freeze(entry[4]))
+            for entry in sorted(self.machine.sim._queue)
         )
 
     def _freeze(self, obj: Any) -> Any:

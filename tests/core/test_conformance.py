@@ -55,7 +55,7 @@ class StubNet:
             pid for pid in range(N_CACHES) if f"cache{pid}" not in excluded
         ]
         for pid in recipients:
-            self.sim.schedule(LATENCY, self._react, message, pid)
+            self.sim.post(LATENCY, self._react, message, pid)
         return len(recipients)
 
     def _react(self, message: Message, pid: int) -> None:

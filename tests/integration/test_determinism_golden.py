@@ -1,7 +1,7 @@
 """Golden-value determinism regression for full machine runs.
 
 The kernel fast path (tuple heap entries, handle-free posts, batched
-same-cycle pops, lazy compaction) and the table-driven hit step must not
+same-cycle pops) and the table-driven hit step must not
 perturb event orderings: for a fixed seed the machine must execute the
 exact same schedule.  Any drift in event count, final cycle, or the
 measured results means the ordering contract broke.

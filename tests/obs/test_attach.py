@@ -1,10 +1,9 @@
-"""Full-machine instrumentation: counter consistency, samplers, tracer."""
+"""Full-machine instrumentation: counter consistency and samplers."""
 
 import pytest
 
 from repro.config import MachineConfig
 from repro.obs import instrument_machine, machine_metrics
-from repro.sim.trace import MessageTracer
 from repro.system.builder import build_machine
 from repro.workloads.synthetic import DuboisBriggsWorkload
 
@@ -88,12 +87,3 @@ def test_machine_metrics_structure():
         for key in metrics["phases"]
     )
     assert metrics["counters"]["read_misses"] > 0
-
-
-def test_tracer_on_instrumented_machine_is_listener_only():
-    machine, obs = _instrumented_run()
-    tracer = MessageTracer.attach(machine)
-    assert machine.sim.obs is obs  # reused, not replaced
-    tracer.detach()
-    # Detach must not tear down a hub the tracer did not install.
-    assert machine.sim.obs is obs

@@ -1,4 +1,4 @@
-"""Span lifecycle, outcome derivation, listeners, and reset."""
+"""Span lifecycle, outcome derivation, event retention, and reset."""
 
 from repro.obs import OUTCOMES, PHASES, Observability
 from repro.workloads.reference import MemRef, Op
@@ -85,16 +85,10 @@ def test_phase_and_outcome_without_active_span_are_noops():
     assert obs.spans == [] and obs.latency == {}
 
 
-def test_listeners_and_keep_events_off():
-    seen = []
+def test_keep_events_off():
     obs = Observability(keep_events=False)
-    obs.add_listener(seen.append)
     obs.emit("send", 3, "net", {"message": None, "delivery": 7})
-    assert len(seen) == 1 and seen[0].name == "send"
     assert obs.events == []  # not retained
-    obs.remove_listener(seen.append)
-    obs.emit("send", 4, "net", {"message": None, "delivery": 8})
-    assert len(seen) == 1
     # keep_events off also skips span retention but not histograms.
     obs.span_begin(0, 0, _ref(0, 1))
     obs.span_end(0, 6, hit=True)

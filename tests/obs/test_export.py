@@ -1,4 +1,5 @@
-"""Exporter golden files: Chrome trace-event JSON and JSONL metrics.
+"""Exporters: golden Chrome trace-event JSON and JSONL metrics, and the
+plain-text event log.
 
 The goldens pin the full export of a tiny deterministic scripted run.
 If an *intentional* change to the exporters or the probe placement
@@ -10,16 +11,19 @@ shifts them, regenerate with::
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.obs import (
     chrome_trace,
     instrument_machine,
     machine_metrics_records,
+    render_events,
     write_chrome_trace,
     write_jsonl,
 )
 from repro.workloads.reference import MemRef, Op
 
-from tests.conftest import scripted_machine
+from tests.conftest import read, scripted_machine, write
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -87,8 +91,6 @@ def test_every_metrics_record_is_schema_stamped():
 
 
 def test_read_metrics_jsonl_round_trip_and_rejection(tmp_path):
-    import pytest
-
     from repro.obs import read_metrics_jsonl
     from repro.schema import SchemaMismatchError
 
@@ -131,3 +133,69 @@ def test_trace_structure_invariants():
             assert parents, f"orphan phase segment {e}"
     counters = [e for e in events if e["ph"] == "C"]
     assert counters and all("value" in e["args"] for e in counters)
+
+
+# ----------------------------------------------------------------------
+# Plain-text event log
+# ----------------------------------------------------------------------
+def _logged_machine():
+    machine = scripted_machine([[], []])
+    return machine, instrument_machine(machine, sample_interval=0)
+
+
+def _kinds(text):
+    return {line.split()[1] for line in text.splitlines()[1:]}
+
+
+def test_render_events_captures_sends_broadcasts_and_states():
+    machine, obs = _logged_machine()
+    read(machine, 0, 1)
+    read(machine, 1, 1)
+    write(machine, 0, 1)  # MREQUEST -> BROADINV -> MGRANTED
+    text = render_events(obs)
+    assert _kinds(text) == {"send", "broadcast", "state"}
+    assert "BROADINV" in text
+
+
+def test_render_events_block_filter():
+    machine, obs = _logged_machine()
+    read(machine, 0, 1)
+    read(machine, 0, 3)
+    only3 = render_events(obs, blocks={3})
+    assert only3 != "(trace empty)"
+    assert all(
+        line in render_events(obs).splitlines()
+        for line in only3.splitlines()[1:]
+    )
+    assert render_events(obs, blocks={5}) == "(trace empty)"
+
+
+def test_render_events_state_transitions_with_block_filter():
+    machine, obs = _logged_machine()
+    write(machine, 0, 2)
+    states = [
+        line for line in render_events(obs, blocks={2}).splitlines()
+        if line.split()[1] == "state"
+    ]
+    assert any("block 2 -> PRESENTM" in line for line in states)
+
+
+def test_render_events_last_n_header_and_empty():
+    machine, obs = _logged_machine()
+    assert render_events(obs) == "(trace empty)"
+    read(machine, 0, 1)
+    full = render_events(obs).splitlines()
+    total = len(full) - 1
+    assert total > 2 and full[0] == f"trace: {total} events"
+    tail = render_events(obs, last=2).splitlines()
+    assert tail[0] == f"trace: {total} events (showing last 2)"
+    assert tail[1:] == full[-2:]
+    assert render_events(obs, last=total) == "\n".join(full)
+
+
+def test_render_events_rejects_metrics_only_hub():
+    machine = scripted_machine([[], []])
+    obs = instrument_machine(machine, keep_events=False)
+    read(machine, 0, 1)
+    with pytest.raises(ValueError, match="keep_events"):
+        render_events(obs)

@@ -37,7 +37,7 @@ class StubCache(AbstractCacheController):
                 )
             )
 
-        self.sim.at(issue_time + self.delay, finish)
+        self.sim.post_at(issue_time + self.delay, finish)
 
     def _classify(self, ref, callback, issue_time):
         raise AssertionError("the stub never escapes")

@@ -11,7 +11,7 @@ def test_execution_order_is_time_sorted(delays):
     sim = Simulator()
     fired = []
     for i, delay in enumerate(delays):
-        sim.schedule(delay, fired.append, (delay, i))
+        sim.post(delay, fired.append, (delay, i))
     sim.run()
     assert [t for t, _ in fired] == sorted(delays)
     assert len(fired) == len(delays)
@@ -22,7 +22,7 @@ def test_ties_preserve_submission_order(delays):
     sim = Simulator()
     fired = []
     for i, delay in enumerate(delays):
-        sim.schedule(delay, fired.append, (delay, i))
+        sim.post(delay, fired.append, (delay, i))
     sim.run()
     # Among equal times, sequence numbers must ascend.
     for (t1, i1), (t2, i2) in zip(fired, fired[1:]):
@@ -31,20 +31,26 @@ def test_ties_preserve_submission_order(delays):
 
 
 @given(
-    delays=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=40),
-    cancel_mask=st.lists(st.booleans(), min_size=1, max_size=40),
+    calls=st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=100)),
+        max_size=40,
+    ),
+    steps=st.integers(min_value=0, max_value=50),
 )
-def test_cancelled_subset_never_fires(delays, cancel_mask):
+def test_pending_counts_unrun_events(calls, steps):
     sim = Simulator()
     fired = []
-    events = [sim.schedule(d, fired.append, i) for i, d in enumerate(delays)]
-    for event, cancel in zip(events, cancel_mask):
-        if cancel:
-            event.cancel()
+    for absolute, when in calls:
+        if absolute:
+            sim.post_at(when, fired.append, when)
+        else:
+            sim.post(when, fired.append, when)
+    assert sim.pending == len(calls)
+    for _ in range(steps):
+        sim.step()
+        assert sim.pending == len(calls) - len(fired)
     sim.run()
-    cancelled = {i for i, c in enumerate(cancel_mask[: len(events)]) if c}
-    assert set(fired).isdisjoint(cancelled)
-    assert len(fired) == len(delays) - len(cancelled & set(range(len(delays))))
+    assert sim.pending == 0 and len(fired) == len(calls)
 
 
 @given(
@@ -56,7 +62,7 @@ def test_run_until_partitions_events(delays, until):
     sim = Simulator()
     fired = []
     for d in delays:
-        sim.schedule(d, fired.append, d)
+        sim.post(d, fired.append, d)
     sim.run(until=until)
     assert all(d <= until for d in fired)
     assert sim.now == until or (fired and sim.now <= until)

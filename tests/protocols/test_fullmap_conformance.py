@@ -56,9 +56,9 @@ class StubNet:
         self.sent.append(self._label(message))
         pid = int(message.dst.replace("cache", "")) if message.dst.startswith("cache") else None
         if message.kind is MessageKind.INVALIDATE:
-            self.sim.schedule(LATENCY, self._ack, message, pid)
+            self.sim.post(LATENCY, self._ack, message, pid)
         elif message.kind is MessageKind.PURGE:
-            self.sim.schedule(LATENCY, self._purge_reply, message, pid)
+            self.sim.post(LATENCY, self._purge_reply, message, pid)
 
     def broadcast(self, message, exclude=None):  # pragma: no cover
         raise AssertionError("the full map must never broadcast")

@@ -1,13 +1,11 @@
 """Golden-checksum determinism regression for the kernel itself.
 
-A seeded cascade of events — fan-out, handle-free posts, cancellations —
-is executed and the full ``(time, tag)`` execution log is hashed.  The
-digests pin the exact event ordering (not just counts), so any fast-path
-change that reorders same-cycle events or mishandles cancellation fails
-loudly.  (Equivalence with the pre-optimization kernel is established by
-the machine-level goldens in ``tests/integration``, which were captured
-on the seed kernel; this cascade additionally exercises the handle-free
-``post`` path and late cancellation.)
+A seeded cascade of events — fan-out through both scheduling calls,
+relative ``post`` and absolute ``post_at`` — is executed and the full
+``(time, tag)`` execution log is hashed.  The digests pin the exact
+event ordering (not just counts), so any kernel change that reorders
+same-cycle events fails loudly.  (The machine-level goldens in
+``tests/integration`` pin the same contract end to end.)
 """
 
 import hashlib
@@ -17,14 +15,14 @@ from repro.sim.kernel import Simulator
 
 #: seed -> (events_processed, final_cycle, sha256(log)[:16])
 GOLDEN = {
-    1: (190, 20, "37abf5f999be022b"),
-    7: (150, 22, "5fdb46dbd1157327"),
-    1984: (166, 19, "e941b02914b2ad45"),
+    1: (205, 22, "a837d76bef62db47"),
+    7: (293, 20, "db004893d16e30b2"),
+    1984: (228, 21, "e99c20c2c4c715ce"),
 }
 
 
 def run_cascade(seed, with_obs=False):
-    """Deterministic event storm mixing every scheduling API."""
+    """Deterministic event storm mixing both scheduling calls."""
     sim = Simulator()
     if with_obs:
         # The kernel must never consult the observability hub: an
@@ -37,7 +35,6 @@ def run_cascade(seed, with_obs=False):
         )
     rng = random.Random(seed)
     log = []
-    handles = []
 
     def work(tag, depth):
         log.append((sim.now, tag))
@@ -48,12 +45,13 @@ def run_cascade(seed, with_obs=False):
                 if rng.random() < 0.5:
                     sim.post(delay, work, child, depth + 1)
                 else:
-                    handles.append(sim.schedule(delay, work, child, depth + 1))
-        if handles and rng.random() < 0.3:
-            handles.pop(rng.randrange(len(handles))).cancel()
+                    sim.post_at(sim.now + delay, work, child, depth + 1)
 
     for i in range(8):
-        sim.schedule(i, work, str(i), 0)
+        if i % 2:
+            sim.post(i, work, str(i), 0)
+        else:
+            sim.post_at(i, work, str(i), 0)
     sim.run()
     digest = hashlib.sha256(repr(log).encode()).hexdigest()[:16]
     return sim.events_processed, sim.now, digest

@@ -7,7 +7,7 @@ def run_order(tie_seed):
     sim = Simulator(tie_seed=tie_seed)
     fired = []
     for i in range(12):
-        sim.schedule(5, fired.append, i)
+        sim.post(5, fired.append, i)
     sim.run()
     return fired
 
@@ -34,9 +34,9 @@ def test_different_seeds_differ():
 def test_time_order_still_respected():
     sim = Simulator(tie_seed=3)
     fired = []
-    sim.schedule(9, fired.append, "late")
+    sim.post(9, fired.append, "late")
     for i in range(5):
-        sim.schedule(2, fired.append, i)
+        sim.post(2, fired.append, i)
     sim.run()
     assert fired[-1] == "late"
     assert sorted(fired[:-1]) == list(range(5))

@@ -223,6 +223,45 @@ def test_payload_naming_a_missing_class_raises_checkpoint_error():
         checkpoint.restore_bytes(data, allow_code_mismatch=True)
 
 
+def _parent_layout(sim):
+    # The layout before handle-free events: (time, tie, seq, None, fn, args).
+    sim._queue = [(t, tie, seq, None, fn, a) for t, tie, seq, fn, a in sim._queue]
+
+
+def _uncallable_fn(sim):
+    t, tie, seq, _fn, args = sim._queue[0]
+    sim._queue[0] = (t, tie, seq, 42, args)
+
+
+def _broken_heap(sim):
+    sim._queue = [max(sim._queue)] + sorted(sim._queue)[:-1]
+
+
+def _stale_seq_counter(sim):
+    sim._seq = 0  # the next post would reuse a queued entry's seq
+
+
+@pytest.mark.parametrize(
+    "tamper", [_parent_layout, _uncallable_fn, _broken_heap, _stale_seq_counter],
+    ids=["parent-layout", "uncallable-fn", "broken-heap", "stale-seq-counter"],
+)
+def test_invalid_event_queue_raises_checkpoint_error(tamper, tmp_path):
+    # A queue the run loop cannot drain is rejected at restore, not with
+    # a TypeError mid-run.
+    machine, _ = _experiment("twobit").build()
+    machine.run(
+        refs_per_proc=REFS, warmup_refs=WARMUP,
+        checkpoint_every=61, checkpoint_path=str(tmp_path / "ck-{cycle}.bin"),
+    )
+    first = min(tmp_path.glob("ck-*.bin"), key=lambda p: int(p.stem[3:]))
+    machine = checkpoint.load(str(first))
+    assert machine.sim.pending >= 2  # both processors in flight
+    tamper(machine.sim)
+    data = checkpoint.snapshot_bytes(machine)
+    with pytest.raises(checkpoint.CheckpointError, match="event queue"):
+        checkpoint.restore_bytes(data)
+
+
 def test_restore_advances_uid_floors(tmp_path):
     path = _write_checkpoint(tmp_path)
     header = checkpoint.peek(str(path))

@@ -90,7 +90,7 @@ def test_detects_fullmap_owner_mismatch():
 def test_detects_non_quiescence():
     machine = scripted_machine([[], []])
     read(machine, 0, 3)
-    machine.sim.schedule(5, lambda: None)  # dangling event
+    machine.sim.post(5, lambda: None)  # dangling event
     report = audit_machine(machine)
     assert any("pending" in v for v in report.violations)
 
