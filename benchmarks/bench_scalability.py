@@ -10,8 +10,7 @@ premium starts to eat the added processors.
 The peak-n bench below extends the sweep to the large-n regime
 (n=256): simulator throughput with the sparse broadcast fan-out versus
 the dense path on a low-sharing workload, where dense fan-out pays
-n-1 per-cache events per store for caches that hold no copy.  Its
-numbers are recorded to BENCH_kernel.json via record_bench.py.
+n-1 per-cache events per store for caches that hold no copy.
 """
 
 from time import perf_counter
@@ -151,8 +150,8 @@ def test_sparse_fanout_peak_n(benchmark):
     Best-of-N after a warmup round for both variants, with the dense
     and sparse rounds interleaved so a host-speed shift mid-bench hits
     both twins rather than skewing the ratio.  The sparse run is the
-    pytest-benchmark subject (so record_bench.py records its refs/sec);
-    the dense twin is timed the same way inline.
+    pytest-benchmark subject; the dense twin is timed the same way
+    inline.
     """
     _timed_run(True)  # warmup
     _timed_run(False)

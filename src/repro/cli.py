@@ -442,7 +442,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     """Comparative rollup report from the cached sweep result store."""
     import json
-    import os
 
     from repro.obs.report import build_report, render_markdown
     from repro.obs.rollup import rollup_results
@@ -492,17 +491,12 @@ def cmd_report(args: argparse.Namespace) -> int:
             "pass --run-missing)"
         )
 
-    bench_path = args.bench
-    if bench_path is None and os.path.exists("BENCH_kernel.json"):
-        bench_path = "BENCH_kernel.json"
     report = build_report(
         rollup_results(runs, group_by=args.group_by),
         group_by=args.group_by,
         baseline=args.baseline,
         label=args.label if args.label else f"{experiment.protocol}-grid",
         missing=[label for label, _ in missing],
-        bench_path=bench_path,
-        bench_tolerance=args.bench_tolerance,
     )
     rendered = (
         json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -515,13 +509,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"report written to {args.out}")
     else:
         print(rendered, end="")
-    regressed = (report.get("bench") or {}).get("regressed", [])
-    if regressed:
-        print(
-            f"report: bench regression(s): {', '.join(regressed)}",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -977,8 +964,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="comparative rollup report from the cached sweep store",
         description="Aggregate cached sweep results (run `repro sweep "
         "--metrics` first) into per-group comparatives — broadcast "
-        "overhead, NAK/retry cost, merged-bucket latency percentiles — "
-        "plus a bench-history regression check over BENCH_kernel.json.",
+        "overhead, NAK/retry cost, merged-bucket latency percentiles.",
     )
     p_report.add_argument("--protocol", choices=PROTOCOL_CHOICES,
                           default="twobit")
@@ -1007,13 +993,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--run-missing", action="store_true",
                           help="execute (instrumented) any grid point "
                           "missing from the cache instead of listing it")
-    p_report.add_argument("--bench", default=None, metavar="PATH",
-                          help="bench record for the regression section "
-                          "(default: ./BENCH_kernel.json when present)")
-    p_report.add_argument("--bench-tolerance", type=float, default=0.02,
-                          metavar="FRAC",
-                          help="flag benches below (1-FRAC) of their seed "
-                          "baseline speedup (default: 0.02)")
     p_report.add_argument("--label", default=None,
                           help="report title (default: <protocol>-grid)")
     p_report.set_defaults(fn=cmd_report)

@@ -3,9 +3,9 @@
 One instance hangs off ``Simulator.obs`` when instrumentation is on;
 ``Simulator.obs`` is ``None`` by default and every probe site guards
 with ``obs = self.sim.obs; if obs is not None: ...`` — the null-object
-fast path costs two attribute loads and a branch, nothing else, so the
-kernel's fast-path numbers are preserved (gated by
-``benchmarks/record_bench.py --gate``).
+fast path costs two attribute loads and a branch, nothing else: a bare
+machine never calls into this package (``tests/obs/test_attach.py``),
+and the cost when on is gated by ``benchmarks/bench_probe_cost.py``.
 
 Three telemetry streams share the hub:
 

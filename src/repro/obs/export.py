@@ -26,8 +26,8 @@ them at the end of warm-up).
 per line: a ``run`` header (config + merged counters), one ``latency``
 record per outcome histogram, one ``phase`` record per span segment
 histogram, and one ``sample`` record per sampler window.  The schema is
-documented in ``docs/observability.md``; ``runner.sweep`` points and
-``benchmarks/record_bench.py`` consume the same dicts.
+documented in ``docs/observability.md``; ``runner.sweep`` points
+consume the same dicts.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Comparative sweep reports + bench-regression checks (part c).
+"""Comparative sweep reports (part c).
 
 :func:`build_report` turns the :mod:`repro.obs.rollup` groups into one
 JSON-ready document; :func:`render_markdown` renders it as the
@@ -6,35 +6,16 @@ comparative table ``repro report`` prints — per-group broadcast
 overhead (the paper's Table 4-1 unit), NAK/retry cost, merged-bucket
 latency percentiles, all relative to a baseline group (``fullmap`` by
 default, the paper's full-map reference design).
-
-The performance half lives here too, shared with
-``benchmarks/record_bench.py``:
-
-* :func:`bench_history_check` reads a recorded ``BENCH_kernel.json``
-  and flags entries whose ``speedup_vs_baseline`` has dropped below
-  ``1 - tolerance`` — the cheap no-rerun check ``repro report`` folds
-  into its output.
-* :func:`calibrated_regressions` is the full rerun gate
-  (``record_bench.py --gate``): fresh timings vs the stored record,
-  divided through by a probe-free calibrator bench so host drift
-  cancels out.  One implementation, two callers — the CLI report and
-  the CI gate can never disagree about what counts as a regression.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.rollup import GroupRollup
 from repro.schema import stamp_record
 
-__all__ = [
-    "bench_history_check",
-    "build_report",
-    "calibrated_regressions",
-    "render_markdown",
-]
+__all__ = ["build_report", "render_markdown"]
 
 #: Comparative columns rendered per group: (key, header, format).
 _COLUMNS: Tuple[Tuple[str, str, str], ...] = (
@@ -48,130 +29,22 @@ _COLUMNS: Tuple[Tuple[str, str, str], ...] = (
 )
 
 
-# ----------------------------------------------------------------------
-# Bench regression checks
-# ----------------------------------------------------------------------
-def bench_history_check(
-    bench_record: Mapping[str, Any], tolerance: float = 0.02
-) -> Dict[str, Any]:
-    """Flag recorded benches that regressed vs their seed baseline.
-
-    Operates purely on the stored ``BENCH_kernel.json`` (no benches are
-    re-run): an entry with ``speedup_vs_baseline`` below
-    ``1 - tolerance`` means the *recorded* state of the tree is slower
-    than the pre-optimization seed — a regression that survived a
-    re-record, which is exactly when someone should look.
-    """
-    entries: Dict[str, Any] = {}
-    regressed: List[str] = []
-    for name, entry in bench_record.get("benchmarks", {}).items():
-        unit = entry.get("unit", "ops")
-        row = {
-            "unit": unit,
-            "per_sec_mean": entry.get(f"{unit}_per_sec_mean"),
-            "speedup_vs_baseline": entry.get("speedup_vs_baseline"),
-        }
-        speedup = row["speedup_vs_baseline"]
-        if speedup is not None and speedup < 1.0 - tolerance:
-            row["regressed"] = True
-            regressed.append(name)
-        entries[name] = row
-    return {
-        "code_version": bench_record.get("code_version"),
-        "datetime": bench_record.get("datetime"),
-        "tolerance": tolerance,
-        "entries": entries,
-        "regressed": regressed,
-    }
-
-
-def calibrated_regressions(
-    current: Mapping[str, Any],
-    stored: Mapping[str, Any],
-    calibrator: str,
-    tolerance: float,
-    stats: Tuple[str, ...] = ("mean_s", "min_s"),
-    log: Callable[[str], None] = print,
-) -> List[str]:
-    """Host-calibrated bench comparison; returns the names that failed.
-
-    ``current``/``stored`` are ``{bench_name: entry}`` maps whose
-    entries carry the timing ``stats``.  The calibrator bench has no
-    probe sites on its path, so any drift it shows is the host, not the
-    code under test; every other bench's ratio is divided through by
-    it.  A real regression shifts both the mean and the floor (min);
-    host noise usually inflates only one of them in any given run —
-    each bench is judged by whichever statistic looks better, so the
-    gate stays meaningful on loud shared runners without going soft on
-    genuine slowdowns.
-
-    Benches present in ``current`` but absent from ``stored`` (newly
-    added ones) are skipped — they gain a bar the next time the record
-    is rewritten.
-    """
-    if calibrator not in current or calibrator not in stored:
-        raise SystemExit(f"gate: calibrator bench {calibrator} missing")
-    calibrator_ratio = {
-        s: current[calibrator][s] / stored[calibrator][s] for s in stats
-    }
-    log(
-        "gate: host calibration "
-        + ", ".join(f"{s} x{calibrator_ratio[s]:.3f}" for s in stats)
-        + f" ({calibrator})"
-    )
-    failed: List[str] = []
-    for name, entry in current.items():
-        if name == calibrator:
-            continue
-        if name not in stored:
-            log(f"gate: {name}: no stored baseline, skipped")
-            continue
-        overheads = {
-            s: (entry[s] / stored[name][s]) / calibrator_ratio[s] - 1
-            for s in stats
-        }
-        overhead = min(overheads.values())
-        verdict = "ok" if overhead <= tolerance else "FAIL"
-        log(
-            f"gate: {name}: calibrated overhead "
-            + ", ".join(f"{s} {overheads[s]:+.1%}" for s in stats)
-            + f" (limit +{tolerance:.0%}): {verdict}"
-        )
-        if overhead > tolerance:
-            failed.append(name)
-    return failed
-
-
-# ----------------------------------------------------------------------
-# Report document
-# ----------------------------------------------------------------------
 def build_report(
     rollups: Mapping[str, GroupRollup],
     group_by: str = "protocol",
     baseline: Optional[str] = None,
     label: str = "sweep",
     missing: Optional[List[str]] = None,
-    bench_path: Optional[str] = None,
-    bench_tolerance: float = 0.02,
 ) -> Dict[str, Any]:
     """One JSON-ready report document over rolled-up sweep groups.
 
     ``baseline`` picks the comparison row (``fullmap`` when present —
-    the paper's reference design — else the first group).  With
-    ``bench_path`` the stored bench record's history check is folded
-    in.
+    the paper's reference design — else the first group).
     """
     if baseline is None:
         baseline = (
             "fullmap" if "fullmap" in rollups else next(iter(rollups), None)
         )
-    bench: Optional[Dict[str, Any]] = None
-    if bench_path is not None:
-        with open(bench_path, "r", encoding="utf-8") as handle:
-            bench = bench_history_check(
-                json.load(handle), tolerance=bench_tolerance
-            )
-        bench["path"] = str(bench_path)
     return stamp_record(
         {
             "report": "sweep-rollup",
@@ -182,7 +55,6 @@ def build_report(
                 key: rollup.to_dict() for key, rollup in rollups.items()
             },
             "missing_points": list(missing or ()),
-            "bench": bench,
         }
     )
 
@@ -293,49 +165,4 @@ def render_markdown(report: Mapping[str, Any]) -> str:
             "",
         ]
         lines += [f"- `{point}`" for point in missing]
-
-    bench = report.get("bench")
-    if bench:
-        lines += [
-            "",
-            "## Bench history "
-            f"(`{bench.get('path', 'BENCH_kernel.json')}`)",
-            "",
-        ]
-        bench_rows = []
-        for name, row in bench["entries"].items():
-            speedup = row.get("speedup_vs_baseline")
-            status = (
-                "**REGRESSED**"
-                if row.get("regressed")
-                else ("ok" if speedup is not None else "-")
-            )
-            bench_rows.append(
-                [
-                    name,
-                    _fmt(row.get("per_sec_mean"), "{:,.0f}")
-                    + f" {row.get('unit', '')}/s",
-                    _fmt(speedup, "{:.2f}x"),
-                    status,
-                ]
-            )
-        lines.extend(
-            _table(
-                ["bench", "throughput", "vs seed baseline", "status"],
-                bench_rows,
-            )
-        )
-        if bench["regressed"]:
-            lines += [
-                "",
-                f"**{len(bench['regressed'])} bench(es) below "
-                f"{1 - bench['tolerance']:.0%} of the seed baseline:** "
-                + ", ".join(f"`{n}`" for n in bench["regressed"]),
-            ]
-        else:
-            lines += [
-                "",
-                f"All recorded benches within {bench['tolerance']:.0%} "
-                "of their seed baseline.",
-            ]
     return "\n".join(lines) + "\n"

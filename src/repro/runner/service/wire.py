@@ -58,6 +58,10 @@ _REASONS = {
 }
 
 
+class _BadRequest(ValueError):
+    """The request itself is malformed: answered 400, not 500."""
+
+
 class ServiceError(RuntimeError):
     """A sweep-service request failed (transport or protocol level)."""
 
@@ -91,24 +95,45 @@ def _response_bytes(status: int, content_type: str, body: bytes) -> bytes:
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, bytes]]:
-    """Parse one request; ``None`` if the peer hung up before sending."""
+    """Parse one request; ``None`` if the peer hung up before sending.
+
+    The head is read in full before it is judged, so a malformed
+    request still gets its 400 rather than a reset connection.
+    """
     request_line = await reader.readline()
     if not request_line:
         return None
-    parts = request_line.decode("latin-1").split()
-    if len(parts) < 2:
-        raise ValueError(f"malformed request line: {request_line!r}")
-    method, path = parts[0].upper(), parts[1]
-    content_length = 0
+    length = "0"
     while True:
         line = await reader.readline()
         if not line or line in (b"\r\n", b"\n"):
             break
         name, _, value = line.decode("latin-1").partition(":")
         if name.strip().lower() == "content-length":
-            content_length = int(value.strip())
-    body = await reader.readexactly(content_length) if content_length else b""
-    return method, path, body
+            length = value.strip()
+    parts = request_line.decode("latin-1").split()
+    if len(parts) < 2:
+        raise _BadRequest(f"malformed request line: {request_line!r}")
+    if not (length.isascii() and length.isdigit()):
+        raise _BadRequest(f"bad Content-Length: {length!r}")
+    try:
+        body = await reader.readexactly(int(length))
+    except asyncio.IncompleteReadError:
+        raise _BadRequest("body shorter than Content-Length") from None
+    return parts[0].upper(), parts[1], body
+
+
+def _parse_body(raw_body: bytes) -> Optional[Dict[str, Any]]:
+    """The JSON object a request carries; ``None`` for an empty body."""
+    if not raw_body:
+        return None
+    try:
+        payload = json.loads(raw_body)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise _BadRequest(f"body is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise _BadRequest("body is not a JSON object")
+    return payload
 
 
 async def _handle_connection(
@@ -124,9 +149,11 @@ async def _handle_connection(
             if request is None:
                 return
             method, path, raw_body = request
-            payload = json.loads(raw_body) if raw_body else None
+            payload = _parse_body(raw_body)
             status, body = handler(method, path, payload)
-        except Exception as exc:  # handler bug or malformed request
+        except _BadRequest as exc:
+            status, body = 400, {"error": f"bad request: {exc}"}
+        except Exception as exc:  # a bug in the handler
             status, body = 500, {"error": f"{type(exc).__name__}: {exc}"}
         if isinstance(body, tuple):
             content_type, text = body

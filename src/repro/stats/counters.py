@@ -148,10 +148,6 @@ class CounterRegistry:
                 )
         return merged
 
-    def aggregate(self) -> CounterSet:
-        """Alias of :meth:`merged` (the historical name)."""
-        return self.merged()
-
     def report(self, per_owner: bool = False) -> str:
         """Human-readable totals, one counter per line.
 

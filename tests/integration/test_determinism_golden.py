@@ -283,6 +283,18 @@ def test_delta_goldens_cover_the_cases():
     assert set(DELTA_GOLDEN) == set(DELTA_CASES)
 
 
+def test_delta_check_give_up_is_the_retry_budget_not_a_livelock():
+    # The check plan gives up on the radix-4 full map (DELTA_GOLDEN)
+    # because its two-retry budget runs out, not because the machine
+    # cannot drain: with eight retries the same machine and fault seed
+    # run to completion and audit clean.
+    machine = _delta_machine("fullmap", 4)
+    attach_faults(machine, parse_faults("check,max_retries=8"))
+    machine.run(refs_per_proc=60, warmup_refs=15)
+    audit_machine(machine).raise_if_failed()
+    assert machine.results().total_refs == 16 * 60
+
+
 @pytest.mark.parametrize("radix", (2, 4))
 def test_delta_sparse_twin_fingerprints_equal_dense(radix):
     # Phantom copies reserve the same links in the same order as real

@@ -1,7 +1,12 @@
 """Full-machine instrumentation: counter consistency and samplers."""
 
+import os
+import sys
+from collections import Counter
+
 import pytest
 
+import repro.obs
 from repro.config import MachineConfig
 from repro.obs import instrument_machine, machine_metrics
 from repro.system.builder import build_machine
@@ -87,3 +92,38 @@ def test_machine_metrics_structure():
         for key in metrics["phases"]
     )
     assert metrics["counters"]["read_misses"] > 0
+
+
+def _obs_calls(instrumented):
+    """Functions in ``repro/obs/`` entered while a 4-processor machine
+    is built, run and summarized, counted by name."""
+    obs_dir = os.path.dirname(repro.obs.__file__) + os.sep
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(obs_dir):
+            calls[frame.f_code.co_name] += 1
+
+    workload = DuboisBriggsWorkload(
+        n_processors=4, q=0.05, w=0.2, private_blocks_per_proc=32, seed=1
+    )
+    config = MachineConfig(n_processors=4, n_modules=2)
+    sys.setprofile(profile)
+    try:
+        machine = build_machine(config, workload)
+        if instrumented:
+            instrument_machine(machine)
+        machine.run(refs_per_proc=500)
+        machine.results()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_probes_off_never_enter_repro_obs():
+    # Zero-cost when off means no call at all, not a cheap one: every
+    # probe site stops at its `obs is None` test.
+    assert _obs_calls(instrumented=False) == Counter()
+    # Control: the same profiler sees the hub at work once attached.
+    calls = _obs_calls(instrumented=True)
+    assert calls["span_end"] == 4 * 500

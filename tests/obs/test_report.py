@@ -1,15 +1,10 @@
-"""`repro report`: document building, markdown, bench checks, CLI."""
+"""`repro report`: document building, markdown, CLI."""
 
 import json
 
 import pytest
 
-from repro.obs.report import (
-    bench_history_check,
-    build_report,
-    calibrated_regressions,
-    render_markdown,
-)
+from repro.obs.report import build_report, render_markdown
 from repro.obs.rollup import rollup_results
 from repro.schema import SCHEMA_VERSION
 
@@ -45,109 +40,6 @@ def _rollups():
 
 
 # ----------------------------------------------------------------------
-# Bench checks
-# ----------------------------------------------------------------------
-def _bench_record(speedup):
-    return {
-        "code_version": "abc123",
-        "datetime": "2026-01-01T00:00:00",
-        "benchmarks": {
-            "test_machine_reference_throughput": {
-                "unit": "refs",
-                "refs_per_sec_mean": 50_000.0,
-                "speedup_vs_baseline": speedup,
-            },
-            "test_dispatch_hit_compiled": {
-                "unit": "refs",
-                "refs_per_sec_mean": 200_000.0,
-            },
-        },
-    }
-
-
-def test_bench_history_flags_speedup_below_tolerance():
-    ok = bench_history_check(_bench_record(1.8), tolerance=0.02)
-    assert ok["regressed"] == []
-    bad = bench_history_check(_bench_record(0.9), tolerance=0.02)
-    assert bad["regressed"] == ["test_machine_reference_throughput"]
-    # Entries without a recorded baseline are listed but never flagged.
-    assert "test_dispatch_hit_compiled" in bad["entries"]
-    # Within tolerance of 1.0 is still ok (hardware noise, not a regression).
-    edge = bench_history_check(_bench_record(0.99), tolerance=0.02)
-    assert edge["regressed"] == []
-
-
-def test_calibrated_regressions_divides_out_host_drift():
-    # Host got uniformly 2x slower (calibrator included): no regression.
-    stored = {
-        "cal": {"mean_s": 1.0, "min_s": 0.9},
-        "bench": {"mean_s": 2.0, "min_s": 1.8},
-    }
-    uniformly_slow = {
-        "cal": {"mean_s": 2.0, "min_s": 1.8},
-        "bench": {"mean_s": 4.0, "min_s": 3.6},
-    }
-    logs = []
-    assert (
-        calibrated_regressions(
-            uniformly_slow, stored, "cal", 0.02, log=logs.append
-        )
-        == []
-    )
-    # Bench slowed 50% beyond what the calibrator moved: flagged.
-    really_slow = {
-        "cal": {"mean_s": 1.0, "min_s": 0.9},
-        "bench": {"mean_s": 3.0, "min_s": 2.7},
-    }
-    assert calibrated_regressions(
-        really_slow, stored, "cal", 0.02, log=logs.append
-    ) == ["bench"]
-    assert any("host calibration" in line for line in logs)
-
-
-def test_calibrated_regressions_skips_new_benches():
-    stored = {"cal": {"mean_s": 1.0, "min_s": 1.0}}
-    current = {
-        "cal": {"mean_s": 1.0, "min_s": 1.0},
-        "brand_new": {"mean_s": 9.0, "min_s": 9.0},
-    }
-    assert (
-        calibrated_regressions(
-            current, stored, "cal", 0.02, log=lambda _: None
-        )
-        == []
-    )
-
-
-def test_record_bench_gate_uses_the_shared_helper():
-    # The CI gate and the report path must be the same comparison.
-    import importlib.util
-    from pathlib import Path
-
-    spec = importlib.util.spec_from_file_location(
-        "record_bench",
-        Path(__file__).resolve().parents[2] / "benchmarks/record_bench.py",
-    )
-    record_bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(record_bench)
-    cal = record_bench.GATE_CALIBRATOR
-    stored = {
-        "benchmarks": {
-            cal: {"mean_s": 1.0, "min_s": 1.0},
-            "bench": {"mean_s": 1.0, "min_s": 1.0},
-        }
-    }
-    fresh = {
-        "benchmarks": {
-            cal: {"mean_s": 1.0, "min_s": 1.0},
-            "bench": {"mean_s": 2.0, "min_s": 2.0},
-        }
-    }
-    assert record_bench.check_gate(fresh, stored, 0.02) == ["bench"]
-    assert record_bench.check_gate(stored, stored, 0.02) == []
-
-
-# ----------------------------------------------------------------------
 # Report document + markdown
 # ----------------------------------------------------------------------
 def test_build_report_defaults_baseline_to_fullmap():
@@ -171,17 +63,6 @@ def test_render_markdown_lists_missing_points():
     assert "q=0.2, protocol=twobit" in md
 
 
-def test_report_folds_in_bench_history(tmp_path):
-    bench = tmp_path / "BENCH_kernel.json"
-    bench.write_text(json.dumps(_bench_record(0.5)))
-    report = build_report(_rollups(), bench_path=str(bench))
-    assert report["bench"]["regressed"] == [
-        "test_machine_reference_throughput"
-    ]
-    md = render_markdown(report)
-    assert "REGRESSED" in md
-
-
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -196,11 +77,43 @@ def test_cli_report_renders_from_cached_store(tmp_path, capsys):
     ]
     assert main(["sweep", "--metrics", *args]) == 0
     capsys.readouterr()
-    assert main(["report", *args, "--bench-tolerance", "0.02"]) == 0
+    assert main(["report", *args]) == 0
     out = capsys.readouterr().out
     assert "# Sweep report" in out
     assert "| fullmap |" in out and "| twobit |" in out
     assert "Latency (merged buckets)" in out
+
+
+def test_cli_report_ignores_bench_files_in_the_working_directory(
+    tmp_path, capsys, monkeypatch
+):
+    # The report reads the sweep cache and nothing else: a bench record
+    # in the working directory (the file name the retired kernel-speed
+    # snapshot used, claiming a regression) neither changes the output
+    # nor the exit status.
+    from repro.cli import main
+
+    args = [
+        "--axis", "q=0.02",
+        "--refs", "120", "--warmup", "30", "-n", "2",
+        "--cache-dir", str(tmp_path / "cache"),
+    ]
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main(["sweep", "--metrics", *args]) == 0
+    capsys.readouterr()
+    assert main(["report", *args]) == 0
+    clean = capsys.readouterr()
+    (workdir / "BENCH_kernel.json").write_text(json.dumps({
+        "benchmarks": {
+            "test_machine_reference_throughput": {
+                "unit": "refs", "speedup_vs_baseline": 0.5,
+            },
+        },
+    }))
+    assert main(["report", *args]) == 0
+    assert capsys.readouterr() == clean
 
 
 def test_cli_report_json_and_missing_points(tmp_path, capsys):

@@ -85,7 +85,7 @@ def test_registry_aggregate_and_reset_all():
     registry.register(b)
     a.add("v", 1)
     b.add("v", 4)
-    assert registry.aggregate()["v"] == 5.0
+    assert registry.merged()["v"] == 5.0
     registry.reset_all()
     assert registry.total("v") == 0.0
 
@@ -100,8 +100,6 @@ def test_registry_merged_is_canonical_aggregation():
     b.add("w", 1)
     merged = registry.merged()
     assert merged["v"] == 5.0 and merged["w"] == 1.0
-    # aggregate() is an alias kept for back-compat.
-    assert registry.aggregate().snapshot() == merged.snapshot()
 
 
 def test_registry_report():
