@@ -40,6 +40,7 @@ from repro.config import NETWORKS, MachineConfig
 from repro.faults import CANNED_PLANS, FAULT_PROTOCOLS, parse_faults
 from repro.core.spec import render_spec
 from repro.protocols import registry
+from repro.protocols.cache_side import render_cache_side_spec
 from repro.protocols.fullmap import render_full_map_spec
 from repro.stats.tables import Table
 from repro.verification.audit import audit_machine
@@ -555,6 +556,8 @@ def cmd_spec(args: argparse.Namespace) -> int:
     print(render_spec())
     print()
     print(render_full_map_spec())
+    print()
+    print(render_cache_side_spec())
     return 0
 
 
@@ -1017,7 +1020,9 @@ def make_parser() -> argparse.ArgumentParser:
                         help="assemble the machine and describe it fully")
     p_topo.set_defaults(fn=cmd_topology)
 
-    p_spec = sub.add_parser("spec", help="print the directory protocol tables")
+    p_spec = sub.add_parser(
+        "spec", help="print the protocol tables: two-bit, full map, cache side"
+    )
     p_spec.set_defaults(fn=cmd_spec)
 
     p_cmp = sub.add_parser("compare", help="run every protocol")

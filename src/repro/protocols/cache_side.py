@@ -1,34 +1,42 @@
 """Cache-side controller for the directory protocols.
 
-This one class implements the processor-cache ``P_k - C_k`` behaviour of
-§3.2 and is shared by the two-bit scheme and the full-map baselines: the
-only difference a cache sees between them is whether coherence commands
-arrive as broadcasts (``BROADINV``/``BROADQUERY``) or selectively
-(``INVALIDATE``/``PURGE``), and the handling is identical.
+One class, :class:`DirectoryCacheController`, runs the processor-cache
+``P_k - C_k`` side of §3.2 for the two-bit scheme and the full-map
+baselines.  It has two halves:
 
-Responsibilities:
+* the processor half runs the §3.2 instances the processor-side table
+  (:mod:`repro.protocols.compiled`) escapes: replacement (§3.2.1), read
+  and write misses (§3.2.2, §3.2.3) and the write hit on an unmodified
+  block (§3.2.4); hits complete in the shared table step of
+  :class:`AbstractCacheController`;
+* the network half is a declared table, :data:`CACHE_SIDE_SPEC`.  A row
+  keys a command of Table 3-1 as the cache receives it, the situation
+  of the block's line, and the cache's own outstanding work on that
+  block, and names the steps that run, in order.  :meth:`deliver`
+  computes the key and runs the row; there is no other dispatch, so the
+  table *is* the protocol, as ``TWO_BIT_SPEC``/``FULL_MAP_SPEC`` are for
+  the homes.  ``repro spec`` prints it.
 
-* run the §3.2 instances the transition table escapes (replacement,
-  read miss, write miss, write hit on unmodified block); hits complete
-  in the shared table step of :class:`AbstractCacheController`;
-* answer coherence commands, stealing array cycles (§4.4's duplicate
-  directory, when enabled, filters absent-block commands for free);
-* survive the §3.2.5 races: a ``BROADINV`` received while an ``MREQUEST``
-  is pending acts as ``MGRANTED(false)`` and the store is reissued as a
-  write miss;
-* keep ejected dirty blocks in a write-back buffer until the home
-  controller consumes them, so a ``BROADQUERY`` racing an ``EJECT`` can
-  still be answered with data (DESIGN.md ambiguity #2).
+The rows carry the §3.2.5 races: a ``BROADINV`` that overtakes an
+``MREQUEST`` acts as ``MGRANTED(false)``, an invalidation crossing a
+landing fill poisons it, a query reaching a landing fill waits for it,
+and a query racing a dirty ``EJECT`` is answered from the write-back
+buffer (DESIGN.md ambiguity #2).  Broadcast and selective kinds share
+rows, because only the sender's targeting differs; the one exception is
+a cache without the block, which answers a ``PURGE`` and ignores a
+``BROADQUERY``.  A snoop steals an array cycle; §4.4's duplicate
+directory, when enabled, filters absent-block snoops for free.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from enum import Enum
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cache.line import CacheLine, LocalState
-from repro.cache.wbbuffer import MissingWriteBackEntry, WriteBackBuffer
+from repro.cache.wbbuffer import WriteBackBuffer
 from repro.faults.plan import DEFAULT_MAX_RETRIES, DEFAULT_RETRY_BACKOFF
 from repro.interconnect.message import Message, MessageKind
 from repro.interconnect.network import Network
@@ -37,8 +45,10 @@ from repro.protocols.base import (
     AccessCallback,
     ProtocolError,
 )
+from repro.protocols.compiled import LineState, line_state
 from repro.sim.kernel import Simulator
 from repro.config import MachineConfig
+from repro.stats.tables import Table
 from repro.verification.oracle import CoherenceOracle
 from repro.workloads.reference import MemRef
 
@@ -70,8 +80,264 @@ class PendingOp:
     retry_scheduled: bool = False
 
 
+@dataclass
+class EjectRecord:
+    """A replacement notice (§3.2.1) awaiting its EJECT_ACK.
+
+    ``uid``, ``retries`` and ``retry_scheduled`` mean what they mean on
+    :class:`PendingOp`, so one NAK-recovery step serves both.
+    """
+
+    uid: int
+    #: EJECT(k, a, "write"): the data waits in the write-back buffer.
+    dirty: bool
+    retries: int = 0
+    retry_scheduled: bool = False
+    #: The notice no longer carries the block: an EJECT_REVOKE went out
+    #: (clean), or a query answer took the buffered data (dirty).
+    revoked: bool = False
+
+
+# ======================================================================
+# The table
+# ======================================================================
+class Absent(Enum):
+    """Line situations of a block the array does not hold.
+
+    A resident line's situation is its
+    :class:`~repro.protocols.compiled.LineState`.
+    """
+
+    #: Ejected dirty; the write-back buffer still holds the live data.
+    WRITE_BACK = "write-back"
+    #: Ejected clean; the notice is in flight and not yet revoked.
+    CLEAN_EJECT = "clean-eject"
+    NOTHING = "absent"
+
+
+class Pending(Enum):
+    """The cache's own outstanding work on the command's block."""
+
+    NONE = "-"
+    #: MREQUEST sent, MGRANTED awaited (§3.2.4).
+    MREQ = "mreq"
+    #: REQUEST sent, GET awaited (§3.2.2, §3.2.3).
+    MISS = "miss"
+    #: The GET landed; the fill occupies the array for a few cycles.
+    FILL = "fill"
+    #: An invalidation crossed the landing fill: it must not be cached.
+    POISONED = "poisoned"
+    #: An EJECT_ACK or NAK names the block's in-flight eject.
+    EJECT = "eject"
+    #: A response names a transaction that is no longer outstanding.
+    STALE = "stale"
+
+
+#: A row cell that matches every situation of its column.
+ANY = "*"
+
+_V, _E, _D = LineState.VALID, LineState.EXCLUSIVE, LineState.DIRTY
+RESIDENT = (_V, _E, _D)
+_CLEAN = (_V, _E)
+LINES = RESIDENT + tuple(Absent)
+_LANDING = (Pending.FILL, Pending.POISONED)
+
+
+@dataclass(frozen=True)
+class CacheRow:
+    """One row of the cache side: commands meeting a situation."""
+
+    #: Command column: the message kind, refined where the reaction
+    #: depends on the message itself (see ``DirectoryCacheController.deliver``).
+    commands: Tuple[str, ...]
+    #: Line situations the row covers (``LineState``/``Absent``), or ANY.
+    lines: Union[str, Tuple[Enum, ...]]
+    #: Pending situations the row covers, or ANY.
+    pending: Union[str, Tuple[Pending, ...]]
+    #: Steps (``DirectoryCacheController`` methods, minus the leading
+    #: underscore), run in order.
+    steps: Tuple[str, ...]
+    #: Cache counter the row increments once its steps ran.
+    counter: str = ""
+    note: str = ""
+
+
+_INV = ("BROADINV", "INVALIDATE")
+_QUERY = ("BROADQUERY", "PURGE")
+_GRANTS = ("MGRANTED+", "MGRANTED-")
+
+#: The cache side of §3.2, first row first: a key (command, line,
+#: pending) belongs to the first row that covers it, so the general rows
+#: come last.  Combinations the protocol never reaches (a clean eject
+#: in flight while a fill of the same block lands) fall to the first
+#: row that matches.
+CACHE_SIDE_SPEC: Tuple[CacheRow, ...] = (
+    # -- invalidations --------------------------------------------------
+    CacheRow(("own BROADINV", "own INVALIDATE"), ANY, ANY, (),
+             note="BROADINV(a,k) spares the requester k's copy (§3.2.4)"),
+    CacheRow(_INV, RESIDENT, (Pending.MREQ,),
+             ("snoop_useful", "drop_line", "cancel_mreq",
+              "reissue_write_miss", "ack_invalidation"),
+             "invalidations_applied",
+             "§3.2.5: acts as MGRANTED(false); the cancel goes out before "
+             "the ack (DESIGN.md #6)"),
+    CacheRow(_INV, RESIDENT, ANY,
+             ("snoop_useful", "drop_line", "ack_invalidation"),
+             "invalidations_applied"),
+    CacheRow(_INV, ANY, (Pending.MREQ,),
+             ("snoop_useless", "cancel_mreq", "reissue_write_miss",
+              "ack_invalidation"),
+             note="as above; a write query already took our copy"),
+    CacheRow(_INV, (Absent.CLEAN_EJECT,), ANY,
+             ("snoop_useless", "revoke_eject", "ack_invalidation"),
+             "clean_ejects_revoked",
+             "the notice in flight is stale; revoke it once, before the "
+             "ack (DESIGN.md #7)"),
+    CacheRow(_INV, ANY, _LANDING,
+             ("snoop_useless", "poison_fill", "ack_invalidation"),
+             "fills_invalidated_in_flight",
+             "the landing fill is for a doomed copy: use it uncached"),
+    CacheRow(_INV, ANY, ANY, ("snoop_useless", "ack_invalidation")),
+    # -- queries --------------------------------------------------------
+    CacheRow(_QUERY, ANY, (Pending.FILL,), ("defer_query",),
+             "queries_deferred",
+             "we own the landing data: answer once the fill completes"),
+    CacheRow(_QUERY, (_D,), ANY, ("snoop_useful", "supply_from_line"),
+             "query_data_supplied",
+             "a read query keeps a clean copy (DESIGN.md #1), a write "
+             "query resets the valid bit (§3.2.3)"),
+    CacheRow(_QUERY, (Absent.WRITE_BACK,), ANY,
+             ("snoop_useful", "supply_from_write_back"),
+             "query_answered_from_wb_buffer",
+             "the dirty EJECT is in flight: answer from the buffer "
+             "(DESIGN.md #2)"),
+    CacheRow(_QUERY, _CLEAN, ANY, ("snoop_useful", "answer_clean"),
+             "query_found_clean_copy",
+             "exclusive-clean owner (§2.4.3); anomalous elsewhere"),
+    CacheRow(("PURGE",), ANY, ANY, ("snoop_useless", "answer_nocopy"),
+             note="the selective home awaits the addressee's answer"),
+    CacheRow(("BROADQUERY",), ANY, ANY, ("snoop_useless",),
+             note="an uninvolved cache stays silent"),
+    # -- data and modification grants -----------------------------------
+    CacheRow(("GET",), ANY, (Pending.MISS,), ("fill",),
+             note="the miss data lands and occupies the array"),
+    CacheRow(("GET",), ANY, ANY, ("absorb_duplicate",),
+             "duplicate_gets_dropped",
+             "a duplicated GET: only a fault plan makes one"),
+    CacheRow(("MGRANTED+",), RESIDENT, (Pending.MREQ,), ("complete_write",),
+             note="§3.2.4: the store completes on our copy"),
+    CacheRow(("MGRANTED+",), ANY, (Pending.MREQ,), ("lost_grant",),
+             note="error: the copy to write is gone"),
+    CacheRow(("MGRANTED-",), RESIDENT, (Pending.MREQ,),
+             ("drop_line", "reissue_write_miss"), "mgranted_denied",
+             "§3.2.5: our copy is stale; retry as a write miss"),
+    CacheRow(("MGRANTED-",), ANY, (Pending.MREQ,), ("reissue_write_miss",),
+             "mgranted_denied"),
+    CacheRow(_GRANTS, ANY, ANY, (), "stale_mgranted",
+             "grant for an MREQUEST already converted (§3.2.5)"),
+    # -- NAK recovery and replacement acks (fault plans) ----------------
+    CacheRow(("NAK(REQUEST)",), ANY, (Pending.MISS,) + _LANDING, ("retry",)),
+    CacheRow(("NAK(MREQUEST)",), ANY, (Pending.MREQ,), ("retry",)),
+    CacheRow(("NAK(EJECT)",), ANY, (Pending.EJECT,), ("retry",)),
+    CacheRow(("NAK(REQUEST)", "NAK(MREQUEST)", "NAK(EJECT)"), ANY, ANY, (),
+             "stale_naks", "the command converted, completed or was acked"),
+    CacheRow(("EJECT_ACK(clean)",), ANY, (Pending.EJECT,), ("retire_eject",)),
+    CacheRow(("EJECT_ACK(clean)",), ANY, ANY, (),
+             note="a stale or duplicated ack: nothing left to retire"),
+    CacheRow(("EJECT_ACK(dirty)",), ANY, (Pending.EJECT,),
+             ("retire_eject", "release_write_back")),
+    CacheRow(("EJECT_ACK(dirty)",), ANY, ANY, ("absorb_duplicate",),
+             "duplicate_eject_acks_dropped",
+             "a duplicated ack: only a fault plan makes one"),
+)
+
+#: Responses matched to the pending op by its transaction uid.
+_TXN_RESPONSES = frozenset(
+    {"GET", "MGRANTED+", "MGRANTED-", "NAK(REQUEST)", "NAK(MREQUEST)"}
+)
+#: Responses that name a replacement notice.
+_EJECT_RESPONSES = frozenset(
+    {"NAK(EJECT)", "EJECT_ACK(clean)", "EJECT_ACK(dirty)"}
+)
+#: Message kind -> command column, for the kinds taken as they are.
+_COMMANDS = {
+    kind: kind.name
+    for kind in (
+        MessageKind.BROADINV,
+        MessageKind.INVALIDATE,
+        MessageKind.BROADQUERY,
+        MessageKind.PURGE,
+        MessageKind.GET,
+    )
+}
+_BROADCASTS = (MessageKind.BROADINV, MessageKind.BROADQUERY)
+
+
+def expand_rows(
+    rows: Iterable[CacheRow],
+) -> Dict[Tuple[str, str, str], CacheRow]:
+    """Key every (command, line, pending) the rows cover, by value.
+
+    The first row covering a key owns it; a row that owns no key is
+    shadowed by the rows above it, which is a table error.
+    """
+    table: Dict[Tuple[str, str, str], CacheRow] = {}
+    for row in rows:
+        lines = LINES if row.lines == ANY else row.lines
+        pendings = tuple(Pending) if row.pending == ANY else row.pending
+        owned = False
+        for key in itertools.product(
+            row.commands,
+            [line.value for line in lines],
+            [pending.value for pending in pendings],
+        ):
+            if key not in table:
+                table[key] = row
+                owned = True
+        if not owned:
+            raise ValueError(f"cache-side row is shadowed: {row}")
+    return table
+
+
+def _cell(cell) -> str:
+    if cell == ANY:
+        return ANY
+    return "|".join(situation.value for situation in cell)
+
+
+def render_cache_side_spec() -> str:
+    """:data:`CACHE_SIDE_SPEC` as text: one line per row, then notes."""
+    table = Table(
+        header=["#", "command", "line", "pending", "cache steps", "counter"],
+        title="Cache side (§3.2): reactions to the home's commands",
+    )
+    notes = []
+    for number, row in enumerate(CACHE_SIDE_SPEC, 1):
+        table.add_row(
+            [
+                str(number),
+                "|".join(row.commands),
+                _cell(row.lines),
+                _cell(row.pending),
+                " -> ".join(row.steps) or "-",
+                row.counter,
+            ]
+        )
+        if row.note:
+            notes.append(f"  {number:>2}  {row.note}")
+    return "\n".join([table.render(), "", "notes:", *notes])
+
+
+# ======================================================================
+# The controller
+# ======================================================================
 class DirectoryCacheController(AbstractCacheController):
     """Write-back cache controller speaking the directory protocols."""
+
+    #: (command, line, pending) -> row: the network half's only
+    #: dispatch.  Shared by every instance; a test that edits rows
+    #: assigns its own expansion to one instance.
+    _rows = expand_rows(CACHE_SIDE_SPEC)
 
     def __init__(
         self,
@@ -87,41 +353,11 @@ class DirectoryCacheController(AbstractCacheController):
         self.home_fn = home_fn
         self.wb_buffer = WriteBackBuffer(capacity=config.options.wb_capacity)
         self.pending: Optional[PendingOp] = None
-        #: Clean ejects awaiting EJECT_ACK, block -> eject uid.  Needed to
-        #: revoke an eject notice made stale by a crossing invalidation
-        #: (DESIGN.md ambiguity #7).
-        self._inflight_clean_ejects: dict = {}
-        #: Eject uids whose EJECT_REVOKE already went out.  A second
-        #: invalidation round before the EJECT_ACK would otherwise
-        #: resend the (idempotent) revoke; sending it once per notice
-        #: keeps the dense path identical to the sparse fan-out, which
-        #: stops addressing this cache after the first round removes it
-        #: from the copy-holder index.
-        self._eject_revokes_sent: set = set()
-        #: Dirty ejects awaiting EJECT_ACK, block -> eject uid; lets a NAK
-        #: name the eject it refused and a retry resend just the notice
-        #: (the data transfer already arrived and is parked at the home).
-        self._dirty_eject_uids: dict = {}
-        #: (block, eject uid) -> resend count under NAK recovery.
-        self._eject_retries: dict = {}
-        #: (block, eject uid) pairs with a resend already scheduled.
-        self._eject_retry_scheduled: set = set()
-        # Message dispatch: kind -> handler *name*, resolved per delivery
-        # with getattr so subclass overrides and instance-level patching
-        # (the model checker's bug injectors) keep working.  Aliased
-        # kinds (broadcast vs selective) share one handler on purpose:
-        # the cache's reaction is identical, only the sender's targeting
-        # differs.
-        self._deliver_table = {
-            MessageKind.GET: "_on_get",
-            MessageKind.MGRANTED: "_on_mgranted",
-            MessageKind.BROADINV: "_on_invalidate",
-            MessageKind.INVALIDATE: "_on_invalidate",
-            MessageKind.BROADQUERY: "_on_query",
-            MessageKind.PURGE: "_on_query",
-            MessageKind.EJECT_ACK: "_on_eject_ack",
-            MessageKind.NAK: "_on_nak",
-        }
+        #: block -> its replacement notice awaiting EJECT_ACK.  One per
+        #: block: a miss on a block whose eject is unacknowledged waits
+        #: for the ack under a fault plan, and otherwise the ack arrives
+        #: ahead of the miss's GET on the same FIFO path.
+        self._ejects: Dict[int, EjectRecord] = {}
 
     # ==================================================================
     # Processor interface
@@ -141,7 +377,12 @@ class DirectoryCacheController(AbstractCacheController):
                 # a write miss (§3.2.5), so span counts match the
                 # write_hits_unmodified counter exactly.
                 obs.span_outcome(ref.pid, "WH-unmod")
-            self._write_hit_unmodified(line, ref, callback, issue_time)
+            # Ask the home controller for modification rights.
+            self.pending = PendingOp(ref=ref, callback=callback,
+                                     issue_time=issue_time, phase="mreq",
+                                     uid=next(_op_uids))
+            self._to_home(MessageKind.MREQUEST, ref.block,
+                          meta={"txn": self.pending.uid})
             return
         # Miss: replacement (§3.2.1) then REQUEST (§3.2.2 / §3.2.3).
         self.counters.add("write_misses" if ref.is_write else "read_misses")
@@ -150,20 +391,13 @@ class DirectoryCacheController(AbstractCacheController):
         self._begin_miss(ref, callback, issue_time, 0)
 
     def _begin_miss(
-        self,
-        ref: MemRef,
-        callback: AccessCallback,
-        issue_time: int,
-        attempt: int,
+        self, ref: MemRef, callback: AccessCallback, issue_time: int, attempt: int
     ) -> None:
         """Evict the victim and issue the REQUEST — unless the eviction
         needs a write-back slot and the buffer is full, in which case the
         miss backs off and retries (structured backpressure; the buffer
         drains as EJECT_ACKs arrive)."""
-        if self.net.faults is not None and (
-            ref.block in self._dirty_eject_uids
-            or ref.block in self._inflight_clean_ejects
-        ):
+        if self.net.faults is not None and ref.block in self._ejects:
             # Our own EJECT of this very block is still bouncing on
             # NAKs.  Re-requesting now inverts admission order at the
             # home: the REQUEST gets served, then the late EJECT lands
@@ -171,141 +405,77 @@ class DirectoryCacheController(AbstractCacheController):
             # case) or absorbs a stale write-back over it (dirty case).
             # Hold the miss until the eject is acked; the eject's own
             # give-up bound caps how long that can take.
-            if attempt >= 4 * self._max_retries():
-                raise ProtocolError(
-                    f"{self.name}: miss on block {ref.block} stalled "
-                    f"behind its own in-flight eject after {attempt} "
-                    "backoff attempts"
-                )
-            self.counters.add("self_eject_miss_stalls")
-            self._note_retry(ref.pid)
-            self.sim.post(
-                self._backoff_delay(attempt + 1),
-                self._begin_miss, ref, callback, issue_time, attempt + 1,
+            self._back_off(
+                ref, callback, issue_time, attempt, 4 * self._max_retries(),
+                "self_eject_miss_stalls",
+                f"miss on block {ref.block} stalled behind its own "
+                f"in-flight eject after {attempt} backoff attempts",
             )
             return
         frame = self.array.frame_for(ref.block)
         if frame.valid and frame.modified and self.wb_buffer.full:
-            if attempt >= self._max_retries():
-                raise ProtocolError(
-                    f"{self.name}: write-back buffer still full after "
-                    f"{attempt} backoff attempts (miss on block {ref.block})"
-                )
-            self.counters.add("wb_backpressure_stalls")
-            self._note_retry(ref.pid)
-            self.sim.post(
-                self._backoff_delay(attempt + 1),
-                self._begin_miss, ref, callback, issue_time, attempt + 1,
+            self._back_off(
+                ref, callback, issue_time, attempt, self._max_retries(),
+                "wb_backpressure_stalls",
+                f"write-back buffer still full after {attempt} backoff "
+                f"attempts (miss on block {ref.block})",
             )
             return
         self._evict_frame(frame)
-        self.pending = PendingOp(
-            ref=ref,
-            callback=callback,
-            issue_time=issue_time,
-            phase="miss",
-            uid=next(_op_uids),
-        )
-        self._send(
-            MessageKind.REQUEST,
-            dst=self.home_fn(ref.block),
-            block=ref.block,
-            rw="write" if ref.is_write else "read",
-            meta={"txn": self.pending.uid},
-        )
+        self.pending = PendingOp(ref=ref, callback=callback,
+                                 issue_time=issue_time, phase="miss",
+                                 uid=next(_op_uids))
+        self._to_home(MessageKind.REQUEST, ref.block,
+                      rw="write" if ref.is_write else "read",
+                      meta={"txn": self.pending.uid})
 
-    def _write_hit_unmodified(
-        self,
-        line: CacheLine,
-        ref: MemRef,
-        callback: AccessCallback,
-        issue_time: int,
-    ) -> None:
-        """Ask the home controller for modification rights (MREQUEST)."""
-        self.pending = PendingOp(
-            ref=ref,
-            callback=callback,
-            issue_time=issue_time,
-            phase="mreq",
-            uid=next(_op_uids),
-        )
-        self._send(
-            MessageKind.MREQUEST,
-            dst=self.home_fn(ref.block),
-            block=ref.block,
-            meta={"txn": self.pending.uid},
-        )
-
-    def _evict_victim(self, incoming_block: int) -> None:
-        """§3.2.1 replacement protocol for the frame ``incoming_block``
-        will occupy."""
-        self._evict_frame(self.array.frame_for(incoming_block))
+    def _back_off(self, ref: MemRef, callback: AccessCallback, issue_time: int,
+                  attempt: int, limit: int, counter: str, stalled: str) -> None:
+        """Retry the miss after a backoff; give up past ``limit`` attempts."""
+        if attempt >= limit:
+            raise ProtocolError(f"{self.name}: {stalled}")
+        self.counters.add(counter)
+        self._note_retry(ref.pid)
+        self.sim.post(self._backoff_delay(attempt + 1),
+                      self._begin_miss, ref, callback, issue_time, attempt + 1)
 
     def _evict_frame(self, frame: CacheLine) -> None:
-        # Split from _evict_victim so the backpressured miss path can
-        # consult the frame without re-running the replacement policy
-        # (a second policy draw would perturb seeded victim selection).
+        """§3.2.1 replacement protocol for the frame a miss will occupy.
+
+        The caller found the frame once, so the backpressured miss path
+        never re-runs the replacement policy (a second policy draw would
+        perturb seeded victim selection).
+        """
         if not frame.valid:
             return  # case 1: valid bit off, nothing to do
         victim = frame.block
         assert victim is not None
-        home = self.home_fn(victim)
-        if frame.modified:
-            # case 3: EJECT(k, olda, "write") followed by put(b_k, olda).
-            self.counters.add("ejects_dirty")
+        dirty = frame.modified
+        uid = next(_op_uids)
+        self._ejects[victim] = EjectRecord(uid=uid, dirty=dirty)
+        # case 2: EJECT(k, olda, "read"), keeping Present1 accurate;
+        # case 3: EJECT(k, olda, "write") followed by put(b_k, olda).
+        self.counters.add("ejects_dirty" if dirty else "ejects_clean")
+        if dirty:
             self.wb_buffer.insert(victim, frame.version)
-            uid = next(_op_uids)
-            self._dirty_eject_uids[victim] = uid
-            self._send(
-                MessageKind.EJECT,
-                dst=home,
-                block=victim,
-                rw="write",
-                meta={"ej": uid},
-            )
-            self._send(
-                MessageKind.PUT,
-                dst=home,
-                block=victim,
-                version=frame.version,
-                meta={"for": "eject", "ej": uid},
-            )
-        else:
-            # case 2: EJECT(k, olda, "read"); keeping Present1 accurate.
-            self.counters.add("ejects_clean")
-            uid = next(_op_uids)
-            self._inflight_clean_ejects[victim] = uid
-            self._send(
-                MessageKind.EJECT,
-                dst=home,
-                block=victim,
-                rw="read",
-                meta={"ej": uid},
-            )
+        self._to_home(MessageKind.EJECT, victim, rw="write" if dirty else "read",
+                      meta={"ej": uid})
+        if dirty:
+            self._to_home(MessageKind.PUT, victim, version=frame.version,
+                          meta={"for": "eject", "ej": uid})
         frame.reset()
 
     # ==================================================================
     # Completion paths
     # ==================================================================
-    def _finish_read(
-        self,
-        ref: MemRef,
-        callback: AccessCallback,
-        issue_time: int,
-        version: int,
-        hit: bool,
-    ) -> None:
+    def _finish_read(self, ref: MemRef, callback: AccessCallback,
+                     issue_time: int, version: int, hit: bool) -> None:
         self.oracle.check_read(ref.block, version, issue_time, self.pid)
         self._complete(ref, callback, issue_time, hit, version)
 
-    def _perform_write(
-        self,
-        line: CacheLine,
-        ref: MemRef,
-        callback: AccessCallback,
-        issue_time: int,
-        hit: bool,
-    ) -> None:
+    def _perform_write(self, line: CacheLine, ref: MemRef,
+                       callback: AccessCallback, issue_time: int,
+                       hit: bool) -> None:
         """Linearization point of a store: the line takes a new version."""
         version = self.oracle.new_version()
         line.version = version
@@ -313,123 +483,278 @@ class DirectoryCacheController(AbstractCacheController):
         self.oracle.commit_write(ref.block, version, self.sim.now, self.pid)
         self._complete(ref, callback, issue_time, hit, version)
 
-    # ==================================================================
-    # Network interface
-    # ==================================================================
-    def deliver(self, message: Message) -> None:
-        handler = self._deliver_table.get(message.kind)
-        if handler is None:
-            raise ValueError(f"{self.name} cannot handle {message!r}")
-        getattr(self, handler)(message)
-
-    def _on_eject_ack(self, message: Message) -> None:
-        block = message.block
-        if "ej" in message.meta:
-            ej = message.meta["ej"]
-            if self._inflight_clean_ejects.get(block) == ej:
-                del self._inflight_clean_ejects[block]
-            self._eject_revokes_sent.discard(ej)
-            # Retire the acked generation's retry budget even when a
-            # newer eject of the same block has replaced the in-flight
-            # entry: the ack is the last word on that uid, and a NAKed
-            # generation's counter would otherwise leak past quiescence.
-            self._forget_eject_retry(block, ej)
-            return
-        uid = self._dirty_eject_uids.pop(block, None)
-        if uid is not None:
-            self._forget_eject_retry(block, uid)
-        if block not in self.wb_buffer and self.net.faults is not None:
-            # A duplicated ack for an eject already released: absorb it.
-            self.counters.add("duplicate_eject_acks_dropped")
-            return
-        self.wb_buffer.release(block)
-
-    # ------------------------------------------------------------------
-    # Miss data arrival
-    # ------------------------------------------------------------------
-    def _on_get(self, message: Message) -> None:
-        pending = self.pending
-        txn = message.meta.get("txn")
-        if (
-            pending is None
-            or pending.phase != "miss"
-            or pending.ref.block != message.block
-            # The fill occupies the array for a few cycles before
-            # ``_fill_and_complete`` clears ``pending``; a duplicate of
-            # the *same* GET landing inside that window would otherwise
-            # pass every guard and complete the access twice.
-            or pending.data_received
-            # Under a fault plan a duplicated GET from an *earlier* miss
-            # on the same block could masquerade as this miss's fill;
-            # the grant echoes the REQUEST uid so it can't.
-            or (
-                self.net.faults is not None
-                and txn is not None
-                and txn != pending.uid
-            )
-        ):
-            if self.net.faults is not None:
-                # A duplicated GET for a miss already filled: absorb it
-                # (the injected copy carries the same data the consumed
-                # original did).
-                self.counters.add("duplicate_gets_dropped")
-                return
-            raise RuntimeError(
-                f"{self.name}: unexpected data arrival {message!r}"
-            )
-        pending.data_received = True
-        done = self._use_array(stolen=False)
-        self.sim.post_at(done, self._fill_and_complete, message, pending)
-
     def _fill_and_complete(self, message: Message, pending: PendingOp) -> None:
         self.pending = None
-        assert message.version is not None
+        version = message.version
+        assert version is not None
+        ref, callback, issue_time = pending.ref, pending.callback, pending.issue_time
         if pending.stale:
             # An invalidation crossed the fill: the data was current when
             # our transaction was serialized, so a read may still consume
             # it, but it must not be cached.
-            if pending.ref.is_write:
+            if ref.is_write:
                 raise RuntimeError(
                     f"{self.name}: write-miss fill invalidated in flight "
                     "(must be impossible under per-block serialization)"
                 )
             self.counters.add("stale_fills_uncached")
-            self._finish_read(
-                pending.ref,
-                pending.callback,
-                pending.issue_time,
-                message.version,
-                hit=False,
-            )
-            self._replay_deferred(pending)
-            return
-        line = self.array.fill(
-            pending.ref.block, version=message.version, modified=False
-        )
-        if message.meta.get("exclusive"):
-            line.local = LocalState.EXCLUSIVE
-        if pending.ref.is_write:
-            self._perform_write(
-                line, pending.ref, pending.callback, pending.issue_time, hit=False
-            )
+            self._finish_read(ref, callback, issue_time, version, hit=False)
         else:
-            self._finish_read(
-                pending.ref,
-                pending.callback,
-                pending.issue_time,
-                message.version,
-                hit=False,
-            )
-        self._replay_deferred(pending)
-
-    def _replay_deferred(self, pending: PendingOp) -> None:
-        """Answer queries that arrived while the fill was in flight."""
-        for message in pending.deferred:
+            line = self.array.fill(ref.block, version=version, modified=False)
+            if message.meta.get("exclusive"):
+                line.local = LocalState.EXCLUSIVE
+            if ref.is_write:
+                self._perform_write(line, ref, callback, issue_time, hit=False)
+            else:
+                self._finish_read(ref, callback, issue_time, version, hit=False)
+        # Answer the queries that arrived while the fill was landing.
+        for query in pending.deferred:
             self.counters.add("deferred_queries_replayed")
-            self._on_query(message)
+            self.deliver(query)
+
+    # ==================================================================
+    # Network interface: the row dispatch
+    # ==================================================================
+    @staticmethod
+    def _refined_command(message: Message) -> str:
+        """The command column of a kind the reaction splits."""
+        kind = message.kind
+        if kind is MessageKind.MGRANTED:
+            return "MGRANTED+" if message.flag else "MGRANTED-"
+        if kind is MessageKind.NAK:
+            return f"NAK({message.meta.get('kind')})"
+        if kind is MessageKind.EJECT_ACK:
+            # A clean notice's ack names its uid; a dirty one's does not.
+            return "EJECT_ACK(clean)" if "ej" in message.meta else "EJECT_ACK(dirty)"
+        return kind.name  # no row: the dispatch rejects it
+
+    def deliver(self, message: Message) -> None:
+        """Run the row ``message`` meets in this cache's situation."""
+        command = _COMMANDS.get(message.kind)
+        if command is None:
+            command = self._refined_command(message)
+        elif message.requester == self.pid and command in _INV:
+            command = "own " + command
+        block = message.block
+        line = self.array.lookup(block)
+        if line is not None:
+            where = line_state(line).value
+        else:
+            record = self._ejects.get(block)
+            if record is None or record.revoked:
+                where = "absent"
+            elif record.dirty:
+                where = "write-back"
+            else:
+                where = "clean-eject"
+        pending = self.pending
+        if command in _EJECT_RESPONSES:
+            phase = "eject" if self._names_eject(command, message) else "stale"
+        elif pending is None or pending.ref.block != block:
+            phase = "-"
+        elif (
+            command in _TXN_RESPONSES
+            and message.meta.get("txn") != pending.uid
+        ):
+            phase = "stale"
+        elif pending.phase == "mreq":
+            phase = "mreq"
+        elif not pending.data_received:
+            phase = "miss"
+        else:
+            phase = "poisoned" if pending.stale else "fill"
+        row = self._rows.get((command, where, phase))
+        if row is None:
+            raise ValueError(f"{self.name} cannot handle {message!r}")
+        for step in row.steps:
+            _STEPS[step](self, message, line, pending)
+        if row.counter:
+            self.counters.add(row.counter)
+
+    def _names_eject(self, command: str, message: Message) -> bool:
+        """Whether an eject response is for the block's in-flight eject."""
+        if command == "EJECT_ACK(dirty)":
+            return message.block in self.wb_buffer
+        record = self._ejects.get(message.block)
+        return record is not None and record.uid == message.meta.get("ej")
 
     # ------------------------------------------------------------------
-    # NAK recovery (fault plans only): bounded retry with backoff
+    # Steps: every one takes (message, line, pending), where ``line`` is
+    # the resident line or None and ``pending`` the outstanding op.
+    # ------------------------------------------------------------------
+    def _snoop_useful(self, message, line, pending) -> None:
+        """A command found the block: it steals an array cycle."""
+        self.counters.add("snoop_commands")
+        self.counters.add("snoop_useful")
+        self._use_array(stolen=True)
+
+    def _snoop_useless(self, message, line, pending) -> None:
+        """The paper's extra command: the block is not here."""
+        counters = self.counters
+        counters.add("snoop_commands")
+        counters.add("snoop_useless")
+        if message.kind in _BROADCASTS:
+            counters.add("broadcast_useless")
+        if self.config.options.duplicate_directory:
+            counters.add("snoops_filtered_by_dup_directory")
+        else:
+            self._use_array(stolen=True)
+
+    def _drop_line(self, message, line, pending) -> None:
+        line.reset()
+
+    def _cancel_mreq(self, message, line, pending) -> None:
+        """Withdraw the overtaken MREQUEST (DESIGN.md #6): it may still be
+        queued at the home, and granting it once we hold no copy would
+        install a phantom owner.  Sent before our INV_ACK, so per-path
+        FIFO gets it to the home before the round can complete."""
+        self._to_home(MessageKind.MREQ_CANCEL, message.block,
+                      meta={"txn": pending.uid})
+
+    def _reissue_write_miss(self, message, line, pending) -> None:
+        """Retry the store as a write miss (§3.2.5) under a fresh uid."""
+        self.counters.add("mreq_converted_to_miss")
+        pending.phase = "miss"
+        pending.uid = next(_op_uids)
+        # Fresh command, fresh retry budget: a NAK against the new
+        # REQUEST must not be mistaken for a duplicate of one answered
+        # while we were still an MREQUEST (the scheduled resend, if any,
+        # drops itself on the uid mismatch).
+        pending.retries = 0
+        pending.retry_scheduled = False
+        self._to_home(MessageKind.REQUEST, message.block, rw="write",
+                      meta={"txn": pending.uid})
+
+    def _revoke_eject(self, message, line, pending) -> None:
+        """Revoke our stale clean EJECT: processed later, it would
+        collapse Present1 to Absent for the new holder (DESIGN.md #7).
+        It goes out before our INV_ACK, once per notice (the revoke is
+        idempotent at the home, and the sparse fan-out stops addressing
+        this cache after the first round)."""
+        record = self._ejects[message.block]
+        record.revoked = True
+        self._to_home(MessageKind.EJECT_REVOKE, message.block,
+                      meta={"ej": record.uid})
+
+    def _poison_fill(self, message, line, pending) -> None:
+        pending.stale = True
+
+    def _ack_invalidation(self, message, line, pending) -> None:
+        if self.config.options.invalidation_acks:
+            self._send(MessageKind.INV_ACK, message.src, message.block,
+                       meta={"had_copy": line is not None})
+
+    def _defer_query(self, message, line, pending) -> None:
+        pending.deferred.append(message)
+
+    def _keeps_copy(self, message: Message) -> bool:
+        """A read query leaves the owner a clean copy, except in the
+        paper-literal mode, where the directory records only the
+        requester afterwards (§3.2.2: the state becomes Present1)."""
+        return (
+            message.rw != "write"
+            and not self.config.options.owner_invalidates_on_read_query
+        )
+
+    def _supply_from_line(self, message, line, pending) -> None:
+        version = line.version
+        if self._keeps_copy(message):
+            line.modified = False
+        else:
+            line.reset()
+        self._answer(message, MessageKind.PUT, version=version,
+                     meta={"for": "query", "from_wb": False})
+
+    def _supply_from_write_back(self, message, line, pending) -> None:
+        entry = self.wb_buffer.supersede(message.block)
+        self._ejects[message.block].revoked = True
+        self._answer(message, MessageKind.PUT, version=entry.version,
+                     meta={"for": "query", "from_wb": True})
+
+    def _answer_clean(self, message, line, pending) -> None:
+        if self._keeps_copy(message):
+            line.local = LocalState.NONE
+        else:
+            line.reset()
+        self._answer(message, MessageKind.QUERY_NOCOPY, meta={"had_clean": True})
+
+    def _answer_nocopy(self, message, line, pending) -> None:
+        self._answer(message, MessageKind.QUERY_NOCOPY, meta={"had_clean": False})
+
+    def _answer(self, query: Message, kind: MessageKind, meta: dict,
+                **fields) -> None:
+        """Reply to ``query``, echoing its transaction uid: the home
+        consumes only the answer to the query it has outstanding."""
+        meta["txn"] = query.meta.get("txn")
+        self._send(kind, dst=query.src, block=query.block, meta=meta, **fields)
+
+    def _fill(self, message, line, pending) -> None:
+        pending.data_received = True
+        done = self._use_array(stolen=False)
+        self.sim.post_at(done, self._fill_and_complete, message, pending)
+
+    def _absorb_duplicate(self, message, line, pending) -> None:
+        """The injected copy carries what the consumed original did."""
+        if self.net.faults is None:
+            raise RuntimeError(
+                f"{self.name}: unexpected data or ack arrival {message!r}"
+            )
+
+    def _complete_write(self, message, line, pending) -> None:
+        self.pending = None
+        self._perform_write(line, pending.ref, pending.callback,
+                            pending.issue_time, hit=True)
+
+    def _lost_grant(self, message, line, pending) -> None:
+        raise RuntimeError(f"{self.name}: MGRANTED(true) for a block we lost")
+
+    def _retry(self, message, line, pending) -> None:
+        """NAK recovery (fault plans only): resend after a backoff, within
+        a bounded budget."""
+        kind = message.meta["kind"]
+        block = message.block
+        op = self._ejects[block] if kind == "EJECT" else pending
+        if op.retry_scheduled:
+            self.counters.add("duplicate_naks_dropped")
+            return
+        if op.retries >= self._max_retries():
+            raise ProtocolError(
+                f"{self.name}: {kind} for block {block} NAKed "
+                f"{op.retries + 1} times; giving up"
+            )
+        op.retries += 1
+        op.retry_scheduled = True
+        self._note_retry(self.pid)
+        self.sim.post(self._backoff_delay(op.retries),
+                      self._resend, kind, block, op.uid)
+
+    def _resend(self, kind: str, block: int, uid: int) -> None:
+        op = self._ejects.get(block) if kind == "EJECT" else self.pending
+        if op is None or op.uid != uid:
+            # Converted (BROADINV turned the MREQUEST into a write miss),
+            # completed, or acked while the backoff ran.
+            self.counters.add("retries_abandoned")
+            return
+        op.retry_scheduled = False
+        self.counters.add("retries_sent")
+        if kind == "EJECT":
+            # Resend only the notice: a dirty eject's put(b_k, olda) was
+            # never NAKed and is parked at the home.
+            fields = {"rw": "write" if op.dirty else "read", "meta": {"ej": uid}}
+        else:
+            fields = {"meta": {"txn": uid}}
+            if kind == "REQUEST":
+                fields["rw"] = "write" if op.ref.is_write else "read"
+        self._to_home(MessageKind[kind], block, **fields)
+
+    def _retire_eject(self, message, line, pending) -> None:
+        self._ejects.pop(message.block, None)
+
+    def _release_write_back(self, message, line, pending) -> None:
+        self.wb_buffer.release(message.block)
+
+    # ------------------------------------------------------------------
+    # Helpers
     # ------------------------------------------------------------------
     def _fault_spec(self):
         faults = self.net.faults
@@ -450,354 +775,12 @@ class DirectoryCacheController(AbstractCacheController):
         if obs is not None:
             obs.span_phase(pid, self.sim.now, "retry")
 
-    def _forget_eject_retry(self, block: int, uid: int) -> None:
-        self._eject_retries.pop((block, uid), None)
-        self._eject_retry_scheduled.discard((block, uid))
-
-    def _on_nak(self, message: Message) -> None:
-        kind = message.meta.get("kind")
-        block = message.block
-        if kind in ("REQUEST", "MREQUEST"):
-            pending = self.pending
-            expected = "miss" if kind == "REQUEST" else "mreq"
-            if (
-                pending is None
-                or pending.phase != expected
-                or pending.ref.block != block
-                or message.meta.get("txn") != pending.uid
-            ):
-                # The op converted or completed while the NAK flew.
-                self.counters.add("stale_naks")
-                return
-            if pending.retry_scheduled:
-                self.counters.add("duplicate_naks_dropped")
-                return
-            if pending.retries >= self._max_retries():
-                raise ProtocolError(
-                    f"{self.name}: {kind} for block {block} NAKed "
-                    f"{pending.retries + 1} times; giving up"
-                )
-            pending.retries += 1
-            pending.retry_scheduled = True
-            self._note_retry(pending.ref.pid)
-            self.sim.post(
-                self._backoff_delay(pending.retries),
-                self._retry_pending, kind, block, pending.uid,
-            )
-        elif kind == "EJECT":
-            uid = message.meta.get("ej")
-            key = (block, uid)
-            if (
-                self._dirty_eject_uids.get(block) != uid
-                and self._inflight_clean_ejects.get(block) != uid
-            ):
-                self.counters.add("stale_naks")
-                return
-            if key in self._eject_retry_scheduled:
-                self.counters.add("duplicate_naks_dropped")
-                return
-            attempts = self._eject_retries.get(key, 0)
-            if attempts >= self._max_retries():
-                raise ProtocolError(
-                    f"{self.name}: EJECT for block {block} NAKed "
-                    f"{attempts + 1} times; giving up"
-                )
-            self._eject_retries[key] = attempts + 1
-            self._eject_retry_scheduled.add(key)
-            self._note_retry(self.pid)
-            self.sim.post(
-                self._backoff_delay(attempts + 1), self._retry_eject, block, uid
-            )
-        else:
-            self.counters.add("stale_naks")
-
-    def _retry_pending(self, kind: str, block: int, uid: int) -> None:
-        pending = self.pending
-        expected = "miss" if kind == "REQUEST" else "mreq"
-        if (
-            pending is None
-            or pending.phase != expected
-            or pending.ref.block != block
-            or pending.uid != uid
-        ):
-            # Converted (BROADINV turned the MREQUEST into a write miss)
-            # or otherwise superseded while the backoff ran.
-            self.counters.add("retries_abandoned")
-            return
-        pending.retry_scheduled = False
-        self.counters.add("retries_sent")
-        if kind == "REQUEST":
-            self._send(
-                MessageKind.REQUEST,
-                dst=self.home_fn(block),
-                block=block,
-                rw="write" if pending.ref.is_write else "read",
-                meta={"txn": uid},
-            )
-        else:
-            self._send(
-                MessageKind.MREQUEST,
-                dst=self.home_fn(block),
-                block=block,
-                meta={"txn": uid},
-            )
-
-    def _retry_eject(self, block: int, uid: int) -> None:
-        key = (block, uid)
-        self._eject_retry_scheduled.discard(key)
-        if self._dirty_eject_uids.get(block) == uid:
-            rw = "write"
-        elif self._inflight_clean_ejects.get(block) == uid:
-            rw = "read"
-        else:
-            # Acked while the backoff ran (the NAKed original was
-            # admitted after the stall window closed).
-            self.counters.add("retries_abandoned")
-            return
-        self.counters.add("retries_sent")
-        # Resend only the notice: for a dirty eject the put(b_k, olda)
-        # data transfer was never NAKed and is parked at the home.
-        self._send(
-            MessageKind.EJECT,
-            dst=self.home_fn(block),
-            block=block,
-            rw=rw,
-            meta={"ej": uid},
-        )
-
-    # ------------------------------------------------------------------
-    # Modification grants
-    # ------------------------------------------------------------------
-    def _on_mgranted(self, message: Message) -> None:
-        pending = self.pending
-        if (
-            pending is None
-            or pending.phase != "mreq"
-            or pending.ref.block != message.block
-            or message.meta.get("txn") != pending.uid
-        ):
-            # Stale grant for an MREQUEST we already converted (§3.2.5).
-            self.counters.add("stale_mgranted")
-            return
-        if message.flag:
-            line = self.array.lookup(message.block)
-            if line is None:
-                raise RuntimeError(
-                    f"{self.name}: MGRANTED(true) for a block we lost"
-                )
-            self.pending = None
-            self._perform_write(
-                line, pending.ref, pending.callback, pending.issue_time, hit=True
-            )
-            return
-        # MGRANTED(false): our copy is stale; reissue as a write miss.
-        self.counters.add("mgranted_denied")
-        self._convert_mreq_to_write_miss(invalidate_line=True)
-
-    def _convert_mreq_to_write_miss(self, invalidate_line: bool) -> None:
-        pending = self.pending
-        assert pending is not None and pending.phase == "mreq"
-        if invalidate_line:
-            line = self.array.lookup(pending.ref.block)
-            if line is not None:
-                line.reset()
-        self.counters.add("mreq_converted_to_miss")
-        if not invalidate_line:
-            # Conversion triggered by a BROADINV: our MREQUEST may still
-            # be queued at the controller, and granting it later — when we
-            # no longer hold a copy — would install a phantom owner.  The
-            # cancel is sent *before* our INV_ACK, so per-path FIFO
-            # guarantees it reaches the controller before the
-            # invalidation round (which waits on that ack) can complete.
-            self._send(
-                MessageKind.MREQ_CANCEL,
-                dst=self.home_fn(pending.ref.block),
-                block=pending.ref.block,
-                meta={"txn": pending.uid},
-            )
-        pending.phase = "miss"
-        pending.uid = next(_op_uids)
-        # Fresh command, fresh retry budget: a NAK against the new
-        # REQUEST must not be mistaken for a duplicate of one answered
-        # while we were still an MREQUEST (the scheduled retry, if any,
-        # drops itself on the uid mismatch).
-        pending.retries = 0
-        pending.retry_scheduled = False
-        self._send(
-            MessageKind.REQUEST,
-            dst=self.home_fn(pending.ref.block),
-            block=pending.ref.block,
-            rw="write",
-            meta={"txn": pending.uid},
-        )
-
-    # ------------------------------------------------------------------
-    # Invalidations
-    # ------------------------------------------------------------------
-    def _on_invalidate(self, message: Message) -> None:
-        if message.requester == self.pid:
-            # The k parameter of BROADINV(a,k): never invalidate the
-            # requester's own copy (§3.2.4 case 2).
-            return
-        line = self.array.lookup(message.block)
-        present = line is not None
-        self._snoop_cost(message, useful=present)
-        if line is not None:
-            line.reset()
-            self.counters.add("invalidations_applied")
-        elif (
-            message.block in self._inflight_clean_ejects
-            and self._inflight_clean_ejects[message.block]
-            not in self._eject_revokes_sent
-        ):
-            # Our clean EJECT for this block is in flight and the block is
-            # being invalidated: the notice is stale and, processed later,
-            # would wrongly collapse Present1 to Absent for the *new*
-            # holder.  Revoke it — sent before our INV_ACK, so per-path
-            # FIFO gets it there before this invalidation round completes.
-            # Once per notice: the revoke is idempotent at the controller.
-            self.counters.add("clean_ejects_revoked")
-            self._eject_revokes_sent.add(
-                self._inflight_clean_ejects[message.block]
-            )
-            self._send(
-                MessageKind.EJECT_REVOKE,
-                dst=self.home_fn(message.block),
-                block=message.block,
-                meta={"ej": self._inflight_clean_ejects[message.block]},
-            )
-        pending = self.pending
-        if (
-            pending is not None
-            and pending.phase == "mreq"
-            and pending.ref.block == message.block
-        ):
-            # §3.2.5: treat the BROADINV as MGRANTED(false).
-            self._convert_mreq_to_write_miss(invalidate_line=False)
-        elif (
-            pending is not None
-            and pending.phase == "miss"
-            and pending.ref.block == message.block
-            and pending.data_received
-        ):
-            # The invalidation targets the copy our in-flight fill is
-            # about to install (our transaction was serialized first, so
-            # the GET is already here): poison the fill.
-            pending.stale = True
-            self.counters.add("fills_invalidated_in_flight")
-        if self.config.options.invalidation_acks:
-            self._send(
-                MessageKind.INV_ACK,
-                dst=message.src,
-                block=message.block,
-                meta={"had_copy": present},
-            )
-
-    # ------------------------------------------------------------------
-    # Queries (locate + purge the modified owner)
-    # ------------------------------------------------------------------
-    def _on_query(self, message: Message) -> None:
-        block = message.block
-        pending = self.pending
-        if (
-            pending is not None
-            and pending.phase == "miss"
-            and pending.ref.block == block
-            and pending.data_received
-            and not pending.stale
-        ):
-            # We are the logical owner but the data is still being
-            # installed: answer once the fill completes.
-            pending.deferred.append(message)
-            self.counters.add("queries_deferred")
-            return
-        line = self.array.lookup(block)
-        wb_entry = self.wb_buffer.get(block)
-        rw = message.rw or "read"
-        if line is not None and line.modified:
-            self._snoop_cost(message, useful=True)
-            version = line.version
-            if rw == "read":
-                if self.config.options.owner_invalidates_on_read_query:
-                    line.reset()  # paper-literal §3.2.2: state becomes Present1
-                else:
-                    line.modified = False  # keep a clean copy (Present*)
-            else:
-                line.reset()  # §3.2.3 case 3: reset the valid bit
-            self.counters.add("query_data_supplied")
-            self._send(
-                MessageKind.PUT,
-                dst=message.src,
-                block=block,
-                version=version,
-                meta={"for": "query", "from_wb": False},
-            )
-            return
-        if wb_entry is not None and not wb_entry.superseded:
-            # Eject in flight: answer from the write-back buffer.
-            self._snoop_cost(message, useful=True)
-            self.wb_buffer.supersede(block)
-            self.counters.add("query_answered_from_wb_buffer")
-            self._send(
-                MessageKind.PUT,
-                dst=message.src,
-                block=block,
-                version=wb_entry.version,
-                meta={"for": "query", "from_wb": True},
-            )
-            return
-        if line is not None:
-            # Clean copy queried: normal for the local-state protocol
-            # (exclusive-clean PURGE), anomalous for the others.
-            self._snoop_cost(message, useful=True)
-            self.counters.add("query_found_clean_copy")
-            if rw == "write" or self.config.options.owner_invalidates_on_read_query:
-                # In the paper-literal mode the directory records only the
-                # requester after a read query, so the queried copy must go.
-                line.reset()
-            else:
-                line.local = LocalState.NONE
-            self._send(
-                MessageKind.QUERY_NOCOPY,
-                dst=message.src,
-                block=block,
-                meta={"had_clean": True},
-            )
-            return
-        # No copy at all: the broadcast reached an uninvolved cache.
-        self._snoop_cost(message, useful=False)
-        if message.kind is MessageKind.PURGE:
-            # Selective protocols expect an answer from the addressee.
-            self._send(
-                MessageKind.QUERY_NOCOPY,
-                dst=message.src,
-                block=block,
-                meta={"had_clean": False},
-            )
-
-    # ------------------------------------------------------------------
-    # Accounting helpers
-    # ------------------------------------------------------------------
-    def _snoop_cost(self, message: Message, useful: bool) -> None:
-        """Array occupancy + the paper's extra-command metric."""
-        broadcast = message.kind in (MessageKind.BROADINV, MessageKind.BROADQUERY)
-        self.counters.add("snoop_commands")
-        if useful:
-            self.counters.add("snoop_useful")
-        else:
-            self.counters.add("snoop_useless")
-            if broadcast:
-                self.counters.add("broadcast_useless")
-        if useful or not self.config.options.duplicate_directory:
-            self._use_array(stolen=True)
-        else:
-            self.counters.add("snoops_filtered_by_dup_directory")
-
     def _send(self, kind: MessageKind, dst: str, block: int, **fields) -> None:
         fields.setdefault("requester", self.pid)
-        self.net.send(
-            Message(kind=kind, src=self.name, dst=dst, block=block, **fields)
-        )
+        self.net.send(Message(kind=kind, src=self.name, dst=dst, block=block, **fields))
+
+    def _to_home(self, kind: MessageKind, block: int, **fields) -> None:
+        self._send(kind, self.home_fn(block), block, **fields)
 
     # ------------------------------------------------------------------
     # Introspection for audits
@@ -806,11 +789,13 @@ class DirectoryCacheController(AbstractCacheController):
         return self.array.lookup(block)
 
     def quiescent(self) -> bool:
-        """No outstanding reference and no in-flight eject bookkeeping."""
-        return (
-            self.pending is None
-            and len(self.wb_buffer) == 0
-            and not self._inflight_clean_ejects
-            and not self._dirty_eject_uids
-            and not self._eject_retries
-        )
+        """No outstanding reference and no unacknowledged eject."""
+        return self.pending is None and len(self.wb_buffer) == 0 and not self._ejects
+
+
+#: Step name -> the method a row runs.
+_STEPS = {
+    step: getattr(DirectoryCacheController, f"_{step}")
+    for row in CACHE_SIDE_SPEC
+    for step in row.steps
+}

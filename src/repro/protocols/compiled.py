@@ -304,12 +304,12 @@ def line_state(line: Optional[CacheLine]) -> LineState:
         return LineState.INVALID
     if line.modified:
         return LineState.DIRTY
-    return {
-        LocalState.NONE: LineState.VALID,
-        LocalState.EXCLUSIVE: LineState.EXCLUSIVE,
-        LocalState.RESERVED: LineState.RESERVED,
-        LocalState.SHARED: LineState.SHARED,
-    }[line.local]
+    if line.local is LocalState.NONE:
+        return LineState.VALID
+    return _LOCAL_STATE[line.local]
+
+
+_LOCAL_STATE = {local: state for state, local in _CLEAN_LOCAL.items()}
 
 
 def render_table(protocol: str) -> str:

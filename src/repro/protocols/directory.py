@@ -442,12 +442,18 @@ class DirectoryController(AbstractMemoryController):
         self._send_query(txn, self._query_target(txn))
 
     def _send_query(self, txn: _Txn, owner: Optional[int]) -> None:
-        """PURGE ``owner``, or broadcast BROADQUERY when it is None."""
+        """PURGE ``owner``, or broadcast BROADQUERY when it is None.
+
+        The query carries the REQUEST's uid and its answer echoes it, so
+        a late duplicate answer to an earlier query on the block cannot
+        complete this one (:meth:`_answers_query`).
+        """
         block = txn.msg.block
         requester = self._requester(txn)
         obs = self.sim.obs
         if obs is not None:
             obs.span_phase(requester, self.sim.now, "fanout")
+        tag = {"txn": txn.msg.meta.get("txn")}
         if owner is not None:
             txn.selective = True
             self.counters.add(self.selective_purge_counter)
@@ -457,9 +463,12 @@ class DirectoryController(AbstractMemoryController):
                 block=block,
                 rw=txn.msg.rw,
                 requester=requester,
+                meta=tag,
             )
         else:
-            sent = self._broadcast(txn, MessageKind.BROADQUERY, rw=txn.msg.rw)
+            sent = self._broadcast(
+                txn, MessageKind.BROADQUERY, rw=txn.msg.rw, meta=tag
+            )
             self.counters.add("broadquery_sent")
             self.counters.add("broadquery_commands", sent)
 
@@ -481,8 +490,8 @@ class DirectoryController(AbstractMemoryController):
                 self._eject_data[(message.src, block)] = message.version
             return
         # Answer to an outstanding query.
-        txn = self._txns.get(block)
-        if txn is None or txn.phase != "query":
+        txn = self._answers_query(message)
+        if txn is None:
             if self.net.faults is not None:
                 # Duplicated query answers are an injected fault, not a
                 # broken transport: absorb them (the first copy was
@@ -499,8 +508,8 @@ class DirectoryController(AbstractMemoryController):
         self.sim.post_at(done, self._grant_data, txn, message.version, message)
 
     def _on_query_nocopy(self, message: Message) -> None:
-        txn = self._txns.get(message.block)
-        if txn is None or txn.phase != "query":
+        txn = self._answers_query(message)
+        if txn is None:
             self._on_stray_nocopy(message)
             return
         if not self._memory_current(txn, message):
@@ -509,6 +518,18 @@ class DirectoryController(AbstractMemoryController):
         txn.phase = "query-done"
         done = self._use_memory()
         self.sim.post_at(done, self._grant_data, txn, None, message)
+
+    def _answers_query(self, answer: Message) -> Optional[_Txn]:
+        """The transaction whose outstanding query ``answer`` (a PUT or
+        QUERY_NOCOPY) answers, or None for a stray or late duplicate."""
+        txn = self._txns.get(answer.block)
+        if (
+            txn is None
+            or txn.phase != "query"
+            or answer.meta.get("txn") != txn.msg.meta.get("txn")
+        ):
+            return None
+        return txn
 
     def _holders_after_query(self, txn: _Txn, answer: Message) -> Set[int]:
         """The requester, plus a read query's responder when it keeps
@@ -528,7 +549,8 @@ class DirectoryController(AbstractMemoryController):
     # Helpers
     # ==================================================================
     def _broadcast(
-        self, txn: _Txn, kind: MessageKind, rw: Optional[str] = None
+        self, txn: _Txn, kind: MessageKind, rw: Optional[str] = None,
+        meta: Optional[dict] = None,
     ) -> int:
         block = txn.msg.block
         requester = self._requester(txn)
@@ -540,6 +562,7 @@ class DirectoryController(AbstractMemoryController):
                 block=block,
                 rw=rw,
                 requester=requester,
+                meta=meta,
             ),
             exclude={self._cache_name(requester)},
             targets=self._sparse_targets(block, requester),

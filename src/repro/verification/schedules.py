@@ -138,24 +138,13 @@ _SKIP_CLASSES = frozenset(
 
 #: Dict-valued attributes whose values are transaction uids that must be
 #: canonically renumbered (module-global counters differ across replays).
-_UID_VALUE_ATTRS = frozenset(
-    {
-        "_inflight_clean_ejects",
-        "_cancelled_mreqs",
-        "_revoked_ejects",
-        "_dirty_eject_uids",
-    }
-)
+_UID_VALUE_ATTRS = frozenset({"_cancelled_mreqs", "_revoked_ejects"})
 
-#: Set-valued attributes of tuples whose *last* element is a uid, and
-#: dict-valued attributes keyed by such tuples.  Sorted by their stable
-#: prefix (then raw uid, whose relative order is replay-stable) before
-#: canonical renumbering, because set iteration order depends on the raw
-#: uid values.
-_UID_TUPLE_SET_ATTRS = frozenset(
-    {"_admitted_cmds", "_eject_retry_scheduled", "_scrubbed_mreqs"}
-)
-_UID_TUPLE_KEY_ATTRS = frozenset({"_eject_retries"})
+#: Set-valued attributes of tuples whose *last* element is a uid.
+#: Sorted by their stable prefix (then raw uid, whose relative order is
+#: replay-stable) before canonical renumbering, because set iteration
+#: order depends on the raw uid values.
+_UID_TUPLE_SET_ATTRS = frozenset({"_admitted_cmds", "_scrubbed_mreqs"})
 
 
 def _uid_tuple_sort_key(t: tuple):
@@ -327,19 +316,6 @@ class StateFingerprinter:
                         tuple(self._freeze(x) for x in t[:-1])
                         + (self._canon_uid(t[-1]),)
                         for t in sorted(value, key=_uid_tuple_sort_key)
-                    )
-                    fields.append((attr, frozen))
-                elif attr in _UID_TUPLE_KEY_ATTRS and isinstance(value, dict):
-                    frozen = tuple(
-                        (
-                            tuple(self._freeze(x) for x in k[:-1])
-                            + (self._canon_uid(k[-1]),),
-                            self._freeze(v),
-                        )
-                        for k, v in sorted(
-                            value.items(),
-                            key=lambda kv: _uid_tuple_sort_key(kv[0]),
-                        )
                     )
                     fields.append((attr, frozen))
                 else:

@@ -85,7 +85,9 @@ class StubNet:
                         block=message.block,
                         requester=pid,
                         version=DIRTY_VERSION,
-                        meta={"for": "query", "from_wb": False},
+                        # Echo the query's uid, as a real cache does.
+                        meta={"for": "query", "from_wb": False,
+                              "txn": message.meta.get("txn")},
                     )
                 )
 

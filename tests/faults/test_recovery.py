@@ -102,3 +102,35 @@ def test_canned_plans_survive_all_fault_protocols(plan):
     for protocol in FAULT_PROTOCOLS:
         machine = _run(protocol, faults=CANNED_PLANS[plan], refs=400)
         assert machine.results().total_refs > 0
+
+
+# Seeds at which a late duplicate of one query's answer (a PUT or
+# QUERY_NOCOPY) completed a later query on the same block before query
+# answers echoed the REQUEST's uid: coherence violations and a failed
+# audit.
+@pytest.mark.parametrize(
+    "protocol,seed,max_dups,max_delay",
+    [
+        ("twobit", 3, 1, 40),
+        ("twobit", 8, 1, 40),
+        ("fullmap", 0, 1, 40),
+        ("fullmap", 8, 1, 40),
+        ("fullmap", 1, 4, 3),
+        ("fullmap", 2, 4, 3),
+        ("fullmap", 5, 4, 3),
+        ("fullmap", 9, 4, 3),
+    ],
+)
+def test_a_query_consumes_only_its_own_answer(protocol, seed, max_dups,
+                                              max_delay):
+    from repro.api import Experiment
+
+    faults = FaultSpec(seed=seed, dup_prob=0.5, max_dups=max_dups,
+                       max_delay=max_delay, max_retries=8)
+    outcome = Experiment(
+        protocol=protocol, n_processors=4, n_modules=2, q=0.05, w=0.6,
+        private_blocks_per_proc=512, refs_per_proc=600, warmup_refs=0,
+        seed=seed, faults=faults,
+    ).run()
+    assert outcome.audit.ok
+    assert outcome.results.total_refs == 4 * 600

@@ -86,7 +86,9 @@ class StubNet:
                     block=message.block,
                     requester=pid,
                     version=DIRTY_VERSION,
-                    meta={"for": "query", "from_wb": False},
+                    # Echo the query's uid, as a real cache does.
+                    meta={"for": "query", "from_wb": False,
+                          "txn": message.meta.get("txn")},
                 )
             )
         else:
@@ -98,7 +100,7 @@ class StubNet:
                     dst=self.ctrl.name,
                     block=message.block,
                     requester=pid,
-                    meta={"had_clean": True},
+                    meta={"had_clean": True, "txn": message.meta.get("txn")},
                 )
             )
 

@@ -86,6 +86,7 @@ def test_spec_command(capsys):
     assert main(["spec"]) == 0
     out = capsys.readouterr().out
     assert "BROADQUERY" in out and "PRESENTM" in out
+    assert "Cache side (§3.2)" in out
 
 
 def test_parser_rejects_unknown_protocol():

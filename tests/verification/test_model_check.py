@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.protocols import registry
+from repro.protocols.cache_side import CACHE_SIDE_SPEC, expand_rows
 from repro.verification.model_check import (
     DEEP_SCENARIOS,
     SMOKE_SCENARIO,
@@ -58,31 +61,34 @@ def test_pruning_is_sound():
 # ----------------------------------------------------------------------
 # Fault injection: the checker must catch deliberately broken protocols.
 # ----------------------------------------------------------------------
+def _edit_invalidation_rows(machine, edit):
+    """Run every cache on a copy of the cache-side table whose
+    invalidation rows pass through ``edit``."""
+    rows = expand_rows(
+        edit(row) if "BROADINV" in row.commands else row
+        for row in CACHE_SIDE_SPEC
+    )
+    for cache in machine.caches:
+        cache._rows = rows
+
+
 def _stale_read_bug(machine):
     """BROADINV handled (acks sent, races converted) but the line itself
     is never reset — the classic "forgot to actually invalidate" bug."""
-    for cache in machine.caches:
-        orig = cache._on_invalidate
-
-        def buggy(message, cache=cache, orig=orig):
-            line = cache.array.lookup(message.block)
-            if line is not None and message.requester != cache.pid:
-                line.reset = lambda: None
-                try:
-                    orig(message)
-                finally:
-                    del line.reset
-            else:
-                orig(message)
-
-        cache._on_invalidate = buggy
+    _edit_invalidation_rows(
+        machine,
+        lambda row: replace(
+            row, steps=tuple(s for s in row.steps if s != "drop_line")
+        ),
+    )
 
 
 def _dropped_invalidation_bug(machine):
     """Victim caches silently drop BROADINV (no INV_ACK): the
     controller's invalidation round can never complete."""
-    for cache in machine.caches:
-        cache._on_invalidate = lambda message: None
+    _edit_invalidation_rows(
+        machine, lambda row: replace(row, steps=(), counter="")
+    )
 
 
 def test_injected_stale_read_is_caught():
