@@ -19,7 +19,7 @@ processor drains.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
 from repro.protocols.base import AbstractCacheController, AccessResult
 from repro.sim.component import Component
@@ -56,6 +56,8 @@ class Processor(Component):
         self.latency_histogram = Histogram(name=f"P{pid} latency")
         self.exhausted = False  # stream ran out
         self._waiting = False  # an access is outstanding
+        #: Issue cycle of the outstanding access (see in_flight_horizon).
+        self._ref_issue_cycle = 0
         self._running = False
         # Per-reference stats accumulate in plain ints (a dict-counter
         # update per stat per reference is measurable at this call rate)
@@ -113,6 +115,7 @@ class Processor(Component):
         if obs is not None:
             obs.span_begin(self.pid, now, ref)
         self._waiting = True
+        self._ref_issue_cycle = now
         cache = self.cache
         pend = cache._pend
         pend["refs"] += 1
@@ -212,3 +215,17 @@ class Processor(Component):
         self._flush_counters()
         if self.on_drained is not None:
             self.on_drained(self)
+
+
+def in_flight_horizon(sim: Simulator, processors: Sequence[Processor]) -> int:
+    """Oldest issue cycle among the processors' outstanding references,
+    or ``sim.now`` when none is outstanding.
+
+    Each processor blocks on one reference, so no read completing from
+    now on was issued earlier: the coherence oracle's pruning horizon.
+    """
+    horizon = sim.now
+    for proc in processors:
+        if proc._waiting and proc._ref_issue_cycle < horizon:
+            horizon = proc._ref_issue_cycle
+    return horizon

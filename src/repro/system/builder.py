@@ -9,14 +9,15 @@ protocol-independent skeleton around it.
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
+from typing import Callable, List
 
 from repro.interconnect.bus import Bus
 from repro.interconnect.delta import DeltaNetwork
 from repro.interconnect.network import Network, PointToPointNetwork
 from repro.memory.address import AddressMap
 from repro.memory.module import MemoryModule
-from repro.processors.processor import Processor
+from repro.processors.processor import Processor, in_flight_horizon
 from repro.protocols import registry
 from repro.sim.kernel import Simulator
 from repro.stats.counters import CounterRegistry
@@ -55,7 +56,13 @@ def build_machine(config: MachineConfig, workload: Workload) -> Machine:
             f"{config.n_blocks}"
         )
     sim = Simulator(tie_seed=config.tie_seed)
-    oracle = CoherenceOracle(strict=config.strict_coherence)
+    # Filled once the caches exist.  A partial, not a lambda: the wired
+    # machine must deep-pickle for checkpoint/restore.
+    processors: List[Processor] = []
+    oracle = CoherenceOracle(
+        strict=config.strict_coherence,
+        horizon=partial(in_flight_horizon, sim, processors),
+    )
     amap = AddressMap(config.n_modules, config.n_blocks)
     modules = [
         MemoryModule(
@@ -82,10 +89,10 @@ def build_machine(config: MachineConfig, workload: Workload) -> Machine:
     if registry.attaches_endpoints(spec.name):
         _attach_all(net, caches, controllers)
 
-    processors = [
+    processors.extend(
         Processor(sim, pid, caches[pid], workload.stream(pid))
         for pid in range(config.n_processors)
-    ]
+    )
 
     registry_counters = CounterRegistry()
     for component in [*caches, *controllers, *processors, *managers, net, *modules]:

@@ -119,6 +119,8 @@ _SKIP_ATTRS = frozenset(
         "observer",  # TwoBitDirectory's transition probe callback
         "_rows",  # a directory controller's protocol table: fixed at build
         "_routes",  # a delta network's route table: derived from its ports
+        # The oracle's pruning bookkeeping: memory only, never a verdict.
+        "_ref_issue_cycle", "_horizon_fn", "_prune_at", "_pruned_below",
     }
 )
 

@@ -127,6 +127,21 @@ def test_snapshot_roundtrip_preserves_fingerprint():
     assert checkpoint.fingerprint(clone) == checkpoint.fingerprint(machine)
 
 
+def test_checkpoint_size_is_flat_in_run_length():
+    """The oracle forgets commits no future read can need, so a snapshot
+    after 8k refs/proc is barely larger than one after 2k (it grew 1.6x
+    when the oracle kept every commit)."""
+    sizes = []
+    for refs in (2000, 8000):
+        machine, _ = Experiment(
+            protocol="twobit", n_processors=4, refs_per_proc=refs,
+            warmup_refs=0,
+        ).build()
+        machine.run(refs_per_proc=refs, warmup_refs=0)
+        sizes.append(len(checkpoint.snapshot_bytes(machine)))
+    assert sizes[1] <= 1.25 * sizes[0], sizes
+
+
 def _write_checkpoint(tmp_path, name="p.ckpt"):
     experiment = _experiment("twobit")
     machine, _ = experiment.build()

@@ -11,6 +11,7 @@ from repro.verification.differential import (
     run_differential,
     run_lockstep,
 )
+from repro.verification.oracle import CoherenceOracle
 from repro.workloads.reference import MemRef, Op
 
 
@@ -37,6 +38,27 @@ def test_all_protocols_agree_on_random_streams(seed):
     refs = random_refs(seed, n_processors=2, n_blocks=2, n_ops=12)
     report = run_differential(refs)
     assert report.ok, report.render()
+
+
+def test_protocols_agree_past_oracle_pruning(monkeypatch):
+    """The harness drives caches without processors, so the oracle's
+    horizon is the current cycle; draining each reference before the
+    next keeps every read at or after it.  A write-heavy stream long
+    enough to prune many times must still agree with the full map."""
+    prunes = []
+    prune = CoherenceOracle._prune
+
+    def counting_prune(oracle):
+        prunes.append(oracle.writes_committed)
+        prune(oracle)
+
+    monkeypatch.setattr(CoherenceOracle, "_prune", counting_prune)
+    refs = random_refs(7, n_processors=3, n_blocks=4, n_ops=900, write_frac=0.8)
+    assert sum(ref.is_write for ref in refs) > 600
+    report = run_differential(refs)
+    assert report.ok, report.render()
+    assert len(report.traces["fullmap"].reads) > 100
+    assert len(prunes) >= 2 * len(report.traces)
 
 
 def test_reads_observe_latest_committed_version():

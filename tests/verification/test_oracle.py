@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.verification.oracle import CoherenceOracle, CoherenceViolation
+from repro.verification.oracle import (
+    PRUNE_MIN,
+    CoherenceOracle,
+    CoherenceViolation,
+    OracleHorizonError,
+)
 
 
 def test_versions_monotone_and_unique():
@@ -128,3 +133,87 @@ def test_violation_fields_default_to_none():
     assert violation.block is None
     assert violation.pid is None
     assert violation.observed is None
+
+
+# ----------------------------------------------------------------------
+# Bounded history: pruning below the in-flight horizon
+# ----------------------------------------------------------------------
+def _pruning_oracle(horizon_cell):
+    return CoherenceOracle(horizon=lambda: horizon_cell[0])
+
+
+def test_bare_oracle_keeps_every_commit():
+    oracle = CoherenceOracle()
+    for t in range(3 * PRUNE_MIN):
+        oracle.commit_write(1, oracle.new_version(), time=t, pid=0)
+    assert len(oracle._history[1].times) == 3 * PRUNE_MIN
+    oracle.check_read(1, 1, issue_time=1, pid=0)  # the oldest floor
+
+
+def test_kept_window_is_last_commit_before_horizon_and_all_after():
+    horizon = [0]
+    oracle = _pruning_oracle(horizon)
+    # Block 7 commits at t = 0, 2, 4, ...; block 8 once, long ago.
+    oracle.commit_write(8, oracle.new_version(), time=0, pid=1)
+    times = [2 * i for i in range(PRUNE_MIN - 2)]
+    versions = []
+    for t in times:
+        v = oracle.new_version()
+        oracle.commit_write(7, v, time=t, pid=0)
+        versions.append(v)
+    assert oracle.writes_committed == PRUNE_MIN - 1  # one short of a prune
+    horizon[0] = 101  # between the commits at t=100 and t=102
+    v = oracle.new_version()
+    oracle.commit_write(7, v, time=times[-1] + 2, pid=0)  # the 256th commit
+    times.append(times[-1] + 2)
+    versions.append(v)
+    kept = oracle._history[7]
+    assert kept.times == [100] + [t for t in times if t >= 101]
+    assert kept.versions == versions[50:]
+    assert kept.dropped == 50
+    # A block whose only commit is before the horizon keeps it.
+    assert oracle._history[8].times == [0]
+    # Every read from the horizon on gets the full-history verdict.
+    oracle.check_read(7, versions[50], issue_time=101, pid=1)
+    oracle.check_read(7, versions[51], issue_time=103, pid=1)
+    with pytest.raises(CoherenceViolation) as excinfo:
+        oracle.check_read(7, versions[50], issue_time=103, pid=1)
+    assert excinfo.value.required == versions[51]
+    assert excinfo.value.known is True
+    # A pruned version is below the floor, so still a violation; whether
+    # it was this block's can no longer be told, and it reads as stale.
+    with pytest.raises(CoherenceViolation) as excinfo:
+        oracle.check_read(7, versions[10], issue_time=101, pid=1)
+    assert (excinfo.value.required, excinfo.value.known) == (versions[50], True)
+
+
+def test_read_below_pruned_horizon_raises_a_horizon_error():
+    horizon = [0]
+    oracle = _pruning_oracle(horizon)
+    horizon[0] = 40
+    for t in range(PRUNE_MIN):
+        oracle.commit_write(t % 4, oracle.new_version(), time=t, pid=0)
+    with pytest.raises(OracleHorizonError) as excinfo:
+        oracle.check_read(1, 0, issue_time=39, pid=2)
+    assert not isinstance(excinfo.value, CoherenceViolation)
+    assert "below the pruned horizon t=40" in str(excinfo.value)
+    assert oracle.ok
+    oracle.check_read(1, oracle.latest_version(1), issue_time=40, pid=2)
+
+
+def test_prune_threshold_doubles_with_the_kept_count():
+    horizon = [0]
+    oracle = _pruning_oracle(horizon)
+    # Nothing is old enough to drop, so each prune keeps everything and
+    # the next waits until the kept count doubles.
+    for t in range(4 * PRUNE_MIN):
+        oracle.commit_write(t % 3, oracle.new_version(), time=t, pid=0)
+    assert oracle._prune_at == 8 * PRUNE_MIN
+    horizon[0] = 4 * PRUNE_MIN
+    for t in range(4 * PRUNE_MIN, 8 * PRUNE_MIN):
+        oracle.commit_write(t % 3, oracle.new_version(), time=t, pid=0)
+    # At 8 x PRUNE_MIN commits the three blocks fell to one commit before
+    # the horizon plus the 4 x PRUNE_MIN after it.
+    kept = sum(len(h.times) for h in oracle._history.values())
+    assert kept == 3 + 4 * PRUNE_MIN
+    assert oracle._prune_at == oracle.writes_committed + kept
