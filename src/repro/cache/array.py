@@ -26,6 +26,11 @@ class CacheArray:
     True
     """
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {
+        "_clock": "only the order of the lines' use stamps picks victims",
+    }
+
     def __init__(
         self,
         n_sets: int,

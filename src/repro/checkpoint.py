@@ -51,7 +51,7 @@ import json
 import os
 import pickle
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Optional
+from typing import Dict
 
 from repro.schema import SCHEMA_VERSION, check_schema
 from repro.sim.kernel import SimulationError
@@ -307,30 +307,24 @@ def peek(path: str) -> CheckpointHeader:
 # State fingerprint (test/debug aid)
 # ----------------------------------------------------------------------
 def fingerprint(machine) -> str:
-    """Digest of the machine's observable state.
+    """Digest of the machine's state, statistics and event count.
 
     Two machines that will behave identically from here on — an
     uninterrupted run and its checkpoint-restored twin at the same
-    cycle — fingerprint equal.  Covers the clock, event count, live
-    queue size, every counter, and the per-controller transaction-engine
-    snapshots; used by the golden tests to compare mid-run states
-    without dumping full pickles.
+    cycle — fingerprint equal; a clone whose caches, memory or
+    directory differ does not.  Digests
+    :func:`repro.verification.state.machine_state` (cache lines,
+    write-back buffers, directory and memory contents, engine queues,
+    in-flight messages, the event queue), the merged counters and the
+    number of events processed.
     """
-    state: Dict[str, Any] = {
-        "now": machine.sim.now,
-        "events": machine.sim.events_processed,
-        "pending": machine.sim.pending,
-        "counters": machine.registry.merged().snapshot(),
-    }
-    engines = {}
-    for ctrl in machine.controllers:
-        engine = getattr(ctrl, "engine", None)
-        if engine is not None:
-            active, queued = engine.snapshot()
-            engines[ctrl.name] = {
-                "active": sorted(repr(m) for m in active),
-                "queued": [repr(m) for m in queued],
-            }
-    state["engines"] = engines
-    blob = json.dumps(state, sort_keys=True, default=repr)
+    from repro.verification.state import machine_state
+
+    blob = repr(
+        (
+            machine_state(machine),
+            sorted(machine.registry.merged().snapshot().items()),
+            machine.sim.events_processed,
+        )
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

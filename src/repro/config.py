@@ -164,8 +164,8 @@ class MachineConfig:
     #: broadcast cost model is still charged in full (see
     #: docs/performance.md#scaling-to-large-n).  Requires the
     #: equivalence envelope checked in ``__post_init__``; the dense path
-    #: stays the default and the two are asserted event-equivalent by
-    #: the twin-fingerprint test tier.
+    #: stays the default and the two are asserted state-equivalent by
+    #: the twin test tier.
     sparse_fanout: bool = False
     seed: int = 1984
     #: Abort the run if the oracle sees a stale read (leave on).

@@ -28,7 +28,7 @@ from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
 from repro.core.spec import TWO_BIT_SPEC, resolve_rows
 from repro.core.states import GlobalState, TwoBitDirectory
 from repro.core.translation_buffer import TranslationBuffer
-from repro.interconnect.holders import CopyHolderIndex
+from repro.interconnect.holders import SPARSE_INDEX, CopyHolderIndex
 from repro.interconnect.message import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.memory.module import MemoryModule
@@ -42,6 +42,17 @@ class TwoBitDirectoryController(DirectoryController):
 
     #: The §3.2 table this controller resolves against its options.
     table = TWO_BIT_SPEC
+
+    #: Non-state and uid fields (see :mod:`repro.verification.state`).
+    _not_state = {
+        "holders": SPARSE_INDEX,
+        "_sparse": "selects the fan-out path; both paths behave alike",
+    }
+    _uid_fields = {
+        "_revoked_ejects": "revoked eject uids by (cache, block)",
+        "_cancelled_mreqs": "cancelled MREQUEST uids by (cache, block)",
+        "_scrubbed_mreqs": "(cache, MREQUEST uid) pairs",
+    }
 
     def __init__(
         self,

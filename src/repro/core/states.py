@@ -50,6 +50,15 @@ class TwoBitDirectory:
             produce `PRESENT1` produces `PRESENT_STAR` instead.
     """
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {
+        "_clock": "wiring to the kernel clock",
+        "observer": "telemetry probe",
+        "transitions": "statistics",
+        "_since": "time-in-state statistics",
+        "_time_in": "time-in-state statistics",
+    }
+
     def __init__(
         self,
         blocks: Iterable[int],

@@ -30,6 +30,9 @@ from typing import Optional, Set
 class TranslationBuffer:
     """LRU buffer of exact owner-identity sets."""
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {"hits": "statistics", "misses": "statistics"}
+
     def __init__(
         self,
         capacity: int,

@@ -36,6 +36,12 @@ from repro.stats.counters import CounterSet
 class FaultInjector:
     """Injects the faults a :class:`FaultSpec` describes into one machine."""
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {
+        "sim": "the kernel; its clock and queue are walked once, machine-wide",
+        "counters": "statistics",
+    }
+
     def __init__(self, spec: FaultSpec, sim) -> None:
         self.spec = spec
         self.sim = sim

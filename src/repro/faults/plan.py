@@ -49,6 +49,9 @@ class FaultSpec:
             ``retry_backoff << min(n, 4)``.
     """
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {"*": "frozen plan data; behaviour is in the injector's RNG"}
+
     seed: int = 0
     delay_prob: float = 0.0
     max_delay: int = 3

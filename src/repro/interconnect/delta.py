@@ -38,6 +38,9 @@ def _stages_for(ports: int, radix: int) -> int:
 class DeltaNetwork(Network):
     """Blocking multistage interconnect with per-link serialization."""
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {"_routes": "derived from the ports on first use"}
+
     def __init__(
         self,
         sim: Simulator,

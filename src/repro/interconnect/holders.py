@@ -26,6 +26,13 @@ from typing import Dict, FrozenSet, Iterable, Iterator, Set
 
 _EMPTY: FrozenSet[int] = frozenset()
 
+#: Why an index's owners declare it non-state (see
+#: :mod:`repro.verification.state`).  Only sparse machines maintain it,
+#: so sparse/dense twins differ in it and nothing else.  The model
+#: checker never builds a sparse machine, so exempting it merges no
+#: explored states; the audit's superset check is what guards it.
+SPARSE_INDEX = "sparse-path bookkeeping; the audit's superset check guards it"
+
 
 class CopyHolderIndex:
     """Block -> set of cache pids with a (possible) copy.

@@ -113,6 +113,10 @@ class Message:
         size: network occupancy units (commands 1, data DATA_SIZE).
     """
 
+    #: Non-state and uid fields (see :mod:`repro.verification.state`).
+    _not_state = {"uid": "identity only: no protocol logic reads it"}
+    _uid_fields = {"meta": "the txn and ej values; its other values are flags"}
+
     __slots__ = (
         "kind",
         "src",

@@ -26,6 +26,12 @@ from repro.sim.kernel import Simulator
 class Network(Component):
     """Base interconnect: endpoint registry + broadcast fan-out."""
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {
+        "_endpoints": "wiring to the attached components",
+        "_deliver_fns": "wiring: the endpoints' bound deliver methods",
+    }
+
     def __init__(self, sim: Simulator, name: str = "net", latency: int = 4) -> None:
         super().__init__(sim, name)
         if latency < 0:

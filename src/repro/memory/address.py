@@ -32,6 +32,9 @@ class AddressMap:
     1
     """
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {"*": "a pure function of the configuration"}
+
     def __init__(
         self,
         n_modules: int,

@@ -32,6 +32,17 @@ from repro.workloads.synthetic import ReplayableStream
 class Processor(Component):
     """Drives one cache with one reference stream."""
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {
+        "stream": "its position is captured by issued",
+        "on_drained": "wiring to the run harness",
+        "exhausted": "reporting only; the stream position decides it",
+        "latency_histogram": "statistics",
+        "_acc": "batched statistics",
+        "_hpend": "batched statistics",
+        "_ref_issue_cycle": "the oracle's pruning horizon: memory, not verdicts",
+    }
+
     def __init__(
         self,
         sim: Simulator,

@@ -91,6 +91,9 @@ class AbstractCacheController(Component):
     those escape rows and the network side.
     """
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {"config": "configuration", "_pend": "batched statistics"}
+
     def __init__(
         self,
         sim: Simulator,
@@ -305,6 +308,10 @@ class AbstractCacheController(Component):
 
 class AbstractMemoryController(Component):
     """Home-side controller fronting one memory module."""
+
+    #: Non-state and uid fields (see :mod:`repro.verification.state`).
+    _not_state = {"config": "configuration"}
+    _uid_fields = {"_admitted_cmds": "(src, kind, block, txn/ej uid) keys"}
 
     def __init__(self, sim: Simulator, index: int, config: MachineConfig) -> None:
         super().__init__(sim, name=f"ctrl{index}")

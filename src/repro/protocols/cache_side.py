@@ -59,6 +59,9 @@ _op_uids = itertools.count(1)
 class PendingOp:
     """The single outstanding processor reference being serviced."""
 
+    #: Uid fields (see :mod:`repro.verification.state`).
+    _uid_fields = {"uid": "the transaction uid its messages carry as txn"}
+
     ref: MemRef
     callback: AccessCallback
     issue_time: int
@@ -88,6 +91,9 @@ class EjectRecord:
     :class:`PendingOp`, so one NAK-recovery step serves both.
     """
 
+    #: Uid fields (see :mod:`repro.verification.state`).
+    _uid_fields = {"uid": "the eject uid its notices carry as ej"}
+
     uid: int
     #: EJECT(k, a, "write"): the data waits in the write-back buffer.
     dirty: bool
@@ -96,6 +102,18 @@ class EjectRecord:
     #: The notice no longer carries the block: an EJECT_REVOKE went out
     #: (clean), or a query answer took the buffered data (dirty).
     revoked: bool = False
+
+
+@dataclass
+class ResendTimer:
+    """The payload of a NAKed command's backoff event."""
+
+    #: Uid fields (see :mod:`repro.verification.state`).
+    _uid_fields = {"uid": "the op's uid when the NAK arrived"}
+
+    kind: str
+    block: int
+    uid: int
 
 
 # ======================================================================
@@ -333,6 +351,9 @@ def render_cache_side_spec() -> str:
 # ======================================================================
 class DirectoryCacheController(AbstractCacheController):
     """Write-back cache controller speaking the directory protocols."""
+
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {"home_fn": "a pure function of the address map"}
 
     #: (command, line, pending) -> row: the network half's only
     #: dispatch.  Shared by every instance; a test that edits rows
@@ -726,9 +747,10 @@ class DirectoryCacheController(AbstractCacheController):
         op.retry_scheduled = True
         self._note_retry(self.pid)
         self.sim.post(self._backoff_delay(op.retries),
-                      self._resend, kind, block, op.uid)
+                      self._resend, ResendTimer(kind, block, op.uid))
 
-    def _resend(self, kind: str, block: int, uid: int) -> None:
+    def _resend(self, timer: ResendTimer) -> None:
+        kind, block, uid = timer.kind, timer.block, timer.uid
         op = self._ejects.get(block) if kind == "EJECT" else self.pending
         if op is None or op.uid != uid:
             # Converted (BROADINV turned the MREQUEST into a write miss),

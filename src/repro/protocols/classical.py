@@ -20,7 +20,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.interconnect.holders import CopyHolderIndex
+from repro.interconnect.holders import SPARSE_INDEX, CopyHolderIndex
 from repro.interconnect.message import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.memory.module import MemoryModule
@@ -48,6 +48,12 @@ class _Pending:
 
 class ClassicalCacheController(AbstractCacheController):
     """Write-through, no-write-allocate cache with an invalidation line."""
+
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {
+        "home_fn": "a pure function of the address map",
+        "holders": SPARSE_INDEX,
+    }
 
     def __init__(
         self,
@@ -253,6 +259,9 @@ class ClassicalCacheController(AbstractCacheController):
 
 class ClassicalMemoryController(AbstractMemoryController):
     """Memory-side agent: always-current memory + invalidation broadcast."""
+
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {"holders": SPARSE_INDEX}
 
     def __init__(
         self,

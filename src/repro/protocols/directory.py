@@ -156,6 +156,9 @@ _STEPS = {
 class DirectoryController(AbstractMemoryController):
     """Home controller whose §3.2 flows are driven by a row table."""
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {"_rows": "the protocol table, fixed at build"}
+
     #: Counters of the selective rounds (the two-bit map names them
     #: apart from its broadcasts; for the full map they are the rounds).
     selective_inv_counter = "selective_invalidations"

@@ -16,8 +16,7 @@ The lifecycle is pure-step: every mutation (:meth:`submit`,
 :meth:`complete`) enqueues or retires and then calls :meth:`_pump`,
 which synchronously starts whatever :meth:`_eligible` says may run.
 The eligibility rule lives in that one inspectable place, and
-:meth:`snapshot` exposes the full active/queued state for the model
-checker's fingerprinter.
+:meth:`snapshot` exposes the full active/queued state.
 
 Cache hits never reach a controller: the cache's table-driven hit step
 (:mod:`repro.protocols.compiled`) completes them locally.  Only the
@@ -37,6 +36,13 @@ StartFn = Callable[[Message], None]
 
 class TransactionEngine:
     """Per-block or global serialization of controller transactions."""
+
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {
+        "_start_fn": "wiring to the owning controller",
+        "max_concurrency": "statistics",
+        "max_queue_depth": "statistics",
+    }
 
     def __init__(self, start_fn: StartFn, serialization: str = "block") -> None:
         if serialization not in ("block", "global"):
@@ -84,7 +90,7 @@ class TransactionEngine:
 
         Actives are ordered by block (global mode has at most one);
         queued messages keep their queue order, concatenated in block
-        order.  Used by the model checker's state fingerprinter.
+        order.
         """
         if self.serialization == "global":
             active = (

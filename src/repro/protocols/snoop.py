@@ -68,6 +68,9 @@ class SnoopBusManager(Component):
     arbitration and inhibit lines of real buses guarantee.
     """
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {"config": "configuration"}
+
     #: Whether several snoopers may offer the block (first one wins);
     #: Illinois allows it (any S copy can supply), write-once must not.
     allow_multiple_suppliers = False

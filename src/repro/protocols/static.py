@@ -43,6 +43,9 @@ class _Pending:
 class StaticCacheController(AbstractCacheController):
     """Write-back cache that refuses to cache shared-tagged blocks."""
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {"home_fn": "a pure function of the address map"}
+
     def __init__(
         self,
         sim: Simulator,

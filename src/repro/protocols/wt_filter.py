@@ -43,6 +43,9 @@ _eject_uids = itertools.count(1)
 class WTFilterCacheController(ClassicalCacheController):
     """Classical write-through cache that also reports evictions."""
 
+    #: Uid fields (see :mod:`repro.verification.state`).
+    _uid_fields = {"_inflight_ejects": "eviction-notice uids by block"}
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         #: block -> uid of the eviction notice awaiting EJECT_ACK.
@@ -102,6 +105,9 @@ class WTFilterCacheController(ClassicalCacheController):
 
 class WTFilterMemoryController(ClassicalMemoryController):
     """Classical memory controller + the two-bit filter map."""
+
+    #: Uid fields (see :mod:`repro.verification.state`).
+    _uid_fields = {"_revoked": "revoked eviction-notice uids by (cache, block)"}
 
     def __init__(self, sim, index, config, net, module, oracle) -> None:
         super().__init__(sim, index, config, net, module, oracle)

@@ -19,6 +19,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 class Component:
     """A named simulation entity with counters."""
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {
+        "sim": "the kernel; its clock and queue are walked once, machine-wide",
+        "counters": "statistics",
+    }
+
     def __init__(self, sim: "Simulator", name: str) -> None:
         self.sim = sim
         self.name = name

@@ -1,7 +1,6 @@
 """Verification layer: oracle, audits, model checker, differential harness."""
 
 from repro.verification.audit import AuditReport, audit_machine
-from repro.verification.fingerprint import machine_fingerprint, machine_parts
 from repro.verification.differential import (
     DifferentialReport,
     Divergence,
@@ -24,11 +23,11 @@ from repro.verification.model_check import (
 )
 from repro.verification.oracle import CoherenceOracle, CoherenceViolation
 from repro.verification.schedules import (
-    StateFingerprinter,
     describe_entry,
     format_schedule,
     parse_schedule,
 )
+from repro.verification.state import machine_state
 
 __all__ = [
     "AuditReport",
@@ -40,7 +39,6 @@ __all__ = [
     "ModelCheckResult",
     "ProtocolTrace",
     "Scenario",
-    "StateFingerprinter",
     "audit_machine",
     "build_scenario_machine",
     "check_all",
@@ -48,8 +46,7 @@ __all__ = [
     "describe_entry",
     "explore",
     "format_schedule",
-    "machine_fingerprint",
-    "machine_parts",
+    "machine_state",
     "make_scenario",
     "parse_schedule",
     "random_refs",

@@ -22,11 +22,10 @@ Checked properties:
 * **Crash freedom** — any protocol-internal exception under a legal
   interleaving is a bug and becomes a counterexample.
 
-State fingerprints (see :class:`~repro.verification.schedules.
-StateFingerprinter`) prune interleavings that converge to an
-already-explored state, and the fingerprint set is only consulted in
-*extension territory* — past the replayed prefix — so prefix replays are
-never self-pruned.
+Machine states (see :func:`~repro.verification.state.machine_state`)
+prune interleavings that converge to an already-explored state, and the
+visited set is only consulted in *extension territory* — past the
+replayed prefix — so prefix replays are never self-pruned.
 
 On failure the offending schedule is shrunk (shortest failing prefix,
 then greedy reset of choices to the default order) and returned with a
@@ -47,11 +46,8 @@ from repro.obs.export import chrome_trace_events
 from repro.protocols import registry
 from repro.verification.audit import audit_machine
 from repro.verification.oracle import CoherenceViolation
-from repro.verification.schedules import (
-    StateFingerprinter,
-    describe_entry,
-    format_schedule,
-)
+from repro.verification.schedules import describe_entry, format_schedule
+from repro.verification.state import machine_state
 from repro.workloads.reference import MemRef, Op
 from repro.workloads.synthetic import ScriptedWorkload
 
@@ -236,15 +232,14 @@ def replay_schedule(
 ) -> RunOutcome:
     """Run ``machine`` taking ``prefix`` choices, then default order.
 
-    ``visited`` (when given) prunes at decision points whose state
-    fingerprint was already explored — but only past the prefix, so the
+    ``visited`` (when given) prunes at decision points whose machine
+    state was already explored — but only past the prefix, so the
     deterministic replay of an earlier run is never cut short.
     """
     sim = machine.sim
     for proc, script in zip(machine.processors, scenario.scripts):
         proc.budget = len(script)
         proc.resume()
-    fingerprinter = StateFingerprinter(machine) if visited is not None else None
     decisions: List[Tuple[int, int]] = []
     trace: List[str] = []
     steps = 0
@@ -264,13 +259,13 @@ def replay_schedule(
                         f"{idx} of {len(choices)} enabled events"
                     )
             else:
-                if fingerprinter is not None:
-                    fp = fingerprinter.fingerprint()
-                    if fp in visited:
+                if visited is not None:
+                    state = machine_state(machine)
+                    if state in visited:
                         return RunOutcome(
                             "pruned", decisions, steps=steps, trace=trace
                         )
-                    visited.add(fp)
+                    visited.add(state)
                 idx = 0
             decisions.append((idx, len(choices)))
         if collect_trace:

@@ -151,6 +151,15 @@ class CoherenceOracle:
             the module docstring); without one, every commit is kept.
     """
 
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {
+        "reads_checked": "statistics",
+        "writes_committed": "statistics",
+        "_horizon_fn": "wiring to the processors",
+        "_prune_at": "pruning bookkeeping: memory, never a verdict",
+        "_pruned_below": "pruning bookkeeping: memory, never a verdict",
+    }
+
     def __init__(
         self, strict: bool = True, horizon: Optional[Callable[[], int]] = None
     ) -> None:

@@ -338,9 +338,10 @@ def _explore(
     Mirrors :func:`replay_schedule`'s stepping discipline exactly, so
     the recorded decision indices replay bit-identically through it.
     """
+    from repro.verification.state import machine_state
+
     mc = _model_check()
     machine = mc.build_scenario_machine(protocol, scenario, faults=faults)
-    fingerprinter = mc.StateFingerprinter(machine)
     sim = machine.sim
     for proc, script in zip(machine.processors, scenario.scripts):
         proc.budget = len(script)
@@ -354,7 +355,7 @@ def _explore(
         if not choices:
             break
         if len(choices) > 1:
-            coverage.add(fingerprinter.fingerprint())
+            coverage.add(machine_state(machine))
             idx = rng.randrange(len(choices))
             schedule.append(idx)
         else:

@@ -11,6 +11,7 @@ from repro.protocols.base import AccessResult
 from repro.system.builder import build_machine
 from repro.system.machine import Machine
 from repro.verification.audit import audit_machine
+from repro.verification.state import machine_state
 from repro.workloads.reference import MemRef, Op
 from repro.workloads.synthetic import ScriptedWorkload, UniformWorkload
 
@@ -116,3 +117,32 @@ def uniform_machine(
     machine = build_machine(MachineConfig(**kwargs), workload)
     machine.run(refs_per_proc=refs)
     return machine
+
+
+def assert_dense_equivalent(dense: Machine, sparse: Machine, label: str) -> None:
+    """A sparse-fan-out machine matches its dense twin: the whole
+    machine state and every counter except the ``sparse_*`` bookkeeping
+    (after the sparse side's lazy reconciliation folds it back into the
+    dense form).  Event counts differ: the sparse path skips the
+    per-cache fan-out events."""
+    for machine in (dense, sparse):
+        machine.reconcile_sparse_counters()
+    dense_state, sparse_state = machine_state(dense), machine_state(sparse)
+    if dense_state != sparse_state:
+        # Name the first component that differs.
+        for d, s in zip(dense_state, sparse_state):
+            assert d == s, f"{label}: state diverged at {d[0]}"
+        raise AssertionError(f"{label}: states differ in length")
+
+    def counters(machine):
+        return {
+            (owner.name, name): value
+            for owner in (
+                *machine.processors, *machine.caches, *machine.controllers,
+                *machine.modules, *machine.managers, machine.network,
+            )
+            for name, value in owner.counters.items()
+            if not name.startswith("sparse_")
+        }
+
+    assert counters(dense) == counters(sparse), f"{label}: counters diverged"

@@ -36,8 +36,8 @@ from repro.protocols import registry
 from repro.protocols.base import ProtocolError
 from repro.system.builder import build_machine
 from repro.verification.audit import audit_machine
-from repro.verification.fingerprint import machine_fingerprint
 from repro.workloads.synthetic import DuboisBriggsWorkload
+from tests.conftest import assert_dense_equivalent
 
 #: seed -> (events_processed, final_cycle, extra_commands_per_ref,
 #:          commands_per_ref, traffic_per_ref)
@@ -307,4 +307,4 @@ def test_delta_sparse_twin_fingerprints_equal_dense(radix):
         twins.append(machine)
     dense, sparse = twins
     assert sparse.network.counters.get("sparse_deliveries_suppressed") > 0
-    assert machine_fingerprint(sparse) == machine_fingerprint(dense)
+    assert_dense_equivalent(dense, sparse, f"delta radix={radix}")

@@ -9,10 +9,10 @@ Three groups:
   quiescent audit; n=256 with a 10k-reference stream runs in the slow
   tier.
 * **Sparse/dense twins** — for the broadcast protocols, a sparse-fan-out
-  machine and its dense twin produce identical behavioural fingerprints
-  (cache lines, directory, memory, cycles, and every non-``sparse_*``
-  counter) at n in {4, 16, 64}, and the broadcast/useless-broadcast
-  accounting matches exactly.
+  machine and its dense twin reach the same machine state (every field
+  but the copy-holder index) and every non-``sparse_*`` counter at n in
+  {4, 16, 64}, and the broadcast/useless-broadcast accounting matches
+  exactly.
 * **Lockstep differential** — the sparse machines still agree with the
   full-map reference under the serial differential harness at large n.
 """
@@ -26,9 +26,9 @@ from repro.protocols import registry
 from repro.system.builder import build_machine
 from repro.verification.audit import audit_machine
 from repro.verification.differential import random_refs, run_differential
-from repro.verification.fingerprint import machine_fingerprint, machine_parts
 from repro.workloads.reference import MemRef, Op
 from repro.workloads.synthetic import DuboisBriggsWorkload
+from tests.conftest import assert_dense_equivalent
 
 ALL_PROTOCOLS = sorted(registry.protocol_names())
 
@@ -112,10 +112,7 @@ def test_sparse_twin_matches_dense_exactly(protocol, n):
             f"(dense {dense.registry.total(name)}, "
             f"sparse {sparse.registry.total(name)})"
         )
-    if machine_fingerprint(dense) != machine_fingerprint(sparse):
-        for d, s in zip(machine_parts(dense), machine_parts(sparse)):
-            assert d == s, f"{protocol} n={n} diverged at {d[:2]}"
-        raise AssertionError("fingerprints differ but parts compare equal")
+    assert_dense_equivalent(dense, sparse, f"{protocol} n={n}")
 
 
 @pytest.mark.parametrize("n", [16, 64])

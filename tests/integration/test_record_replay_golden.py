@@ -4,14 +4,14 @@ bit-identical machine.
 ``Experiment.run(record_trace=...)`` captures the reference stream at
 the observability layer (one event per issued ref, warmup included);
 replaying it via ``workload="trace:..."`` must reproduce the source
-machine exactly — same state fingerprint, same merged counters — for
-every protocol.
+machine exactly — same machine state, merged counters and event count
+(:func:`repro.checkpoint.fingerprint`) — for every protocol.
 """
 
 import pytest
 
 from repro.api import Experiment
-from repro.verification.fingerprint import machine_fingerprint
+from repro.checkpoint import fingerprint
 
 PROTOCOLS = ("twobit", "fullmap")
 
@@ -33,12 +33,12 @@ def test_record_replay_bit_identical(protocol, tmp_path):
     path = str(tmp_path / f"{protocol}.trace")
     source = _experiment(protocol)
     out1 = source.run(record_trace=path)
-    fp1 = machine_fingerprint(out1.machine)
+    fp1 = fingerprint(out1.machine)
     counters1 = out1.machine.registry.merged().snapshot()
 
     replay = source.variant(workload=f"trace:{path}")
     out2 = replay.run()
-    fp2 = machine_fingerprint(out2.machine)
+    fp2 = fingerprint(out2.machine)
     counters2 = out2.machine.registry.merged().snapshot()
 
     assert fp1 == fp2, f"{protocol}: fingerprint drift"
@@ -71,9 +71,7 @@ def test_workload_spec_equals_legacy_kwargs():
         protocol="twobit", n_processors=3, refs_per_proc=250,
         warmup_refs=50, seed=7, workload="dubois:low",
     ).run()
-    assert machine_fingerprint(legacy.machine) == machine_fingerprint(
-        spec.machine
-    )
+    assert fingerprint(legacy.machine) == fingerprint(spec.machine)
 
 
 def test_streaming_equals_materialized(tmp_path):
@@ -89,6 +87,4 @@ def test_streaming_equals_materialized(tmp_path):
     materialized = source.variant(
         workload=TraceWorkload(read_trace(path))
     ).run()
-    assert machine_fingerprint(streamed.machine) == machine_fingerprint(
-        materialized.machine
-    )
+    assert fingerprint(streamed.machine) == fingerprint(materialized.machine)

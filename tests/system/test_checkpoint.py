@@ -127,6 +127,45 @@ def test_snapshot_roundtrip_preserves_fingerprint():
     assert checkpoint.fingerprint(clone) == checkpoint.fingerprint(machine)
 
 
+def _corrupt_line_version(machine):
+    line = next(iter(machine.caches[0].array.valid_lines()))
+    line.version += 1000
+
+
+def _corrupt_memory_version(machine):
+    versions = machine.modules[0]._versions
+    versions[next(iter(versions))] += 1000
+
+
+def _corrupt_two_bit_state(machine):
+    from repro.core.states import GlobalState
+
+    states = machine.controllers[0].directory._states
+    block = next(iter(states))
+    states[block] = (
+        GlobalState.ABSENT
+        if states[block] is not GlobalState.ABSENT
+        else GlobalState.PRESENT_STAR
+    )
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_corrupt_line_version, _corrupt_memory_version, _corrupt_two_bit_state],
+    ids=["line-version", "memory-version", "two-bit-state"],
+)
+def test_fingerprint_sees_a_corrupted_clone(corrupt):
+    """A restore that lost cache, memory or directory contents must not
+    fingerprint equal to its original.  The fields are poked directly,
+    so no counter moves with them."""
+    experiment = _experiment("twobit")
+    machine, _ = experiment.build()
+    machine.run(refs_per_proc=REFS, warmup_refs=WARMUP)
+    clone = checkpoint.restore_bytes(checkpoint.snapshot_bytes(machine))
+    corrupt(clone)
+    assert checkpoint.fingerprint(clone) != checkpoint.fingerprint(machine)
+
+
 def test_checkpoint_size_is_flat_in_run_length():
     """The oracle forgets commits no future read can need, so a snapshot
     after 8k refs/proc is barely larger than one after 2k (it grew 1.6x

@@ -19,11 +19,8 @@ from repro.verification.model_check import (
     replay_schedule,
     scenarios_for,
 )
-from repro.verification.schedules import (
-    StateFingerprinter,
-    format_schedule,
-    parse_schedule,
-)
+from repro.verification.schedules import format_schedule, parse_schedule
+from repro.verification.state import machine_state
 
 
 # ----------------------------------------------------------------------
@@ -182,25 +179,20 @@ def test_schedule_format_round_trip():
 
 
 def test_fingerprint_stable_across_fresh_builds():
-    one = StateFingerprinter(
-        build_scenario_machine("twobit", SMOKE_SCENARIO)
-    ).fingerprint()
-    two = StateFingerprinter(
-        build_scenario_machine("twobit", SMOKE_SCENARIO)
-    ).fingerprint()
+    one = machine_state(build_scenario_machine("twobit", SMOKE_SCENARIO))
+    two = machine_state(build_scenario_machine("twobit", SMOKE_SCENARIO))
     assert one == two
     assert hash(one) == hash(two)
 
 
 def test_fingerprint_differs_after_a_step():
     machine = build_scenario_machine("twobit", SMOKE_SCENARIO)
-    fingerprinter = StateFingerprinter(machine)
-    before = fingerprinter.fingerprint()
+    before = machine_state(machine)
     for proc, script in zip(machine.processors, SMOKE_SCENARIO.scripts):
         proc.budget = len(script)
         proc.resume()
     machine.sim.step_select(0)
-    assert fingerprinter.fingerprint() != before
+    assert machine_state(machine) != before
 
 
 def test_random_scenario_is_seed_stable():
