@@ -15,12 +15,20 @@ Three telemetry streams share the hub:
   plain-text :func:`~repro.obs.export.render_events` log.
 * **Transaction spans** (:class:`TransactionSpan`) — one per memory
   reference, from processor issue to retire, with phase marks added by
-  the protocol layers along the way.  Completed spans feed per-outcome
-  latency histograms and per-phase segment histograms.
+  the protocol layers along the way.  A completed span adds one count
+  per segment to a pending dict keyed ``(outcome, phase, cycles)``; the
+  per-outcome latency histograms and per-phase segment histograms
+  (:attr:`Observability.latency`, :attr:`Observability.phases`) are
+  folded from it when read.
 * **Samplers** (:class:`~repro.obs.sampler.TimeSeriesSampler`) — fixed
   interval time-series windows, advanced *lazily* from probe activity
   (never by posting kernel events, which would perturb determinism
-  goldens).
+  goldens).  The hub caches the earliest next window boundary, so a
+  probe enters the samplers only when the clock has reached it.
+
+A probe therefore does O(1) work when the hub is on: a span segment
+is one dict update, a sampler window is entered once per boundary, and
+with ``keep_events=False`` the point-event probes build no payload.
 
 Span phases map onto the §3.2 protocol flows::
 
@@ -109,6 +117,13 @@ class TransactionSpan:
 #: ``(pid, now, ref)`` callback fired once per issued memory reference.
 RefListener = Callable[[int, int, Any], None]
 
+#: A pending span count's key: ``(outcome, phase, cycles)``, where
+#: ``phase`` is ``None`` for the whole span's latency.
+PendingKey = Tuple[str, Optional[str], int]
+
+#: The cached next window boundary while no sampler is attached.
+_NEVER = float("inf")
+
 
 class Observability:
     """Event hub + span tracker + sampler host for one machine."""
@@ -121,10 +136,12 @@ class Observability:
         self.events: List[ObsEvent] = []
         self.spans: List[TransactionSpan] = []
         self.samplers: List = []
-        #: outcome -> total-latency Histogram.
-        self.latency: Dict[str, Histogram] = {}
-        #: "outcome/phase" -> segment-latency Histogram.
-        self.phases: Dict[str, Histogram] = {}
+        self._latency: Dict[str, Histogram] = {}
+        self._phases: Dict[str, Histogram] = {}
+        #: Span counts not yet folded into the histograms.
+        self._pending: Dict[PendingKey, int] = {}
+        #: Earliest next window boundary over the samplers.
+        self._next_tick = _NEVER
         self._active: Dict[int, TransactionSpan] = {}
         self._ref_listeners: List[RefListener] = []
 
@@ -158,49 +175,63 @@ class Observability:
         """Record a point event (retained only with ``keep_events``)."""
         if self.keep_events:
             self.events.append(ObsEvent(name, time, track, data))
-        self.tick(time)
+        if time >= self._next_tick:
+            self.tick(time)
 
-    # Convenience wrappers so probe sites stay one-liners.
+    # Convenience wrappers so probe sites stay one-liners.  Without
+    # keep_events they build no payload: the event would be dropped.
     def on_send(self, message, now: int, delivery: int, track: str) -> None:
-        self.emit(
-            "send", now, track, {"message": message, "delivery": delivery}
-        )
+        if self.keep_events:
+            self.emit(
+                "send", now, track, {"message": message, "delivery": delivery}
+            )
+        elif now >= self._next_tick:
+            self.tick(now)
 
     def on_broadcast(
         self, message, now: int, recipients: int, exclude, track: str
     ) -> None:
-        self.emit(
-            "broadcast",
-            now,
-            track,
-            {"message": message, "recipients": recipients, "exclude": exclude},
-        )
+        if self.keep_events:
+            self.emit(
+                "broadcast",
+                now,
+                track,
+                {
+                    "message": message,
+                    "recipients": recipients,
+                    "exclude": exclude,
+                },
+            )
+        elif now >= self._next_tick:
+            self.tick(now)
 
     def on_state(self, owner: str, now: int, block: int, old, new) -> None:
-        self.emit(
-            "state", now, owner, {"block": block, "old": old, "new": new}
-        )
+        if self.keep_events:
+            self.emit(
+                "state", now, owner, {"block": block, "old": old, "new": new}
+            )
+        elif now >= self._next_tick:
+            self.tick(now)
 
     # ------------------------------------------------------------------
     # Transaction spans
     # ------------------------------------------------------------------
     def span_begin(self, pid: int, now: int, ref) -> None:
         self._active[pid] = TransactionSpan(
-            pid=pid,
-            block=ref.block,
-            op="W" if ref.is_write else "R",
-            start=now,
+            pid, ref.block, "W" if ref.is_write else "R", now
         )
         if self._ref_listeners:
             for listener in self._ref_listeners:
                 listener(pid, now, ref)
-        self.tick(now)
+        if now >= self._next_tick:
+            self.tick(now)
 
     def span_phase(self, pid: int, now: int, phase: str) -> None:
         span = self._active.get(pid)
         if span is not None:
             span.marks.append((phase, now))
-        self.tick(now)
+        if now >= self._next_tick:
+            self.tick(now)
 
     def span_outcome(self, pid: int, outcome: str) -> None:
         span = self._active.get(pid)
@@ -220,25 +251,64 @@ class Observability:
             else:
                 span.outcome = "WM" if span.op == "W" else "RM"
         self._record_span(span)
-        self.tick(now)
+        if now >= self._next_tick:
+            self.tick(now)
 
     def _record_span(self, span: TransactionSpan) -> None:
+        """Count the span's latency and each of its segments (the
+        slices of :meth:`TransactionSpan.segments`) as pending."""
         outcome = span.outcome
-        assert outcome is not None
-        hist = self.latency.get(outcome)
-        if hist is None:
-            hist = self.latency[outcome] = Histogram(
-                name=f"latency[{outcome}]"
-            )
-        hist.add(span.latency)
-        for phase, t0, t1 in span.segments():
-            key = f"{outcome}/{phase}"
-            phist = self.phases.get(key)
-            if phist is None:
-                phist = self.phases[key] = Histogram(name=f"phase[{key}]")
-            phist.add(t1 - t0)
+        end = span.end
+        pending = self._pending
+        t0 = span.start
+        key = (outcome, None, end - t0)
+        pending[key] = pending.get(key, 0) + 1
+        for phase, t1 in span.marks:
+            key = (outcome, phase, t1 - t0)
+            pending[key] = pending.get(key, 0) + 1
+            t0 = t1
+        key = (outcome, "retire", end - t0)
+        pending[key] = pending.get(key, 0) + 1
         if self.keep_events:
             self.spans.append(span)
+
+    def _fold(self) -> None:
+        """Add the pending span counts to the histograms.
+
+        Keys are folded in first-seen order, so histograms and their
+        buckets are created in the order per-span adds would create
+        them.
+        """
+        latency = self._latency
+        phases = self._phases
+        for (outcome, phase, cycles), count in self._pending.items():
+            if phase is None:
+                hist = latency.get(outcome)
+                if hist is None:
+                    hist = latency[outcome] = Histogram(
+                        name=f"latency[{outcome}]"
+                    )
+            else:
+                key = f"{outcome}/{phase}"
+                hist = phases.get(key)
+                if hist is None:
+                    hist = phases[key] = Histogram(name=f"phase[{key}]")
+            hist.add(cycles, count)
+        self._pending.clear()
+
+    @property
+    def latency(self) -> Dict[str, Histogram]:
+        """outcome -> total-latency Histogram (built on read)."""
+        if self._pending:
+            self._fold()
+        return self._latency
+
+    @property
+    def phases(self) -> Dict[str, Histogram]:
+        """"outcome/phase" -> segment-latency Histogram (built on read)."""
+        if self._pending:
+            self._fold()
+        return self._phases
 
     @property
     def outstanding(self) -> int:
@@ -248,23 +318,35 @@ class Observability:
     # ------------------------------------------------------------------
     # Samplers
     # ------------------------------------------------------------------
+    # Samplers are driven through the hub only: it caches their earliest
+    # next boundary, and probes enter tick() only once ``now`` reaches
+    # it, which is exactly when some sampler has a window to close.
     def add_sampler(self, sampler) -> None:
         self.samplers.append(sampler)
+        self._rearm()
 
     def tick(self, now: int) -> None:
         """Give every sampler a chance to close elapsed windows.
 
-        Called from probe activity only — samplers never post kernel
-        events, so instrumented runs stay bit-identical to bare runs.
+        Called from probe activity only, once ``now`` reaches the cached
+        boundary — samplers never post kernel events, so instrumented
+        runs stay bit-identical to bare runs.
         """
-        if self.samplers:
-            for sampler in self.samplers:
-                sampler.maybe_sample(now)
+        for sampler in self.samplers:
+            sampler.maybe_sample(now)
+        self._rearm()
 
     def flush(self, now: int) -> None:
         """Close trailing sampler windows (call once, after the run)."""
         for sampler in self.samplers:
             sampler.flush(now)
+        self._rearm()
+
+    def _rearm(self) -> None:
+        self._next_tick = min(
+            (sampler.next_boundary for sampler in self.samplers),
+            default=_NEVER,
+        )
 
     # ------------------------------------------------------------------
     # Measurement windows
@@ -277,8 +359,10 @@ class Observability:
         """
         self.events.clear()
         self.spans.clear()
-        self.latency.clear()
-        self.phases.clear()
+        self._latency.clear()
+        self._phases.clear()
+        self._pending.clear()
         self._active.clear()
         for sampler in self.samplers:
             sampler.reset(now)
+        self._rearm()

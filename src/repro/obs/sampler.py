@@ -10,12 +10,15 @@ A :class:`TimeSeriesSampler` partitions simulated time into windows of
 
 Windows close *lazily*: the sampler never schedules kernel events
 (that would change ``events_processed`` and break the determinism
-goldens).  Instead :meth:`maybe_sample` is called from probe activity
-(every event/span probe ticks the hub's samplers), which closes any
-window boundaries the clock has passed.  Consequence: gauge values are
-read when the first probe *after* the boundary fires, not at the exact
-boundary cycle — a skew of at most the machine's probe gap, which is a
-few cycles in practice and irrelevant at typical window sizes.
+goldens).  Instead the hub calls :meth:`maybe_sample` from probe
+activity, which closes any window boundaries the clock has passed.  The
+hub caches the earliest :attr:`~TimeSeriesSampler.next_boundary` of its
+samplers and enters them only from the first probe at or after it, so
+drive a hub's samplers through the hub (``tick``/``flush``/``reset``).
+Consequence: gauge values are read when the first probe *after* the
+boundary fires, not at the exact boundary cycle — a skew of at most the
+machine's probe gap, which is a few cycles in practice and irrelevant
+at typical window sizes.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ class TimeSeriesSampler:
         self._last_counts: Dict[str, Number] = {
             key: probe() for key, probe in self.rates.items()
         }
+
+    @property
+    def next_boundary(self) -> int:
+        """The cycle at which the next whole window closes."""
+        return self._next
 
     def maybe_sample(self, now: int) -> None:
         """Close every whole window boundary at or before ``now``."""

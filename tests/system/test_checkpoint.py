@@ -16,6 +16,7 @@ import pytest
 from repro import checkpoint
 from repro.api import Experiment, resume
 from repro.faults import FAULT_PROTOCOLS
+from repro.obs.attach import machine_metrics
 from repro.protocols import registry
 from repro.schema import SCHEMA_VERSION, SchemaMismatchError
 
@@ -116,6 +117,30 @@ def test_resume_facade_matches_uninterrupted(tmp_path):
     outcome = resume(str(path))
     assert outcome.audit.ok
     assert outcome.results.to_dict() == golden
+
+
+def test_instrumented_restore_keeps_telemetry():
+    # Nothing reads the hub's histograms before the snapshot, so the
+    # span counts gathered so far travel in the checkpoint unread.
+    def instrumented():
+        machine, _ = Experiment(
+            protocol="twobit", n_processors=4, seed=7
+        ).build(instrument=True)
+        machine.run(refs_per_proc=500)
+        return machine
+
+    def metrics(machine):
+        return json.dumps(
+            machine_metrics(machine, machine.sim.obs), sort_keys=True
+        )
+
+    uninterrupted = instrumented()
+    uninterrupted.run(refs_per_proc=1000)
+    restored = checkpoint.restore_bytes(
+        checkpoint.snapshot_bytes(instrumented())
+    )
+    restored.run(refs_per_proc=1000)
+    assert metrics(restored) == metrics(uninterrupted)
 
 
 def test_snapshot_roundtrip_preserves_fingerprint():
