@@ -9,11 +9,12 @@ data *version* used by the coherence oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
+from repro.sim.enums import IdentityEnum
 
-class LocalState(Enum):
+
+class LocalState(IdentityEnum):
     """Protocol-specific local states layered over valid/modified.
 
     The base two-bit and full-map protocols use only ``NONE`` (the

@@ -31,6 +31,7 @@ from repro.core.translation_buffer import TranslationBuffer
 from repro.interconnect.holders import SPARSE_INDEX, CopyHolderIndex
 from repro.interconnect.message import Message, MessageKind
 from repro.interconnect.network import Network
+from repro.memory.address import AddressMap
 from repro.memory.module import MemoryModule
 from repro.protocols.directory import DirectoryController, _Txn
 from repro.sim.kernel import SimClock, Simulator
@@ -71,7 +72,7 @@ class TwoBitDirectoryController(DirectoryController):
         )
         self.holders_fn = holders_fn
         self.directory = TwoBitDirectory(
-            blocks=(b for b in range(config.n_blocks) if module.owns(b)),
+            blocks=AddressMap(config.n_modules, config.n_blocks).blocks_of(index),
             clock=SimClock(sim),
             keep_present1=opts.keep_present1,
         )

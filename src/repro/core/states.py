@@ -9,8 +9,9 @@ analytical model.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable, Dict, Iterable, Optional
+
+from repro.sim.enums import IdentityEnum
 
 
 def _zero_clock() -> int:
@@ -18,7 +19,7 @@ def _zero_clock() -> int:
     return 0
 
 
-class GlobalState(Enum):
+class GlobalState(IdentityEnum):
     """The four two-bit global states of §3.1."""
 
     #: Not present in any cache.

@@ -129,25 +129,32 @@ class DeltaNetwork(Network):
 
     def _reserve(self, src: str, dst: str, size: int) -> int:
         """Hold each link of the route for ``size`` cycles; return arrival."""
+        port_busy = self._port_busy
         route = self._routes.get((src, dst))
         if route is None:
             route = self._routes[src, dst] = self._route(src, dst)
+            # Every link of a resolved route has a busy-until entry, so
+            # the walk below indexes without a default.  The walk writes
+            # each of these links anyway, in the same order.
+            for link in route:
+                port_busy.setdefault(link, 0)
         time = self.sim.now
-        port_busy = self._port_busy
         latency = self.latency
         waited = 0
         for link in route:
-            free_at = port_busy.get(link, 0)
+            free_at = port_busy[link]
             if free_at > time:
                 waited += free_at - time
                 time = free_at
             time += size  # one cycle per size unit per hop
             port_busy[link] = time
             time += latency
-        add = self.counters.add
+        # Once per copy of every broadcast: bump the counter dict
+        # directly rather than calling CounterSet.add per name.
+        values = self.counters._values
         if waited:
-            add("wait_cycles", waited)
-        add("hop_cycles", size * len(route))
+            values["wait_cycles"] += waited
+        values["hop_cycles"] += size * len(route)
         return time
 
     def _delivery_time(self, message: Message) -> int:

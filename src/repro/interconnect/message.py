@@ -16,14 +16,15 @@ occupancy accounting.
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 from typing import Any, Dict, Optional
+
+from repro.sim.enums import IdentityEnum
 
 #: Relative size of a block data transfer vs a control command.
 DATA_SIZE = 4
 
 
-class MessageKind(Enum):
+class MessageKind(IdentityEnum):
     """Every message type used by any protocol in the library."""
 
     # -- cache -> home controller (Table 3-1) -------------------------

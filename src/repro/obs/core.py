@@ -13,13 +13,14 @@ Three telemetry streams share the hub:
   broadcasts, and directory state transitions, retained (unless
   ``keep_events=False``) for the exporters: the Chrome trace and the
   plain-text :func:`~repro.obs.export.render_events` log.
-* **Transaction spans** (:class:`TransactionSpan`) — one per memory
-  reference, from processor issue to retire, with phase marks added by
-  the protocol layers along the way.  A completed span adds one count
-  per segment to a pending dict keyed ``(outcome, phase, cycles)``; the
-  per-outcome latency histograms and per-phase segment histograms
-  (:attr:`Observability.latency`, :attr:`Observability.phases`) are
-  folded from it when read.
+* **Transaction spans** — one per memory reference, from processor
+  issue to retire, with phase marks added by the protocol layers along
+  the way.  In flight a span is a compact per-pid list; it becomes a
+  :class:`TransactionSpan` only when retained (``keep_events``).  A
+  completed span adds one count per segment to a pending dict keyed
+  ``(outcome, phase, cycles)``; the per-outcome latency histograms and
+  per-phase segment histograms (:attr:`Observability.latency`,
+  :attr:`Observability.phases`) are folded from it when read.
 * **Samplers** (:class:`~repro.obs.sampler.TimeSeriesSampler`) — fixed
   interval time-series windows, advanced *lazily* from probe activity
   (never by posting kernel events, which would perturb determinism
@@ -28,7 +29,8 @@ Three telemetry streams share the hub:
 
 A probe therefore does O(1) work when the hub is on: a span segment
 is one dict update, a sampler window is entered once per boundary, and
-with ``keep_events=False`` the point-event probes build no payload.
+with ``keep_events=False`` the point-event probes build no payload and
+the span probes build no span object.
 
 Span phases map onto the §3.2 protocol flows::
 
@@ -142,7 +144,10 @@ class Observability:
         self._pending: Dict[PendingKey, int] = {}
         #: Earliest next window boundary over the samplers.
         self._next_tick = _NEVER
-        self._active: Dict[int, TransactionSpan] = {}
+        #: pid -> in-flight span, ``[outcome, start, ref, (phase, time)
+        #: marks...]``; it becomes a :class:`TransactionSpan` at retire
+        #: only when spans are retained.
+        self._active: Dict[int, list] = {}
         self._ref_listeners: List[RefListener] = []
 
     # ------------------------------------------------------------------
@@ -217,9 +222,7 @@ class Observability:
     # Transaction spans
     # ------------------------------------------------------------------
     def span_begin(self, pid: int, now: int, ref) -> None:
-        self._active[pid] = TransactionSpan(
-            pid, ref.block, "W" if ref.is_write else "R", now
-        )
+        self._active[pid] = [None, now, ref]
         if self._ref_listeners:
             for listener in self._ref_listeners:
                 listener(pid, now, ref)
@@ -229,48 +232,49 @@ class Observability:
     def span_phase(self, pid: int, now: int, phase: str) -> None:
         span = self._active.get(pid)
         if span is not None:
-            span.marks.append((phase, now))
+            span.append((phase, now))
         if now >= self._next_tick:
             self.tick(now)
 
     def span_outcome(self, pid: int, outcome: str) -> None:
         span = self._active.get(pid)
         if span is not None:
-            span.outcome = outcome
+            span[0] = outcome
 
     def span_end(self, pid: int, now: int, hit: bool) -> None:
+        """Retire ``pid``'s span: count its latency and each segment
+        (the slices of :meth:`TransactionSpan.segments`) as pending."""
         span = self._active.pop(pid, None)
         if span is None:
             return
-        span.end = now
-        if span.outcome is None:
+        outcome, start, ref, *marks = span
+        if outcome is None:
             # Protocols without a classification probe derive the
             # outcome from the completion result alone.
             if hit:
-                span.outcome = "write-hit" if span.op == "W" else "read-hit"
+                outcome = "write-hit" if ref.is_write else "read-hit"
             else:
-                span.outcome = "WM" if span.op == "W" else "RM"
-        self._record_span(span)
-        if now >= self._next_tick:
-            self.tick(now)
-
-    def _record_span(self, span: TransactionSpan) -> None:
-        """Count the span's latency and each of its segments (the
-        slices of :meth:`TransactionSpan.segments`) as pending."""
-        outcome = span.outcome
-        end = span.end
+                outcome = "WM" if ref.is_write else "RM"
         pending = self._pending
-        t0 = span.start
-        key = (outcome, None, end - t0)
+        key = (outcome, None, now - start)
         pending[key] = pending.get(key, 0) + 1
-        for phase, t1 in span.marks:
+        t0 = start
+        for phase, t1 in marks:
             key = (outcome, phase, t1 - t0)
             pending[key] = pending.get(key, 0) + 1
             t0 = t1
-        key = (outcome, "retire", end - t0)
+        key = (outcome, "retire", now - t0)
         pending[key] = pending.get(key, 0) + 1
         if self.keep_events:
-            self.spans.append(span)
+            kept = TransactionSpan(
+                pid, ref.block, "W" if ref.is_write else "R", start
+            )
+            kept.outcome = outcome
+            kept.end = now
+            kept.marks = marks
+            self.spans.append(kept)
+        if now >= self._next_tick:
+            self.tick(now)
 
     def _fold(self) -> None:
         """Add the pending span counts to the histograms.

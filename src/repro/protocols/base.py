@@ -301,7 +301,7 @@ class AbstractCacheController(Component):
             if wait:
                 self.counters.add("processor_wait_cycles", wait)
         else:
-            self.counters.add("stolen_cycles", cycle)
+            self.counters._values["stolen_cycles"] += cycle
         self._array_free_at = start + cycle
         return self._array_free_at
 

@@ -21,11 +21,11 @@ through the real controller and checks the commands it sends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.interconnect.message import Message
 from repro.interconnect.network import Network
+from repro.memory.address import AddressMap
 from repro.memory.module import MemoryModule
 from repro.protocols.directory import (
     DirectoryController,
@@ -33,6 +33,7 @@ from repro.protocols.directory import (
     _Txn,
     render_rows,
 )
+from repro.sim.enums import IdentityEnum
 from repro.sim.kernel import Simulator
 from repro.config import MachineConfig
 
@@ -83,7 +84,7 @@ class FullMapDirectory:
 
 
 
-class Situation(Enum):
+class Situation(IdentityEnum):
     """A block's full-map entry as the requesting cache sees it."""
 
     UNCACHED = "no cache holds a copy"
@@ -230,7 +231,7 @@ class FullMapDirectoryController(DirectoryController):
             sim, index, config, net, module, n_caches, rows=self.table
         )
         self.directory = FullMapDirectory(
-            blocks=(b for b in range(config.n_blocks) if module.owns(b))
+            blocks=AddressMap(config.n_modules, config.n_blocks).blocks_of(index)
         )
 
     def _situation(self, txn: _Txn) -> Situation:

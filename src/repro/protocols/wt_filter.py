@@ -31,6 +31,7 @@ from typing import Dict, Optional
 
 from repro.core.states import GlobalState, TwoBitDirectory
 from repro.interconnect.message import Message, MessageKind
+from repro.memory.address import AddressMap
 from repro.sim.kernel import SimClock
 from repro.protocols.classical import (
     ClassicalCacheController,
@@ -112,7 +113,7 @@ class WTFilterMemoryController(ClassicalMemoryController):
     def __init__(self, sim, index, config, net, module, oracle) -> None:
         super().__init__(sim, index, config, net, module, oracle)
         self.directory = TwoBitDirectory(
-            blocks=(b for b in range(config.n_blocks) if module.owns(b)),
+            blocks=AddressMap(config.n_modules, config.n_blocks).blocks_of(index),
             clock=SimClock(sim),
             keep_present1=config.options.keep_present1,
         )

@@ -17,6 +17,9 @@ class CounterSet:
 
     def __init__(self, owner: str = "") -> None:
         self.owner = owner
+        #: The live counters.  A path that runs once per broadcast copy
+        #: bumps ``_values[name] += n`` directly instead of calling
+        #: :meth:`add`: same value, same creation order, no call.
         self._values: Dict[str, float] = defaultdict(float)
 
     def add(self, name: str, amount: float = 1.0) -> None:

@@ -143,9 +143,7 @@ def _audit_block_values(
 
 def _audit_twobit_directory(machine, copies_of, report: AuditReport) -> None:
     for ctrl in machine.controllers:
-        for block in range(machine.config.n_blocks):
-            if block not in ctrl.directory:
-                continue
+        for block in machine.amap.blocks_of(ctrl.index):
             state = ctrl.directory.state(block)
             copies = copies_of(block)
             n_copies = len(copies)
@@ -227,9 +225,7 @@ def _audit_holder_index(machine, copies_of, report: AuditReport) -> None:
 
 def _audit_fullmap_directory(machine, copies_of, report: AuditReport) -> None:
     for ctrl in machine.controllers:
-        for block in range(machine.config.n_blocks):
-            if block not in ctrl.directory:
-                continue
+        for block in machine.amap.blocks_of(ctrl.index):
             entry = ctrl.directory.entry(block)
             copies = copies_of(block)
             actual = {pid for pid, _ in copies}

@@ -56,6 +56,8 @@ class MigratingWorkload(Workload):
             raise ValueError("migration_interval must be >= 0")
         if not 0.0 <= q <= 1.0 or not 0.0 <= w <= 1.0:
             raise ValueError("q and w must be probabilities")
+        if not 0.0 <= private_write_frac <= 1.0:
+            raise ValueError("private_write_frac must be a probability")
         if process_blocks < 1 or n_shared_blocks < 1:
             raise ValueError("pools must be non-empty")
         self.n_processors = n_processors

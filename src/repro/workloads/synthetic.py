@@ -23,11 +23,6 @@ from typing import Iterator, List, Optional, Sequence
 
 from repro.workloads.reference import MemRef, Op, ref_table
 
-#: Per-pid memoized stream prefix cap (see ``DuboisBriggsWorkload.stream``).
-#: Beyond it a replay iterator falls back to a private re-derived generator.
-_STREAM_CACHE_MAX = 1 << 16
-
-
 class ReplayableStream:
     """Picklable iterator over a workload's pure ``(seed, pid)`` stream.
 
@@ -144,6 +139,8 @@ class DuboisBriggsWorkload(Workload):
     ) -> None:
         if not 0.0 <= q <= 1.0 or not 0.0 <= w <= 1.0:
             raise ValueError("q and w must be probabilities")
+        if not 0.0 <= private_write_frac <= 1.0:
+            raise ValueError("private_write_frac must be a probability")
         if n_shared_blocks < 1 or private_blocks_per_proc < 1:
             raise ValueError("pools must be non-empty")
         if not 0.0 < locality < 1.0:
@@ -157,8 +154,6 @@ class DuboisBriggsWorkload(Workload):
         self.private_write_frac = private_write_frac
         self.shared_base = shared_base
         self.seed = seed
-        # pid -> (memoized prefix, shared generator positioned at its end).
-        self._stream_cache: dict = {}
 
     # ------------------------------------------------------------------
     # Address-space layout
@@ -191,25 +186,7 @@ class DuboisBriggsWorkload(Workload):
     # Stream generation
     # ------------------------------------------------------------------
     def _raw_stream(self, pid: int) -> Iterator[MemRef]:
-        """Infinite iterator of references for processor ``pid``.
-
-        Streams are a pure function of ``(seed, pid)``, so the generated
-        prefix is memoized per pid and replayed on subsequent calls —
-        re-running the same workload (benchmark rounds, protocol sweeps
-        over one workload) skips the RNG work entirely.  :class:`MemRef`
-        is frozen, so sharing the objects is safe.  The memo is capped at
-        ``_STREAM_CACHE_MAX`` references per pid; an iterator that runs
-        past the cap re-derives its own tail generator (one-time
-        fast-forward cost, identical sequence).
-        """
-        return self._replay(pid)
-
-    def __getstate__(self) -> dict:
-        # The memo holds live generators; drop it when pickling (sweep
-        # workers re-derive streams from the seed).
-        state = self.__dict__.copy()
-        state["_stream_cache"] = {}
-        return state
+        return self._generate(pid)
 
     def __repr__(self) -> str:
         # Streams are a pure function of these parameters, so this repr
@@ -224,47 +201,36 @@ class DuboisBriggsWorkload(Workload):
             f"shared_base={self.shared_base}, seed={self.seed})"
         )
 
-    def _replay(self, pid: int) -> Iterator[MemRef]:
-        entry = self._stream_cache.get(pid)
-        if entry is None:
-            entry = self._stream_cache[pid] = ([], self._generate(pid))
-        refs, shared_gen = entry
-        i = 0
-        while True:
-            if i < len(refs):
-                ref = refs[i]
-            elif len(refs) < _STREAM_CACHE_MAX:
-                # This iterator is at the frontier: extend the memo.  Only
-                # the iterator with i == len(refs) ever draws from the
-                # shared generator, so concurrent replays stay consistent.
-                ref = next(shared_gen)
-                refs.append(ref)
-            else:
-                # Past the cap: continue on a private generator advanced
-                # to this position (same seed, identical sequence).
-                tail = self._generate(pid)
-                for _ in range(i):
-                    next(tail)
-                yield from tail
-                return
-            yield ref
-            i += 1
-
     def _generate(self, pid: int) -> Iterator[MemRef]:
-        # Hot loop: every simulated reference passes through here, so the
-        # per-draw attribute lookups are hoisted into locals.  The RNG draw
-        # sequence is identical to the original straight-line code — the
-        # generated streams are part of the determinism contract.
+        """Infinite iterator of references for processor ``pid``.
+
+        Hot loop: every simulated reference passes through here, so the
+        per-draw lookups are hoisted into locals and the stack-distance
+        draw is inlined.  The RNG draw sequence is part of the
+        determinism contract and must not change:
+        ``tests/workloads/test_stream_equivalence.py`` checks it against
+        the straight-line reference generator.
+        """
         rng = random.Random(f"{self.seed}-{pid}")
         rand = rng.random
         randrange = rng.randrange
         # LRU stack over the private pool; front = most recent.
         stack: List[int] = list(self.private_blocks(pid))
         rng.shuffle(stack)
+        pop, insert = stack.pop, stack.insert
         shared = list(self.shared_blocks)
         n_shared = len(shared)
         q, w, pw = self.q, self.w, self.private_write_frac
-        stack_depth = self._stack_depth
+        locality = self.locality
+        # Stack depth is geometric in ``locality``, truncated to the
+        # pool.  A step to a depth below 64 is one draw (the ``for``);
+        # a step to depth 64 or deeper also draws the long-tail
+        # shortcut, a uniform jump into the cold region (the ``while``,
+        # entered only once the ``for`` reached depth 63).
+        pool = len(stack)
+        top = pool - 1
+        head = min(top, 63)
+        head_steps = range(head)
         shared_reads = ref_table(pid, Op.READ, True)
         shared_writes = ref_table(pid, Op.WRITE, True)
         private_reads = ref_table(pid, Op.READ, False)
@@ -273,24 +239,20 @@ class DuboisBriggsWorkload(Workload):
             if rand() < q:
                 block = shared[randrange(n_shared)]
                 yield (shared_writes if rand() < w else shared_reads)[block]
+                continue
+            for depth in head_steps:
+                if rand() >= locality:
+                    break
             else:
-                depth = stack_depth(rng, len(stack))
-                block = stack.pop(depth)
-                stack.insert(0, block)
-                yield (private_writes if rand() < pw else private_reads)[block]
-
-    def _stack_depth(self, rng: random.Random, limit: int) -> int:
-        """Geometric stack distance, truncated to the pool size."""
-        rand = rng.random
-        locality = self.locality
-        top = limit - 1
-        depth = 0
-        while depth < top and rand() < locality:
-            depth += 1
-            if depth >= 64 and rand() < 0.5:
-                # Long tail shortcut: jump uniformly into the cold region.
-                return rng.randrange(depth, limit)
-        return depth
+                depth = head
+                while depth < top and rand() < locality:
+                    depth += 1
+                    if rand() < 0.5:
+                        depth = randrange(depth, pool)
+                        break
+            block = pop(depth)
+            insert(0, block)
+            yield (private_writes if rand() < pw else private_reads)[block]
 
 
 class UniformWorkload(Workload):
@@ -305,6 +267,8 @@ class UniformWorkload(Workload):
     ) -> None:
         if n_blocks < 1:
             raise ValueError("need at least one block")
+        if not 0.0 <= write_frac <= 1.0:
+            raise ValueError("write_frac must be a probability")
         self.n_processors = n_processors
         self.n_blocks = n_blocks
         self.write_frac = write_frac

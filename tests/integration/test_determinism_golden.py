@@ -80,7 +80,7 @@ def test_machine_run_matches_golden(seed):
 
 def test_repeated_runs_are_bit_identical():
     # Same process, fresh machines: no hidden global state leaks between
-    # runs (the workload stream memo must replay, not re-draw).
+    # runs.
     assert _run(1984) == _run(1984)
 
 

@@ -91,3 +91,9 @@ def test_migration_inflates_coherence_traffic():
     static_procs = overhead(interval=0)
     migrating = overhead(interval=150)
     assert migrating > 1.5 * static_procs
+
+
+@pytest.mark.parametrize("frac", (-0.1, 2.0, float("nan")))
+def test_private_write_frac_must_be_a_probability(frac):
+    with pytest.raises(ValueError, match="private_write_frac"):
+        MigratingWorkload(n_processors=2, private_write_frac=frac)

@@ -124,6 +124,21 @@ def test_bad_value_type():
         parse_workload("dubois:q=abc")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    (
+        "dubois:private_write_frac=2",
+        "dubois:private_write_frac=nan",
+        "uniform:write_frac=nan",
+        "uniform:write_frac=-0.5",
+        "migration:private_write_frac=1.01",
+    ),
+)
+def test_out_of_range_write_fraction_rejected(spec):
+    with pytest.raises(ValueError, match="write_frac must be a probability"):
+        parse_workload(spec)
+
+
 def test_uniform_rejects_positional_arg():
     with pytest.raises(WorkloadSpecError, match="takes only"):
         parse_workload("uniform:64")

@@ -83,6 +83,26 @@ def test_parameter_validation():
         wl.stream(2)
 
 
+#: Write fractions outside [0, 1], NaN included.
+BAD_FRACTIONS = (-0.1, 1.5, 2.0, float("nan"))
+
+
+@pytest.mark.parametrize("frac", BAD_FRACTIONS)
+def test_write_fractions_must_be_probabilities(frac):
+    with pytest.raises(ValueError, match="private_write_frac"):
+        DuboisBriggsWorkload(1, private_write_frac=frac)
+    with pytest.raises(ValueError, match="write_frac"):
+        UniformWorkload(1, n_blocks=4, write_frac=frac)
+
+
+@pytest.mark.parametrize("frac", (0.0, 1.0))
+def test_write_fraction_bounds_are_accepted(frac):
+    wl = DuboisBriggsWorkload(1, q=0.0, private_write_frac=frac)
+    assert {r.is_write for r in wl.take(0, 50)} == {bool(frac)}
+    uniform = UniformWorkload(1, n_blocks=4, write_frac=frac)
+    assert {r.is_write for r in uniform.take(0, 50)} == {bool(frac)}
+
+
 def test_uniform_workload_covers_pool():
     wl = UniformWorkload(n_processors=1, n_blocks=8, seed=0)
     blocks = {r.block for r in wl.take(0, 500)}
