@@ -12,7 +12,8 @@ and exposes:
   over a crash-tolerant, checkpoint-resumable worker pool or a sweep
   service, cached either way (see :mod:`repro.runner.scheduler`);
 * :meth:`Experiment.check` — model-check + differential-test the
-  experiment's protocol;
+  experiment's protocol (:func:`verification_pass`, the pass ``repro
+  check`` walks too);
 * :meth:`Experiment.trace` — run instrumented and export a Perfetto
   trace.
 
@@ -187,23 +188,6 @@ class Experiment:
     # ------------------------------------------------------------------
     # Building
     # ------------------------------------------------------------------
-    def _fault_spec(self):
-        if self.faults is None:
-            return None
-        from repro.faults import FAULT_PROTOCOLS, parse_faults
-
-        spec = (
-            parse_faults(self.faults)
-            if isinstance(self.faults, str)
-            else self.faults
-        )
-        if self.protocol not in FAULT_PROTOCOLS:
-            raise ValueError(
-                f"faults: {self.protocol} has no NAK/retry recovery path; "
-                f"choose from {', '.join(FAULT_PROTOCOLS)}"
-            )
-        return spec
-
     def build(self, instrument: bool = False, keep_events: bool = False):
         """Assemble the machine (not yet run); returns ``(machine, obs)``."""
         from repro.faults import attach_faults
@@ -235,9 +219,8 @@ class Experiment:
             ),
         )
         machine = build_machine(config, workload)
-        spec = self._fault_spec()
-        if spec is not None:
-            attach_faults(machine, spec)
+        if self.faults is not None:
+            attach_faults(machine, self.faults)
         obs = None
         if instrument:
             from repro.obs import instrument_machine
@@ -429,31 +412,29 @@ class Experiment:
         differential streams agree; counterexamples print to stdout
         exactly as ``repro check`` would show them.
         """
-        from repro.verification import differential as diff_mod
         from repro.verification import model_check
 
-        spec = self._fault_spec()
         ok = True
-        results = model_check.check_protocol(
-            self.protocol,
-            scenarios=model_check.scenarios_for(depth),
+        for item in verification_pass(
+            [self.protocol],
+            model_check.scenarios_for(depth),
             max_schedules=max_schedules,
             max_steps=max_steps,
-            faults=spec,
-        )
-        for result in results:
-            if result.counterexample is not None:
-                ok = False
-                print(result.summary())
-                print(result.counterexample.render())
-        for offset in range(differential):
-            refs = diff_mod.random_refs(self.seed + offset)
-            report = diff_mod.run_differential(
-                refs, protocols=[self.protocol], faults=spec
-            )
-            if not report.ok:
-                ok = False
+            faults=self.faults,
+            differential=differential,
+            seed=self.seed,
+        ):
+            if isinstance(item, model_check.ModelCheckResult):
+                if item.ok:
+                    continue
+                print(item.summary())
+                print(item.counterexample.render())
+            else:
+                _, report = item
+                if report.ok:
+                    continue
                 print(report.render())
+            ok = False
         return ok
 
     def trace(self, out: str, strict: bool = True) -> RunOutcome:
@@ -466,6 +447,41 @@ class Experiment:
         outcome.obs.flush(outcome.machine.sim.now)
         write_chrome_trace(out, outcome.obs)
         return outcome
+
+
+def verification_pass(
+    protocols: Sequence[str],
+    scenarios: Sequence[Any],
+    *,
+    max_schedules: int,
+    max_steps: int,
+    faults: Optional[object],
+    differential: int,
+    seed: int,
+):
+    """The one pass behind ``repro check`` and :meth:`Experiment.check`.
+
+    Yields each protocol's :class:`~repro.verification.model_check.
+    ModelCheckResult` per scenario, protocol by protocol, then one
+    ``(stream_seed, DifferentialReport)`` per random lockstep stream
+    (seeds ``seed``, ``seed + 1``, ...).  Callers do their own printing.
+    """
+    from repro.verification import differential as diff_mod
+    from repro.verification import model_check
+
+    for protocol in protocols:
+        yield from model_check.check_protocol(
+            protocol,
+            scenarios=scenarios,
+            max_schedules=max_schedules,
+            max_steps=max_steps,
+            faults=faults,
+        )
+    for stream_seed in range(seed, seed + differential):
+        refs = diff_mod.random_refs(stream_seed)
+        yield stream_seed, diff_mod.run_differential(
+            refs, protocols=protocols, faults=faults
+        )
 
 
 def resume(

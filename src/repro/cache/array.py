@@ -20,8 +20,7 @@ class CacheArray:
     >>> arr = CacheArray(n_sets=2, associativity=2)
     >>> arr.n_frames
     4
-    >>> line = arr.frame_for(6)      # set 0
-    >>> line.fill(6, version=1)
+    >>> line = arr.fill(6, version=1)      # set 0
     >>> arr.lookup(6) is line
     True
     """
@@ -66,16 +65,13 @@ class CacheArray:
     # Lookup & placement
     # ------------------------------------------------------------------
     def lookup(self, block: int) -> Optional[CacheLine]:
-        """Return the valid line holding ``block``, or None (a miss)."""
+        """Return the valid line holding ``block``, or None (a miss).
+
+        Only :meth:`fill` places blocks, so its index is the whole truth.
+        """
         line = self._index.get(block)
         if line is not None and line.valid and line.block == block:
             return line
-        # Fallback scan: a frame filled via CacheLine.fill directly (test
-        # and doctest usage) is resident without an index entry.
-        for line in self._sets[self.set_index(block)]:
-            if line.valid and line.block == block:
-                self._index[block] = line
-                return line
         return None
 
     def touch(self, line: CacheLine) -> None:

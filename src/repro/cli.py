@@ -14,8 +14,13 @@ Commands:
 The machine flags are **derived from** :class:`repro.api.Experiment` —
 every keyword argument of the facade becomes a ``--flag`` with the same
 name, default, and type (a short alias table preserves the historical
-spellings like ``-n``/``--refs``), so the CLI and the programmatic API
-cannot drift apart.  ``run`` supports ``--checkpoint-every`` /
+spellings like ``-n``/``--refs``).  The verbs are shared too: ``run``,
+``trace`` and ``compare`` call :meth:`~repro.api.Experiment.run`,
+``sweep`` and ``report --run-missing`` go through the sweep scheduler,
+and ``check`` walks :func:`repro.api.verification_pass`, the pass behind
+:meth:`~repro.api.Experiment.check`.  The commands only map flags and
+print, so the CLI and the programmatic API cannot drift apart.  ``run``
+supports ``--checkpoint-every`` /
 ``--checkpoint-path`` / ``--resume`` (see ``docs/api.md``); ``sweep
 --workers N`` runs the crash-tolerant worker pool.
 
@@ -35,7 +40,7 @@ from typing import List, Optional
 from repro.analysis.dubois_briggs import generate_table_4_2
 from repro.analysis.overhead_model import compare_table_4_1, generate_table_4_1
 from repro.analysis.thresholds import generate_threshold_table
-from repro.api import Experiment
+from repro.api import Experiment, RunOutcome
 from repro.config import NETWORKS, MachineConfig
 from repro.faults import CANNED_PLANS, FAULT_PROTOCOLS, parse_faults
 from repro.core.spec import render_spec
@@ -43,8 +48,8 @@ from repro.protocols import registry
 from repro.protocols.cache_side import render_cache_side_spec
 from repro.protocols.fullmap import render_full_map_spec
 from repro.stats.tables import Table
-from repro.verification.audit import audit_machine
 from repro.workloads.registry import WorkloadSpecError
+from repro.workloads.traces import scan_trace_meta
 
 #: Canonical names + aliases, for CLI --protocol choice lists.
 PROTOCOL_CHOICES = tuple(
@@ -166,12 +171,6 @@ def _experiment_from_args(
     protocol = registry.canonical_name(
         protocol if protocol is not None else args.protocol
     )
-    spec = _parse_faults_arg(args)
-    if spec is not None and protocol not in FAULT_PROTOCOLS:
-        raise SystemExit(
-            f"--faults: {protocol} has no NAK/retry recovery path; "
-            f"choose from {', '.join(FAULT_PROTOCOLS)}"
-        )
     kwargs = {
         name: getattr(args, name)
         for name in _MACHINE_PARAMS
@@ -186,54 +185,31 @@ def _experiment_from_args(
             kwargs["network"] = pspec.default_network()
     return Experiment(
         protocol=protocol,
-        faults=spec,
+        faults=_parse_faults_arg(args),
         sample_interval=getattr(args, "sample_interval", 200),
         **kwargs,
     )
 
 
-def _build_and_run(
-    protocol: str,
-    args: argparse.Namespace,
-    instrument: bool = False,
-    keep_events: bool = False,
-):
-    """Build, (optionally) instrument, and run one machine.
+def _run_experiment(experiment: Experiment, **kwargs) -> RunOutcome:
+    """:meth:`Experiment.run` with argparse-style errors.
 
-    Returns ``(machine, obs)`` where ``obs`` is None unless
-    ``instrument`` was requested (or the args carry ``--metrics-out``).
+    Prints the "trace recorded" line when ``record_trace`` is given.
     """
-    experiment = _experiment_from_args(args, protocol)
     try:
-        machine, obs = experiment.build(
-            instrument=instrument or bool(getattr(args, "metrics_out", None)),
-            keep_events=keep_events,
-        )
+        outcome = experiment.run(**kwargs)
     except WorkloadSpecError as exc:
         raise SystemExit(f"--workload: {exc}")
-    record_trace = getattr(args, "record_trace", None)
-    recorder = None
+    except ValueError as exc:  # e.g. faults on a protocol that cannot recover
+        raise SystemExit(str(exc))
+    record_trace = kwargs.get("record_trace")
     if record_trace:
-        from repro.workloads.recorder import attach_recorder
-
-        recorder = attach_recorder(machine)
-    machine.run(
-        refs_per_proc=experiment.refs_per_proc,
-        warmup_refs=experiment.warmup_refs,
-        checkpoint_every=getattr(args, "checkpoint_every", 0),
-        checkpoint_path=getattr(args, "checkpoint_path", None),
-    )
-    if recorder is not None:
-        count = recorder.write(
-            record_trace,
-            n_processors=machine.config.n_processors,
-            n_blocks=machine.config.n_blocks,
-        )
+        count = scan_trace_meta(record_trace).n_refs
         print(
             f"trace recorded to {record_trace}: {count} refs "
             f"(replay with --workload trace:{record_trace})"
         )
-    return machine, obs
+    return outcome
 
 
 def _write_metrics(path: str, machine, obs, append: bool = False) -> None:
@@ -250,8 +226,7 @@ def _write_metrics(path: str, machine, obs, append: bool = False) -> None:
         write_jsonl(path, records)
 
 
-def _audit_verdict(machine) -> int:
-    report = audit_machine(machine)
+def _audit_verdict(report) -> int:
     if report.ok:
         print("coherence audit: CLEAN")
         return 0
@@ -278,11 +253,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         except CheckpointError as exc:
             raise SystemExit(f"--resume: {exc}")
         print(outcome.results.summary())
-        return _audit_verdict(outcome.machine)
+        return _audit_verdict(outcome.audit)
 
-    args.protocol = registry.canonical_name(args.protocol)
-    machine, obs = _build_and_run(args.protocol, args)
-    print(machine.results().summary())
+    experiment = _experiment_from_args(args)
+    outcome = _run_experiment(
+        experiment,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_path=args.checkpoint_path,
+        instrument=bool(args.metrics_out),
+        strict=False,
+        record_trace=args.record_trace,
+    )
+    machine, obs = outcome.machine, outcome.obs
+    print(outcome.results.summary())
     if machine.faults is not None:
         counts = machine.faults.counters.snapshot()
         recovery = {
@@ -296,7 +279,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("fault injection: " + (", ".join(
             f"{k}={v:g}" for k, v in sorted(pairs.items())
         ) or "plan attached, nothing fired"))
-    if obs is not None and args.metrics_out:
+    if args.metrics_out:
         _write_metrics(args.metrics_out, machine, obs)
         print(f"metrics written to {args.metrics_out}")
     if args.verbose:
@@ -304,14 +287,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(machine.latency_histogram().render())
         if obs is not None and obs.latency:
             print("\nper-outcome latency (cycles):")
-            for outcome, hist in sorted(obs.latency.items()):
+            for _, hist in sorted(obs.latency.items()):
                 print(f"  {hist.summary_line()}")
-        if args.protocol in ("twobit",):
+        if experiment.protocol == "twobit":
             occ = machine.state_occupancy()
             print("\nglobal-state occupancy (time-weighted, all blocks):")
             for state, fraction in occ.items():
                 print(f"  {state.name:<13} {fraction:.4f}")
-    return _audit_verdict(machine)
+    return _audit_verdict(outcome.audit)
 
 
 def _coerce_axis_value(name: str, text: str, base: dict):
@@ -446,6 +429,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     from repro.obs.report import build_report, render_markdown
     from repro.obs.rollup import rollup_results
+    from repro.runner import SweepError, run_sweep
     from repro.runner.cache import ResultCache, default_cache_dir
     from repro.runner.sweep import WithMetrics
 
@@ -473,18 +457,24 @@ def cmd_report(args: argparse.Namespace) -> int:
             runs.append((value.value, value.metrics, label))
         else:
             runs.append((value, None, label))
+    name = args.label if args.label else f"{experiment.protocol}-grid"
     if to_run:
         print(
             f"executing {len(to_run)} missing point(s) (instrumented)...",
             file=sys.stderr,
         )
-        for label, point in to_run:
-            value = point.fn(**point.kwargs)
-            cache.put(cache.key_for(point.fn, point.kwargs), value)
-            if isinstance(value, WithMetrics):
-                runs.append((value.value, value.metrics, label))
-            else:
-                runs.append((value, None, label))
+        try:
+            executed = run_sweep(
+                [point for _, point in to_run],
+                cache_dir=cache.directory,
+                label=name,
+            )
+        except SweepError as exc:
+            raise SystemExit(str(exc))
+        runs.extend(
+            (outcome.result, outcome.metrics, label)
+            for (label, _), outcome in zip(to_run, executed.outcomes)
+        )
     if not runs:
         raise SystemExit(
             f"report: no cached results for this grid in {cache.directory} "
@@ -496,7 +486,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         rollup_results(runs, group_by=args.group_by),
         group_by=args.group_by,
         baseline=args.baseline,
-        label=args.label if args.label else f"{experiment.protocol}-grid",
+        label=name,
         missing=[label for label, _ in missing],
     )
     rendered = (
@@ -570,19 +560,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     reports = []
     for i, protocol in enumerate(registry.protocol_names()):
-        machine, obs = _build_and_run(protocol, args)
-        audit_machine(machine).raise_if_failed()
-        r = machine.results()
+        outcome = _run_experiment(
+            _experiment_from_args(args, protocol),
+            instrument=bool(args.metrics_out),
+        )
+        r = outcome.results
         table.add_row(
             [protocol, r.commands_per_ref, r.extra_commands_per_ref,
              r.stolen_cycles_per_ref, r.miss_ratio, r.avg_latency]
         )
-        if obs is not None and args.metrics_out:
+        if args.metrics_out:
             # One JSONL file; each protocol contributes its own "run"
             # header record, so consumers can split by protocol.
-            _write_metrics(args.metrics_out, machine, obs, append=i > 0)
+            _write_metrics(
+                args.metrics_out, outcome.machine, outcome.obs, append=i > 0
+            )
         if args.verbose:
-            reports.append(f"[{protocol}]\n{machine.registry.report()}")
+            reports.append(
+                f"[{protocol}]\n{outcome.machine.registry.report()}"
+            )
     print(table.render())
     if args.metrics_out:
         print(f"metrics written to {args.metrics_out}")
@@ -595,10 +591,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import write_chrome_trace
 
-    args.protocol = registry.canonical_name(args.protocol)
-    machine, obs = _build_and_run(
-        args.protocol, args, instrument=True, keep_events=True
+    outcome = _run_experiment(
+        _experiment_from_args(args),
+        instrument=True,
+        keep_events=True,
+        strict=False,
     )
+    machine, obs = outcome.machine, outcome.obs
     obs.flush(machine.sim.now)
     count = write_chrome_trace(args.out, obs)
     print(
@@ -609,8 +608,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.metrics_out:
         _write_metrics(args.metrics_out, machine, obs)
         print(f"metrics written to {args.metrics_out}")
-    report = audit_machine(machine)
-    if not report.ok:
+    if not outcome.audit.ok:
         print("coherence audit: FAILED")
         return 1
     return 0
@@ -639,13 +637,6 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     from repro.workloads import adversarial
 
     args.protocol = registry.canonical_name(args.protocol)
-    faults = getattr(args, "faults", None)
-    if faults is not None and args.protocol not in FAULT_PROTOCOLS:
-        raise SystemExit(
-            f"--faults: {args.protocol} has no NAK/retry recovery path; "
-            f"choose from {', '.join(FAULT_PROTOCOLS)}"
-        )
-
     if args.replay is not None:
         stressor = adversarial.load_stressor(args.replay)
         outcome, score = stressor.replay(max_steps=args.max_steps)
@@ -670,7 +661,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
             script_len=args.script_len,
             n_blocks=args.blocks,
             probes=args.probes,
-            faults=faults,
+            faults=args.faults,
             max_steps=args.max_steps,
             name=args.name,
         )
@@ -694,7 +685,8 @@ def cmd_hunt(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from repro.verification import differential, model_check
+    from repro.api import verification_pass
+    from repro.verification import model_check
     from repro.verification.schedules import parse_schedule
 
     protocols = (
@@ -704,6 +696,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     faults = _parse_faults_arg(args)
     if faults is not None:
+        # The predicate attach_faults and run_differential read, so the
+        # skip line names exactly the protocols they would refuse.
         capable = [p for p in protocols if p in FAULT_PROTOCOLS]
         skipped = [p for p in protocols if p not in FAULT_PROTOCOLS]
         if not capable:
@@ -759,46 +753,38 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 0 if outcome.status == "ok" else 1
 
     failed = False
-    for protocol in protocols:
-        results = model_check.check_protocol(
-            protocol,
-            scenarios=scenarios,
-            max_schedules=args.max_schedules,
-            max_steps=args.max_steps,
-            faults=faults,
-        )
-        for result in results:
-            print(result.summary())
-            if not result.exhausted and result.ok:
-                print(
-                    f"  WARNING: stopped at --max-schedules="
-                    f"{args.max_schedules}; interleavings NOT exhausted"
-                )
-            if result.counterexample is not None:
-                failed = True
-                print()
-                print(result.counterexample.render())
-                if args.trace_out:
-                    count = result.counterexample.write_chrome_trace(
-                        args.trace_out
-                    )
-                    print(
-                        f"counterexample trace written to "
-                        f"{args.trace_out}: {count} events"
-                    )
-                    args.trace_out = None  # keep only the first failure
-                print()
-
-    if args.differential > 0:
-        base = args.seed if args.seed is not None else 0
-        for offset in range(args.differential):
-            refs = differential.random_refs(base + offset)
-            report = differential.run_differential(
-                refs, protocols=protocols, faults=faults
+    for item in verification_pass(
+        protocols,
+        scenarios,
+        max_schedules=args.max_schedules,
+        max_steps=args.max_steps,
+        faults=faults,
+        differential=args.differential,
+        seed=args.seed if args.seed is not None else 0,
+    ):
+        if not isinstance(item, model_check.ModelCheckResult):
+            seed, report = item
+            print(report.render() + f"  [seed {seed}]")
+            failed = failed or not report.ok
+            continue
+        print(item.summary())
+        if not item.exhausted and item.ok:
+            print(
+                f"  WARNING: stopped at --max-schedules="
+                f"{args.max_schedules}; interleavings NOT exhausted"
             )
-            print(report.render() + f"  [seed {base + offset}]")
-            if not report.ok:
-                failed = True
+        if item.counterexample is not None:
+            failed = True
+            print()
+            print(item.counterexample.render())
+            if args.trace_out:
+                count = item.counterexample.write_chrome_trace(args.trace_out)
+                print(
+                    f"counterexample trace written to "
+                    f"{args.trace_out}: {count} events"
+                )
+                args.trace_out = None  # keep only the first failure
+            print()
 
     return 1 if failed else 0
 

@@ -27,9 +27,9 @@ Design constraints (see ``docs/robustness.md``):
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
-from repro.faults.plan import FaultSpec
+from repro.faults.plan import FAULT_PROTOCOLS, FaultSpec, parse_faults
 from repro.stats.counters import CounterSet
 
 
@@ -121,16 +121,30 @@ class FaultInjector:
         return False
 
 
-def attach_faults(machine, spec: Optional[FaultSpec]) -> Optional[FaultInjector]:
+def attach_faults(
+    machine, spec: Union[FaultSpec, str, None]
+) -> Optional[FaultInjector]:
     """Wire a fault plan into a built machine (``None`` detaches).
 
-    Must run before ``machine.run``; the injector's counters join the
-    machine registry so fault totals appear in merged results.
+    ``spec`` is a :class:`FaultSpec` or plan text for
+    :func:`~repro.faults.plan.parse_faults`.  Must run before
+    ``machine.run``; the injector's counters join the machine registry
+    so fault totals appear in merged results.  Raises ``ValueError`` for
+    a protocol outside :data:`~repro.faults.plan.FAULT_PROTOCOLS`: it
+    has no NAK/retry path to recover with.
     """
     if spec is None:
         machine.faults = None
         machine.network.faults = None
         return None
+    if isinstance(spec, str):
+        spec = parse_faults(spec)
+    protocol = machine.config.protocol
+    if protocol not in FAULT_PROTOCOLS:
+        raise ValueError(
+            f"faults: {protocol} has no NAK/retry recovery path; "
+            f"choose from {', '.join(FAULT_PROTOCOLS)}"
+        )
     if machine.config.sparse_fanout:
         raise ValueError(
             "fault plans are outside the sparse_fanout equivalence "

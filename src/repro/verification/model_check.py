@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig, ProtocolOptions
 from repro.faults.inject import attach_faults
@@ -167,13 +167,14 @@ def build_scenario_machine(
     protocol: str,
     scenario: Scenario,
     network: Optional[str] = None,
-    faults: Optional[FaultSpec] = None,
+    faults: Union[FaultSpec, str, None] = None,
 ):
     """Fresh machine wired for ``scenario`` (deterministic tie-break).
 
-    ``faults`` attaches a fault plan; its injected choices are a pure
-    function of the spec seed and the event schedule, so schedule
-    replays (and shrunk counterexamples) stay bit-identical.
+    ``faults`` attaches a fault plan (a spec or plan text, see
+    :func:`~repro.faults.inject.attach_faults`); its injected choices
+    are a pure function of the spec seed and the event schedule, so
+    schedule replays (and shrunk counterexamples) stay bit-identical.
     """
     # NOTE: imported here, not at module scope — the system builder
     # imports the component classes whose modules import this package
@@ -225,17 +226,22 @@ class RunOutcome:
 def replay_schedule(
     machine: Machine,
     scenario: Scenario,
-    prefix: Sequence[int],
+    prefix: Union[Sequence[int], Callable[[int], int]],
     visited: Optional[set] = None,
     max_steps: int = 4000,
     collect_trace: bool = False,
 ) -> RunOutcome:
     """Run ``machine`` taking ``prefix`` choices, then default order.
 
-    ``visited`` (when given) prunes at decision points whose machine
-    state was already explored — but only past the prefix, so the
-    deterministic replay of an earlier run is never cut short.
+    ``prefix`` may instead be a chooser: a callable that gets the number
+    of enabled events at every decision point and returns the index to
+    take, so it decides the whole walk (the adversarial hunter's seeded
+    random probes).  ``visited`` (when given) prunes at decision points
+    whose machine state was already explored — but only past a sequence
+    prefix, so the deterministic replay of an earlier run is never cut
+    short.
     """
+    choose = prefix if callable(prefix) else None
     sim = machine.sim
     for proc, script in zip(machine.processors, scenario.scripts):
         proc.budget = len(script)
@@ -251,7 +257,9 @@ def replay_schedule(
             idx = 0
         else:
             depth = len(decisions)
-            if depth < len(prefix):
+            if choose is not None:
+                idx = choose(len(choices))
+            elif depth < len(prefix):
                 idx = prefix[depth]
                 if idx >= len(choices):
                     raise ValueError(

@@ -4,11 +4,12 @@ The synthetic workloads in this package model *average* behaviour (the
 paper's §4 two-stream model); this module searches for *worst-case*
 behaviour.  A seeded, coverage-guided mutation loop drives the model
 checker's scenario machinery (:mod:`repro.verification.model_check`)
-with short per-processor scripts, exploring scheduling nondeterminism
-through the simulator's ``enabled()``/``step_select()`` choice API, and
-keeps the candidates that maximise a stress objective — useless
-broadcast commands per reference, NAK/retry storms under a fault plan,
-or end-to-end reference latency.
+with short per-processor scripts.  Each probe is one seeded random walk
+through :func:`~repro.verification.model_check.replay_schedule`, so it
+ends with the checker's quiescent audit.  The loop keeps the candidates
+that maximise a stress objective — useless broadcast commands per
+reference, NAK/retry storms under a fault plan, or end-to-end reference
+latency.
 
 Everything is deterministic given the seed: the same ``hunt`` call
 produces the same corpus, the same best stressor, and a schedule that
@@ -153,9 +154,8 @@ class Stressor:
         status, decision list, and score.
         """
         mc = _model_check()
-        faults = _parse_faults(self.faults)
         machine = mc.build_scenario_machine(
-            self.protocol, self.scenario(), faults=faults
+            self.protocol, self.scenario(), faults=self.faults
         )
         outcome = mc.replay_schedule(
             machine, self.scenario(), prefix=self.schedule,
@@ -316,66 +316,6 @@ def _mutate(
 
 
 # ----------------------------------------------------------------------
-# Evaluation: seeded schedule probes over one candidate
-# ----------------------------------------------------------------------
-@dataclass
-class _Probe:
-    score: float
-    schedule: Tuple[int, ...]
-    status: str
-
-
-def _explore(
-    protocol: str,
-    scenario,
-    rng: random.Random,
-    objective: Objective,
-    faults,
-    max_steps: int,
-) -> Tuple[_Probe, Set[int]]:
-    """One seeded random walk over the candidate's schedule space.
-
-    Mirrors :func:`replay_schedule`'s stepping discipline exactly, so
-    the recorded decision indices replay bit-identically through it.
-    """
-    from repro.verification.state import machine_state
-
-    mc = _model_check()
-    machine = mc.build_scenario_machine(protocol, scenario, faults=faults)
-    sim = machine.sim
-    for proc, script in zip(machine.processors, scenario.scripts):
-        proc.budget = len(script)
-        proc.resume()
-    schedule: List[int] = []
-    coverage: Set[int] = set()
-    steps = 0
-    status = "ok"
-    while True:
-        choices = sim.enabled()
-        if not choices:
-            break
-        if len(choices) > 1:
-            coverage.add(machine_state(machine))
-            idx = rng.randrange(len(choices))
-            schedule.append(idx)
-        else:
-            idx = 0
-        steps += 1
-        if steps > max_steps:
-            status = "livelock"
-            break
-        try:
-            sim.step_select(idx)
-        except Exception:  # violations/crashes are the checker's quarry,
-            status = "crash"  # not ours — adversarial search wants legal
-            break  # runs that are merely expensive.
-    if status == "ok" and any(not p.drained for p in machine.processors):
-        status = "deadlock"
-    score = objective.score(machine) if status == "ok" else 0.0
-    return _Probe(score, tuple(schedule), status), coverage
-
-
-# ----------------------------------------------------------------------
 # The hunt
 # ----------------------------------------------------------------------
 @dataclass
@@ -441,16 +381,6 @@ def dubois_baseline(
     return obj.score(outcome.machine)
 
 
-def _parse_faults(faults):
-    if faults is None:
-        return None
-    if isinstance(faults, str):
-        from repro.faults import parse_faults
-
-        return parse_faults(faults)
-    return faults
-
-
 _CORPUS_CAP = 64
 
 
@@ -510,7 +440,8 @@ def hunt(
         raise ValueError("budget must be >= 1")
     if n_blocks < 1 or script_len < 1 or probes < 1:
         raise ValueError("n_blocks, script_len and probes must be >= 1")
-    fault_spec = _parse_faults(faults)
+    from repro.verification.state import machine_state  # late: see _model_check
+
     if baseline is None:
         baseline = dubois_baseline(
             protocol, objective, n_processors=n_processors, seed=seed,
@@ -524,32 +455,43 @@ def hunt(
     history: List[float] = []
     evaluations = 0
 
-    def evaluate(scripts: Scripts) -> Tuple[Optional[CorpusEntry], int]:
+    def evaluate(scripts: Scripts) -> Optional[CorpusEntry]:
+        """Score a candidate by its best of ``probes`` seeded random
+        schedule walks; each walk is one ``replay_schedule`` call whose
+        chooser records the decision states it passes through."""
         nonlocal evaluations
-        scenario = _model_check().Scenario(
+        mc = _model_check()
+        scenario = mc.Scenario(
             name=name, scripts=scripts, cache_sets=cache_sets,
             cache_assoc=cache_assoc,
         )
-        best_probe: Optional[_Probe] = None
+        best: Optional[Tuple[float, Tuple[int, ...]]] = None
         fresh: Set[int] = set()
         for _ in range(probes):
             evaluations += 1
-            probe, cov = _explore(
-                protocol, scenario, rng, obj, fault_spec, max_steps
+            machine = mc.build_scenario_machine(
+                protocol, scenario, faults=faults
             )
-            fresh |= cov - seen
-            if probe.status == "ok" and (
-                best_probe is None or probe.score > best_probe.score
-            ):
-                best_probe = probe
+            states: Set[int] = set()
+
+            def choose(n_choices: int) -> int:
+                states.add(machine_state(machine))
+                return rng.randrange(n_choices)
+
+            # A crash, livelock, deadlock or failed audit scores nothing:
+            # the search wants legal runs that are merely expensive.
+            outcome = mc.replay_schedule(
+                machine, scenario, choose, max_steps=max_steps
+            )
+            fresh |= states - seen
+            if outcome.status == "ok":
+                score = obj.score(machine)
+                if best is None or score > best[0]:
+                    best = (score, tuple(outcome.schedule))
         seen.update(fresh)
-        if best_probe is None:
-            return None, len(fresh)
-        return (
-            CorpusEntry(scripts, best_probe.score, best_probe.schedule,
-                        len(fresh)),
-            len(fresh),
-        )
+        if best is None:
+            return None
+        return CorpusEntry(scripts, best[0], best[1], len(fresh))
 
     def admit(entry: Optional[CorpusEntry]) -> None:
         if entry is None:
@@ -572,11 +514,11 @@ def hunt(
         )
         for pid in range(n_processors)
     )
-    admit(evaluate(hot)[0])
+    admit(evaluate(hot))
     while evaluations < min(budget, 4 * probes):
         admit(evaluate(
             _random_scripts(rng, n_processors, script_len, n_blocks)
-        )[0])
+        ))
 
     # Mutation loop: parents weighted by score, donors drawn from the
     # corpus for crossover.
@@ -588,7 +530,7 @@ def hunt(
             child = _mutate(parent.scripts, rng, n_blocks, max_len, donor)
         else:
             child = _random_scripts(rng, n_processors, script_len, n_blocks)
-        admit(evaluate(child)[0])
+        admit(evaluate(child))
         history.append(corpus[0].score if corpus else 0.0)
 
     if not corpus:

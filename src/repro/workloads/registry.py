@@ -359,7 +359,12 @@ def parse_workload(
                     f"workload {name!r}: malformed option {part!r} "
                     "(expected key=value)"
                 )
-    return family.build(ctx, arg, kv)
+    try:
+        return family.build(ctx, arg, kv)
+    except WorkloadSpecError:
+        raise
+    except ValueError as exc:  # a constructor's range check, e.g. q=2
+        raise WorkloadSpecError(f"workload {family.name!r}: {exc}") from exc
 
 
 def make_workload(

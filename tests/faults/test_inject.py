@@ -2,8 +2,17 @@
 
 from types import SimpleNamespace
 
-from repro.faults import FaultInjector, FaultSpec, attach_faults
+import pytest
+
+from repro.faults import (
+    CANNED_PLANS,
+    FAULT_PROTOCOLS,
+    FaultInjector,
+    FaultSpec,
+    attach_faults,
+)
 from repro.interconnect.message import Message, MessageKind
+from repro.protocols import registry
 from repro.sim.kernel import Simulator
 
 NET = SimpleNamespace(name="net0")
@@ -153,7 +162,7 @@ class TestStallWindows:
 
 
 class TestAttach:
-    def _machine(self):
+    def _machine(self, protocol="twobit"):
         from repro.config import MachineConfig
         from repro.system.builder import build_machine
         from repro.workloads.synthetic import DuboisBriggsWorkload
@@ -163,7 +172,8 @@ class TestAttach:
         )
         config = MachineConfig(
             n_processors=2, n_modules=1, n_blocks=workload.n_blocks,
-            protocol="twobit",
+            protocol=protocol,
+            network=registry.resolve(protocol).default_network(),
         )
         return build_machine(config, workload)
 
@@ -183,3 +193,17 @@ class TestAttach:
         assert attach_faults(machine, None) is None
         assert machine.faults is None
         assert machine.network.faults is None
+
+    def test_attach_parses_plan_text(self):
+        injector = attach_faults(self._machine(), "check,seed=11")
+        assert injector.spec == CANNED_PLANS["check"].with_(seed=11)
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [p for p in registry.protocol_names() if p not in FAULT_PROTOCOLS],
+    )
+    def test_attach_refuses_protocols_without_recovery_path(self, protocol):
+        machine = self._machine(protocol)
+        with pytest.raises(ValueError, match="no NAK/retry recovery path"):
+            attach_faults(machine, FaultSpec(seed=3, delay_prob=0.5))
+        assert machine.faults is None

@@ -243,6 +243,32 @@ def test_run_bad_workload_spec_exits(capsys):
         main(["run", "--workload", "zipf", "-n", "2", "--refs", "50"])
 
 
+@pytest.mark.parametrize(
+    "spec", ("dubois:q=2", "dubois:private_write_frac=2")
+)
+def test_run_out_of_range_workload_option_exits(spec):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "-n", "2", "--refs", "100", "--workload", spec])
+    assert str(excinfo.value.code).startswith("--workload: workload 'dubois'")
+
+
+def test_run_verbose_with_metrics_prints_verdict(tmp_path, capsys):
+    metrics = tmp_path / "m.jsonl"
+    code = main(["run", "-n", "2", "--refs", "100", "--verbose",
+                 "--metrics-out", str(metrics)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "per-outcome latency (cycles):" in out
+    assert out.rstrip().endswith("coherence audit: CLEAN")
+
+
+def test_run_faults_on_protocol_without_recovery_exits():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "-n", "2", "--refs", "50", "--protocol", "classical",
+              "--faults", "check"])
+    assert "no NAK/retry recovery path" in str(excinfo.value.code)
+
+
 def test_run_record_trace_then_replay(tmp_path, capsys):
     trace = tmp_path / "run.trace"
     code = main(

@@ -11,7 +11,11 @@ timing, never values.
 import pytest
 
 from repro.faults import CANNED_PLANS, FAULT_PROTOCOLS, FaultSpec
-from repro.verification.differential import random_refs, run_differential
+from repro.verification.differential import (
+    random_refs,
+    run_differential,
+    run_lockstep,
+)
 from repro.verification.model_check import check_protocol
 
 
@@ -66,3 +70,20 @@ def test_differential_rejects_fault_incapable_selection():
             protocols=["classical"],
             faults=FaultSpec(seed=1, delay_prob=0.1),
         )
+
+
+#: The issue this guards: without a recovery path, a fault plan made the
+#: checker report a false FAIL and the lockstep run die mid-stream.
+NO_RECOVERY = ("classical", "static", "twobit_wt")
+
+
+@pytest.mark.parametrize("protocol", NO_RECOVERY)
+def test_model_checker_refuses_faults_without_recovery_path(protocol):
+    with pytest.raises(ValueError, match="no NAK/retry recovery path"):
+        check_protocol(protocol, depth="smoke", faults=CANNED_PLANS["check"])
+
+
+@pytest.mark.parametrize("protocol", NO_RECOVERY)
+def test_lockstep_refuses_faults_without_recovery_path(protocol):
+    with pytest.raises(ValueError, match="no NAK/retry recovery path"):
+        run_lockstep(protocol, random_refs(0), faults=CANNED_PLANS["check"])

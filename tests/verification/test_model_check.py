@@ -257,3 +257,40 @@ def test_deep_scenarios_exhaust_clean(protocol):
             f"{protocol}/{result.scenario}:\n"
             f"{result.counterexample.render()}"
         )
+
+
+def test_chooser_walk_replays_from_its_recorded_schedule():
+    """A callable prefix decides every decision point; the schedule it
+    took replays to the same end state as a plain sequence prefix."""
+    seen = []
+
+    def choose(n_choices):
+        seen.append(n_choices)
+        return n_choices - 1
+
+    walked = build_scenario_machine("twobit", SMOKE_SCENARIO)
+    outcome = replay_schedule(walked, SMOKE_SCENARIO, choose)
+    assert outcome.status == "ok"
+    assert seen == [n for _, n in outcome.decisions]
+    assert outcome.schedule == [n - 1 for n in seen]
+
+    replayed = build_scenario_machine("twobit", SMOKE_SCENARIO)
+    again = replay_schedule(replayed, SMOKE_SCENARIO, outcome.schedule)
+    assert again.decisions == outcome.decisions
+    assert machine_state(replayed) == machine_state(walked)
+
+
+def test_experiment_check_is_quiet_on_success(capsys):
+    from repro.api import Experiment
+
+    assert Experiment(protocol="fullmap", faults="check").check(
+        differential=1
+    )
+    assert capsys.readouterr().out == ""
+
+
+def test_experiment_check_refuses_faults_without_recovery_path():
+    from repro.api import Experiment
+
+    with pytest.raises(ValueError, match="no NAK/retry recovery path"):
+        Experiment(protocol="classical", faults="check").check()

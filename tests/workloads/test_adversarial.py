@@ -107,6 +107,14 @@ def test_hunt_nak_objective_under_faults():
     assert score == result.best.score
 
 
+def test_hunt_refuses_faults_without_recovery_path():
+    # At the parent this spent its budget and ended in "hunt found no
+    # legal candidate": every faulted probe crashed.
+    with pytest.raises(ValueError, match="no NAK/retry recovery path"):
+        hunt("classical", "nak_retries", budget=2, faults="check",
+             baseline=0.001)
+
+
 def test_unknown_objective_lists_known():
     with pytest.raises(ValueError, match="unknown objective"):
         resolve_objective("entropy")

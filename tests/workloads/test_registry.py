@@ -139,6 +139,16 @@ def test_out_of_range_write_fraction_rejected(spec):
         parse_workload(spec)
 
 
+@pytest.mark.parametrize(
+    "spec", ("dubois:q=2", "dubois:private_write_frac=2")
+)
+def test_constructor_range_error_is_a_spec_error(spec):
+    # The constructor's own check, re-raised so callers (the CLI's
+    # one-line --workload error) see one exception type.
+    with pytest.raises(WorkloadSpecError, match="workload 'dubois': .*must be"):
+        parse_workload(spec)
+
+
 def test_uniform_rejects_positional_arg():
     with pytest.raises(WorkloadSpecError, match="takes only"):
         parse_workload("uniform:64")
