@@ -41,7 +41,7 @@ def run(n_modules, seed=1984):
     busiest = max(
         c.counters["memory_busy_cycles"] / cycles for c in machine.controllers
     )
-    max_queue = max(c.engine.max_queue_depth for c in machine.controllers)
+    max_queue = max(c.max_queue_depth for c in machine.controllers)
     arrival = transactions / cycles / n_modules
     return r.avg_latency, busiest, max_queue, arrival
 

@@ -125,11 +125,3 @@ class CacheArray:
         """(valid frames, total frames)."""
         return sum(1 for _ in self.valid_lines()), self.n_frames
 
-    def invalidate_all(self) -> int:
-        """Flush without write-back (test helper); returns lines dropped."""
-        count = 0
-        for line in self.lines():
-            if line.valid:
-                line.reset()
-                count += 1
-        return count

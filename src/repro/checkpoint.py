@@ -2,7 +2,7 @@
 
 A checkpoint captures the *entire* simulation — kernel event heap, cache
 line arrays and write-back buffers, directory state, in-flight network
-messages, RNG streams, protocol-engine transaction state, fault-injector
+messages, RNG streams, controller transaction state, fault-injector
 state and telemetry counters — such that::
 
     restore(checkpoint(machine)).continue_run()
@@ -31,8 +31,8 @@ loud :class:`CheckpointError`, overridable with
 
 uid-counter floors
 ------------------
-Three module-level ``itertools.count`` streams hand out uids for
-messages, cache-side operations and eviction notices.  uid *values*
+Two module-level ``itertools.count`` streams hand out uids for
+cache-side operations and eviction notices.  uid *values*
 never influence simulated behaviour — only equality between a stored uid
 and a later message's uid does — but restoring a checkpoint in a fresh
 process resets those counters to zero, so a post-restore uid could
@@ -76,7 +76,6 @@ __all__ = [
 #: Module-level uid streams whose positions are checkpointed (see
 #: module docstring).  name -> (module path, attribute).
 _UID_COUNTERS = {
-    "msg": ("repro.interconnect.message", "_msg_ids"),
     "op": ("repro.protocols.cache_side", "_op_uids"),
     "eject": ("repro.protocols.wt_filter", "_eject_uids"),
 }

@@ -11,7 +11,7 @@ of :data:`repro.core.spec.TWO_BIT_SPEC`, run by the shared
   ``BROADINV`` + queued-MREQUEST-scrub race of §3.2.5;
 * ``EJECT(k, a, wb)`` — replacement notices, with the stale write-back
   drop rule for ejects superseded by a query response (DESIGN.md #2);
-* both §3.2.5 controller designs via the transaction engine
+* both §3.2.5 controller designs, as the shared controller's lanes
   (``serialization="global"`` or ``"block"``).
 
 This module supplies what is two-bit-specific: how a row commits to the

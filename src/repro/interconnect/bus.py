@@ -83,8 +83,3 @@ class Bus(Network):
                 delivery = self.faults.on_deliver(self, copy, deliver, delivery)
             self.sim.post_at(delivery, deliver, copy)
         return []
-
-    @property
-    def utilization_window(self) -> int:
-        """Total cycles the bus has been reserved so far."""
-        return int(self.counters.get("busy_cycles"))

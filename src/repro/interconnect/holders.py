@@ -86,10 +86,6 @@ class CopyHolderIndex:
         members = self._holders.get(block)
         return frozenset(members) if members else _EMPTY
 
-    def contains(self, block: int, pid: int) -> bool:
-        members = self._holders.get(block)
-        return members is not None and pid in members
-
     def blocks(self) -> Iterator[int]:
         """Blocks that currently have at least one holder."""
         return iter(self._holders)

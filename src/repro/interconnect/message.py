@@ -15,7 +15,6 @@ occupancy accounting.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Optional
 
 from repro.sim.enums import IdentityEnum
@@ -88,7 +87,6 @@ for _kind in MessageKind:
     _kind.wire_size = DATA_SIZE if _kind.is_data_kind else 1
 del _kind
 
-_msg_ids = itertools.count()
 _new_message = object.__new__
 
 
@@ -114,8 +112,7 @@ class Message:
         size: network occupancy units (commands 1, data DATA_SIZE).
     """
 
-    #: Non-state and uid fields (see :mod:`repro.verification.state`).
-    _not_state = {"uid": "identity only: no protocol logic reads it"}
+    #: Uid fields (see :mod:`repro.verification.state`).
     _uid_fields = {"meta": "the txn and ej values; its other values are flags"}
 
     __slots__ = (
@@ -128,7 +125,6 @@ class Message:
         "version",
         "flag",
         "meta",
-        "uid",
         "size",
         "is_data",
     )
@@ -144,7 +140,6 @@ class Message:
         version: Optional[int] = None,
         flag: Optional[bool] = None,
         meta: Optional[Dict[str, Any]] = None,
-        uid: Optional[int] = None,
     ) -> None:
         self.kind = kind
         self.src = src
@@ -155,12 +150,11 @@ class Message:
         self.version = version
         self.flag = flag
         self.meta = {} if meta is None else meta
-        self.uid = next(_msg_ids) if uid is None else uid
         self.is_data = kind.is_data_kind
         self.size = kind.wire_size
 
     def copy_for(self, dst: str) -> "Message":
-        """A per-recipient broadcast copy (fresh uid, own meta dict)."""
+        """A per-recipient broadcast copy with its own meta dict."""
         copy = _new_message(Message)
         copy.kind = self.kind
         copy.src = self.src
@@ -171,7 +165,6 @@ class Message:
         copy.version = self.version
         copy.flag = self.flag
         copy.meta = dict(self.meta)
-        copy.uid = next(_msg_ids)
         copy.is_data = self.is_data
         copy.size = self.size
         return copy

@@ -110,10 +110,9 @@ def _system_sampler(machine, obs: Observability, interval: int):
         "outstanding_refs": _AttrGauge(obs, "outstanding"),
     }
     for ctrl in machine.controllers:
-        engine = getattr(ctrl, "engine", None)
-        if engine is not None:
-            gauges[f"{ctrl.name}.active"] = _AttrGauge(engine, "n_active")
-            gauges[f"{ctrl.name}.queued"] = _AttrGauge(engine, "n_queued")
+        if hasattr(ctrl, "n_queued"):
+            gauges[f"{ctrl.name}.active"] = _AttrGauge(ctrl, "n_active")
+            gauges[f"{ctrl.name}.queued"] = _AttrGauge(ctrl, "n_queued")
         if hasattr(ctrl, "_mem_free_at"):
             gauges[f"{ctrl.name}.mem_backlog"] = _MemBacklogGauge(ctrl, sim)
     rates = {

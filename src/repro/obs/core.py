@@ -167,10 +167,6 @@ class Observability:
         """
         self._ref_listeners.append(listener)
 
-    def remove_ref_listener(self, listener: RefListener) -> None:
-        if listener in self._ref_listeners:
-            self._ref_listeners.remove(listener)
-
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------

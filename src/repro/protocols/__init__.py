@@ -25,7 +25,6 @@ from repro.protocols.classical import (
     ClassicalMemoryController,
 )
 from repro.protocols.directory import DirectoryController
-from repro.protocols.engine import TransactionEngine
 from repro.protocols.fullmap import (
     FullMapDirectory,
     FullMapDirectoryController,
@@ -81,7 +80,6 @@ __all__ = [
     "SnoopReply",
     "StaticCacheController",
     "StaticMemoryController",
-    "TransactionEngine",
     "WTFilterCacheController",
     "WTFilterMemoryController",
     "WriteOnceCacheController",

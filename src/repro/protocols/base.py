@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 from repro.cache.array import CacheArray
 from repro.cache.line import LocalState
 from repro.cache.replacement import LRUPolicy, make_policy
-from repro.interconnect.message import Message, MessageKind
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.config import MachineConfig
@@ -309,81 +308,14 @@ class AbstractCacheController(Component):
 class AbstractMemoryController(Component):
     """Home-side controller fronting one memory module."""
 
-    #: Non-state and uid fields (see :mod:`repro.verification.state`).
+    #: Non-state fields (see :mod:`repro.verification.state`).
     _not_state = {"config": "configuration"}
-    _uid_fields = {"_admitted_cmds": "(src, kind, block, txn/ej uid) keys"}
 
     def __init__(self, sim: Simulator, index: int, config: MachineConfig) -> None:
         super().__init__(sim, name=f"ctrl{index}")
         self.index = index
         self.config = config
         self._mem_free_at = 0
-        #: Commands admitted under a fault plan, for duplicate rejection:
-        #: (src, kind name, block, txn/ej uid).  Only populated when an
-        #: injector is attached; empty (and unconsulted) otherwise.
-        self._admitted_cmds: set = set()
-
-    def _fault_admit(self, message: Message) -> bool:
-        """Gate an initiating command under an attached fault plan.
-
-        Fault-free machines always admit (single ``is None`` test on the
-        hot path).  Under a plan:
-
-        * a command already admitted once is a network duplicate — drop
-          it (the protocol's transactions are not idempotent);
-        * a command arriving inside a memory stall window is NAKed and
-          *not* recorded, so the sender's retry (same uid) is admitted
-          when the window closes — and a late duplicate of a command
-          whose retry was admitted still dedupes correctly.
-        """
-        net = self.net
-        faults = net.faults
-        if faults is None:
-            return True
-        meta = message.meta
-        key = (
-            message.src, message.kind.name, message.block,
-            meta.get("txn", meta.get("ej")),
-        )
-        if key in self._admitted_cmds:
-            self.counters.add("duplicate_commands_dropped")
-            faults.counters.add("duplicates_dropped")
-            return False
-        if faults.stalled(self.name, self.sim.now):
-            self.counters.add("naks_sent")
-            nak_meta = {"kind": message.kind.name}
-            for uid_key in ("txn", "ej"):
-                if uid_key in meta:
-                    nak_meta[uid_key] = meta[uid_key]
-            net.send(
-                Message(
-                    kind=MessageKind.NAK,
-                    src=self.name,
-                    dst=message.src,
-                    block=message.block,
-                    requester=message.requester,
-                    rw=message.rw,
-                    meta=nak_meta,
-                )
-            )
-            return False
-        self._admitted_cmds.add(key)
-        return True
-
-    def _fault_dedupe(self, message: Message, uid_key: str) -> bool:
-        """Drop one-shot notices (cancels, revokes, eject data) that a
-        fault plan duplicated.  No NAK — these carry no reply."""
-        if self.net.faults is None:
-            return True
-        key = (
-            message.src, message.kind.name, message.block,
-            message.meta.get(uid_key),
-        )
-        if key in self._admitted_cmds:
-            self.counters.add("duplicate_commands_dropped")
-            return False
-        self._admitted_cmds.add(key)
-        return True
 
     def _use_memory(self) -> int:
         """Reserve one memory access slot; return completion time."""

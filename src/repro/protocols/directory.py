@@ -3,11 +3,14 @@
 A directory protocol is a table of rows, (directory situation, request)
 → (commands sent, next situation), plus the rule by which a row commits
 to that directory's own state.  :class:`DirectoryController` owns the
-rest of §3.2's choreography, once, for every directory that serializes
-its work through a :class:`~repro.protocols.engine.TransactionEngine`:
+rest of §3.2's choreography, once, for every directory protocol:
 
 * admit-and-serialize: initiating commands (REQUEST/MREQUEST/EJECT) pass
-  the fault gate and queue in the engine, one transaction per block;
+  the fault gate and wait in their *lane* until it is free.  A lane is
+  the block (§3.2.5's design 2, one command per block) or one lane
+  shared by every block (design 1, ``serialization="global"``); each
+  lane runs one transaction at a time, and ``_txns`` is the only record
+  of what is active;
 * dispatch: after the directory access the block's row is looked up and
   its first command names the step that runs (:data:`_STEPS`) — there is
   no per-state control flow, so the table *is* the protocol;
@@ -15,7 +18,9 @@ its work through a :class:`~repro.protocols.engine.TransactionEngine`:
   counting) and the query round (``BROADQUERY``/``PURGE``);
 * data (``GET``) and modify (``MGRANTED``) grants;
 * replacement notices, with eject data parked until its EJECT runs, and
-  the ``MREQ_CANCEL`` queue scrub.
+  the queue surgery ("logic to insert and delete (anywhere) elements in
+  the queue", :meth:`DirectoryController.scrub`) behind ``MREQ_CANCEL``
+  and the invalidation round's deletion of superseded MREQUESTs.
 
 A row names *which* round runs; whether it goes out as a broadcast or
 selectively is the directory's call (:meth:`_invalidation_targets`,
@@ -27,16 +32,18 @@ directory plugs in through the no-op hooks at the end of the class.
 from __future__ import annotations
 
 from abc import abstractmethod
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
+from typing import (
+    Callable, Deque, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+)
 
 from repro.config import MachineConfig
 from repro.interconnect.message import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.memory.module import MemoryModule
 from repro.protocols.base import AbstractMemoryController
-from repro.protocols.engine import TransactionEngine
 from repro.sim.kernel import Simulator
 from repro.stats.tables import Table
 
@@ -156,8 +163,13 @@ _STEPS = {
 class DirectoryController(AbstractMemoryController):
     """Home controller whose §3.2 flows are driven by a row table."""
 
-    #: Non-state fields (see :mod:`repro.verification.state`).
-    _not_state = {"_rows": "the protocol table, fixed at build"}
+    #: Non-state and uid fields (see :mod:`repro.verification.state`).
+    _not_state = {
+        "_rows": "the protocol table, fixed at build",
+        "max_concurrency": "statistics",
+        "max_queue_depth": "statistics",
+    }
+    _uid_fields = {"_admitted_cmds": "(src, kind, block, txn/ej uid) keys"}
 
     #: Counters of the selective rounds (the two-bit map names them
     #: apart from its broadcasts; for the full map they are the rounds).
@@ -182,10 +194,21 @@ class DirectoryController(AbstractMemoryController):
         self._rows: Dict[Tuple[Hashable, str], Transition] = {
             (row.state, row.event): row for row in rows
         }
-        self.engine = TransactionEngine(self._begin, config.options.serialization)
+        #: block -> its active transaction (at most one per lane).
         self._txns: Dict[int, _Txn] = {}
+        #: lane -> initiating commands waiting for it, in arrival order.
+        #: A lane has an entry exactly while it runs a transaction.
+        self._waiting: Dict[Hashable, Deque[Message]] = {}
         #: put(for="eject") data parked until its EJECT transaction runs.
         self._eject_data: Dict[Tuple[str, int], int] = {}
+        #: Commands admitted under a fault plan, for duplicate rejection:
+        #: (src, kind name, block, txn/ej uid).  Only populated when an
+        #: injector is attached; empty (and unconsulted) otherwise.
+        self._admitted_cmds: set = set()
+        #: Most transactions ever active at once.
+        self.max_concurrency = 0
+        #: Deepest backlog ever observed (the paper's controller queue).
+        self.max_queue_depth = 0
 
     # ==================================================================
     # Network interface
@@ -200,7 +223,77 @@ class DirectoryController(AbstractMemoryController):
         if not self._fault_admit(message):
             return
         self.counters.add(f"rx_{message.kind.name.lower()}")
-        self.engine.submit(message)
+        lane = self._lane(message.block)
+        waiting = self._waiting.get(lane)
+        if waiting is None:
+            self._waiting[lane] = deque()
+            self._begin(message)
+            return
+        waiting.append(message)
+        # A command that started at once never counts as backlog.
+        self.max_queue_depth = max(self.max_queue_depth, self.n_queued)
+
+    def _fault_admit(self, message: Message) -> bool:
+        """Gate an initiating command under an attached fault plan.
+
+        Fault-free machines always admit (single ``is None`` test on the
+        hot path).  Under a plan:
+
+        * a command already admitted once is a network duplicate — drop
+          it (the protocol's transactions are not idempotent);
+        * a command arriving inside a memory stall window is NAKed and
+          *not* recorded, so the sender's retry (same uid) is admitted
+          when the window closes — and a late duplicate of a command
+          whose retry was admitted still dedupes correctly.
+        """
+        net = self.net
+        faults = net.faults
+        if faults is None:
+            return True
+        meta = message.meta
+        key = (
+            message.src, message.kind.name, message.block,
+            meta.get("txn", meta.get("ej")),
+        )
+        if key in self._admitted_cmds:
+            self.counters.add("duplicate_commands_dropped")
+            faults.counters.add("duplicates_dropped")
+            return False
+        if faults.stalled(self.name, self.sim.now):
+            self.counters.add("naks_sent")
+            nak_meta = {"kind": message.kind.name}
+            for uid_key in ("txn", "ej"):
+                if uid_key in meta:
+                    nak_meta[uid_key] = meta[uid_key]
+            net.send(
+                Message(
+                    kind=MessageKind.NAK,
+                    src=self.name,
+                    dst=message.src,
+                    block=message.block,
+                    requester=message.requester,
+                    rw=message.rw,
+                    meta=nak_meta,
+                )
+            )
+            return False
+        self._admitted_cmds.add(key)
+        return True
+
+    def _fault_dedupe(self, message: Message, uid_key: str) -> bool:
+        """Drop one-shot notices (cancels, revokes, eject data) that a
+        fault plan duplicated.  No NAK — these carry no reply."""
+        if self.net.faults is None:
+            return True
+        key = (
+            message.src, message.kind.name, message.block,
+            message.meta.get(uid_key),
+        )
+        if key in self._admitted_cmds:
+            self.counters.add("duplicate_commands_dropped")
+            return False
+        self._admitted_cmds.add(key)
+        return True
 
     def _on_mreq_cancel(self, message: Message) -> None:
         """Withdraw a queued MREQUEST whose sender converted to a write
@@ -208,7 +301,7 @@ class DirectoryController(AbstractMemoryController):
         phantom owner)."""
         if not self._fault_dedupe(message, "txn"):
             return
-        removed = self.engine.scrub(
+        removed = self.scrub(
             message.block,
             lambda m: (
                 m.kind is MessageKind.MREQUEST
@@ -226,12 +319,55 @@ class DirectoryController(AbstractMemoryController):
         self.counters.add("eject_revokes_ignored")
 
     # ==================================================================
+    # Lanes: §3.2.5's two controller designs and its queue surgery
+    # ==================================================================
+    def _lane(self, block: int) -> Hashable:
+        """The lane ``block``'s commands wait in: the block itself, or
+        one lane shared by every block under ``serialization="global"``."""
+        return None if self.config.options.serialization == "global" else block
+
+    def scrub(
+        self, block: int, predicate: Callable[[Message], bool]
+    ) -> List[Message]:
+        """Delete waiting commands on ``block`` that match ``predicate``.
+
+        Active transactions are never scrubbed.  Returns the removed
+        messages (the paper's controller deletes them silently; callers
+        may count them).
+        """
+        waiting = self._waiting.get(self._lane(block))
+        if not waiting:
+            return []
+        removed: List[Message] = []
+        kept: List[Message] = []
+        for msg in waiting:
+            if msg.block == block and predicate(msg):
+                removed.append(msg)
+            else:
+                kept.append(msg)
+        if removed:
+            waiting.clear()
+            waiting.extend(kept)
+        return removed
+
+    @property
+    def n_active(self) -> int:
+        """Transactions running now."""
+        return len(self._txns)
+
+    @property
+    def n_queued(self) -> int:
+        """Initiating commands waiting for their lane."""
+        return sum(len(waiting) for waiting in self._waiting.values())
+
+    # ==================================================================
     # Transaction dispatch
     # ==================================================================
     def _begin(self, message: Message) -> None:
         self._on_begin(message)
         txn = _Txn(msg=message)
         self._txns[message.block] = txn
+        self.max_concurrency = max(self.max_concurrency, len(self._txns))
         done = self.sim.now + self.config.timing.directory_access
         self.counters.add("transactions")
         self.sim.post_at(done, self._dispatch, txn)
@@ -255,9 +391,15 @@ class DirectoryController(AbstractMemoryController):
         getattr(self, _STEPS[row.sends[0]])(txn, row)
 
     def _finish(self, txn: _Txn) -> None:
+        """Retire ``txn`` and start the next command in its lane."""
         block = txn.msg.block
         del self._txns[block]
-        self.engine.complete(block)
+        lane = self._lane(block)
+        waiting = self._waiting[lane]
+        if waiting:
+            self._begin(waiting.popleft())
+        else:
+            del self._waiting[lane]
 
     # ==================================================================
     # Grants
@@ -372,7 +514,7 @@ class DirectoryController(AbstractMemoryController):
             obs.span_phase(requester, self.sim.now, "fanout")
         opts = self.config.options
         if opts.scrub_queued_mrequests:
-            removed = self.engine.scrub(
+            removed = self.scrub(
                 block,
                 lambda m: (
                     m.kind is MessageKind.MREQUEST and m.requester != requester
@@ -587,7 +729,7 @@ class DirectoryController(AbstractMemoryController):
         )
 
     def quiescent(self) -> bool:
-        return self.engine.idle and not self._txns and not self._eject_data
+        return not self._txns and not self._waiting and not self._eject_data
 
     # ==================================================================
     # The directory's own state: situations and commits

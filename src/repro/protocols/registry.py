@@ -24,7 +24,7 @@ from repro.verification.oracle import CoherenceOracle
 
 # NOTE: the controller/manager classes are imported inside the assemble
 # functions, not here: several of them import this package back (e.g.
-# repro.core.controller -> repro.protocols.engine), so importing them at
+# repro.core.controller -> repro.protocols.directory), so importing them at
 # module scope would create an import cycle through the package
 # __init__.  Assembly runs at machine-build time, long after imports.
 

@@ -347,9 +347,7 @@ class StreamingTraceWorkload(Workload):
     too far ahead, or a laggard's buffer fills), the affected stream
     *detaches*: it drains what it has, then continues on a private
     filtered scan of the file fast-forwarded to its position — identical
-    sequence, graceful-degradation cost, never an error.  This mirrors
-    the memo-cap fallback in
-    :class:`~repro.workloads.synthetic.DuboisBriggsWorkload`.
+    sequence, graceful-degradation cost, never an error.
 
     Checkpointing works through the standard position-counting stream
     wrapper: pickling stores ``(workload, pid, position)`` and restore

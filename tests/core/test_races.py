@@ -193,9 +193,9 @@ def test_global_serialization_mode():
         options=ProtocolOptions(serialization="global"),
     )
     for ctrl in machine.controllers:
-        assert ctrl.engine.max_concurrency <= 1
+        assert ctrl.max_concurrency <= 1
 
 
 def test_block_serialization_multiprograms():
     machine = _run_uniform("twobit", "xbar", n=8, n_blocks=16, seed=7)
-    assert any(c.engine.max_concurrency > 1 for c in machine.controllers)
+    assert any(c.max_concurrency > 1 for c in machine.controllers)

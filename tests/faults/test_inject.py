@@ -134,9 +134,10 @@ class TestFifoPreservation:
         sim.run()
         assert copies, "duplicate was scheduled through the simulator"
         for copy in copies:
-            assert copy.uid != original.uid
+            assert copy is not original
             assert copy.kind is original.kind
             assert copy.meta == original.meta
+            assert copy.meta is not original.meta
 
 
 class TestStallWindows:

@@ -80,9 +80,3 @@ def test_hold_until_extends_tenure():
     sim.run()
     time, _ = sinks[1].received[0]
     assert time == end + 10 + 1 + 1  # queued behind the hold
-
-
-def test_utilization_window():
-    sim, bus, _ = wire()
-    bus.acquire(3)
-    assert bus.utilization_window == 3

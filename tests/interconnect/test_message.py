@@ -22,11 +22,6 @@ def test_data_transfers_are_bigger():
     assert not make(MessageKind.REQUEST).is_data
 
 
-def test_uids_unique():
-    a, b = make(MessageKind.REQUEST), make(MessageKind.REQUEST)
-    assert a.uid != b.uid
-
-
 def test_meta_defaults_independent():
     a, b = make(MessageKind.REQUEST), make(MessageKind.REQUEST)
     a.meta["x"] = 1

@@ -141,7 +141,7 @@ def test_engine_queue_depth_tracked():
         )
     machine.sim.run(max_events=100_000)
     assert len(results) == 3
-    assert machine.controllers[0].engine.max_queue_depth >= 1
+    assert machine.controllers[0].max_queue_depth >= 1
     assert_clean_audit(machine)
 
 

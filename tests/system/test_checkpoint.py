@@ -224,7 +224,7 @@ def test_peek_reads_header_without_unpickling(tmp_path):
     assert header.n_processors == N
     assert header.cycle > 0
     assert header.events_processed > 0
-    assert set(header.uid_floors) == {"msg", "op", "eject"}
+    assert set(header.uid_floors) == {"op", "eject"}
     assert header.payload_size > 0
     assert path.stat().st_size == (
         len(checkpoint.MAGIC)
@@ -348,6 +348,17 @@ def test_restore_advances_uid_floors(tmp_path):
     floors = checkpoint.uid_floors()
     for name, floor in header.uid_floors.items():
         assert floors[name] >= floor, name
+
+
+def test_header_with_a_retired_uid_floor_still_loads(tmp_path):
+    # Headers written while messages drew uids carry a "msg" floor.
+    data = _write_checkpoint(tmp_path).read_bytes()
+    header_line, payload = data[len(checkpoint.MAGIC):].split(b"\n", 1)
+    header = json.loads(header_line)
+    header["uid_floors"]["msg"] = 10**9
+    old = checkpoint.MAGIC + json.dumps(header).encode() + b"\n" + payload
+    machine = checkpoint.restore_bytes(old)
+    assert machine.sim.now == header["cycle"]
 
 
 def test_checkpoint_every_requires_path():

@@ -297,13 +297,18 @@ def test_every_declared_field_exists_on_a_built_instance():
 
 
 def test_declarations_union_over_the_mro():
+    from repro.core.controller import TwoBitDirectoryController
     from repro.protocols.wt_filter import WTFilterMemoryController
 
     not_state, uids = declarations(WTFilterMemoryController)
     # Component, AbstractMemoryController, ClassicalMemoryController
     # and the class itself each contribute.
     assert {"sim", "counters", "config", "holders"} <= not_state
-    assert {"_admitted_cmds", "_revoked"} <= uids
+    assert "_revoked" in uids
+    not_state, uids = declarations(TwoBitDirectoryController)
+    # DirectoryController and the class itself each contribute.
+    assert {"_rows", "max_queue_depth", "holders"} <= not_state
+    assert {"_admitted_cmds", "_revoked_ejects"} <= uids
 
 
 # ----------------------------------------------------------------------

@@ -26,16 +26,6 @@ def test_ref_listener_survives_reset():
     assert len(seen) == 2
 
 
-def test_remove_ref_listener():
-    obs = Observability(keep_events=False)
-    seen = []
-    listener = lambda pid, now, ref: seen.append(ref)  # noqa: E731
-    obs.add_ref_listener(listener)
-    obs.remove_ref_listener(listener)
-    obs.span_begin(0, 1, MemRef(0, Op.READ, 0, True))
-    assert seen == []
-
-
 def test_attach_recorder_captures_full_run(tmp_path):
     from repro.config import MachineConfig
     from repro.system.builder import build_machine
