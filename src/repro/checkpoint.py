@@ -29,29 +29,22 @@ simulator code would not resume bit-identically, so the mismatch is a
 loud :class:`CheckpointError`, overridable with
 ``allow_code_mismatch=True``.
 
-uid-counter floors
-------------------
-Two module-level ``itertools.count`` streams hand out uids for
-cache-side operations and eviction notices.  uid *values*
-never influence simulated behaviour — only equality between a stored uid
-and a later message's uid does — but restoring a checkpoint in a fresh
-process resets those counters to zero, so a post-restore uid could
-collide with an in-flight pre-checkpoint uid and corrupt a dedup check.
-The header therefore records each counter's position at save time, and
-:func:`restore_bytes` advances the live counters past those floors.
+The simulator numbers the transactions the protocols match by identity
+(:meth:`~repro.sim.kernel.Simulator.uid`), so the uid counter is part
+of the pickled machine: a restore in a fresh process continues it with
+no process-wide state to repair.  A payload whose simulator has no
+counter (one taken before the simulator owned it, forced through
+``allow_code_mismatch``) is a :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
 import io
-import itertools
 import json
 import os
 import pickle
 from dataclasses import asdict, dataclass
-from typing import Dict
 
 from repro.schema import SCHEMA_VERSION, check_schema
 from repro.sim.kernel import SimulationError
@@ -70,16 +63,7 @@ __all__ = [
     "restore_bytes",
     "save",
     "snapshot_bytes",
-    "uid_floors",
 ]
-
-#: Module-level uid streams whose positions are checkpointed (see
-#: module docstring).  name -> (module path, attribute).
-_UID_COUNTERS = {
-    "op": ("repro.protocols.cache_side", "_op_uids"),
-    "eject": ("repro.protocols.wt_filter", "_eject_uids"),
-}
-
 
 class CheckpointError(RuntimeError):
     """A checkpoint could not be written, read or safely restored."""
@@ -95,7 +79,6 @@ class CheckpointHeader:
     n_processors: int
     cycle: int
     events_processed: int
-    uid_floors: Dict[str, int]
     payload_sha256: str
     payload_size: int
 
@@ -108,42 +91,14 @@ class CheckpointHeader:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+        if isinstance(raw, dict):
+            raw.pop("uid_floors", None)  # written by older builds; unused
         try:
             return cls(**raw)
         except TypeError as exc:
             raise CheckpointError(
                 f"checkpoint header has unexpected fields: {exc}"
             ) from exc
-
-
-# ----------------------------------------------------------------------
-# uid-counter floors
-# ----------------------------------------------------------------------
-def _counter_position(counter) -> int:
-    """Next value an ``itertools.count`` will yield (without consuming)."""
-    # count(7) reprs as "count(7)"; ours are all step-1.
-    text = repr(counter)
-    return int(text[text.index("(") + 1 : text.index(")")])
-
-
-def uid_floors() -> Dict[str, int]:
-    """Current positions of every registered uid stream."""
-    floors = {}
-    for name, (module_path, attr) in _UID_COUNTERS.items():
-        module = importlib.import_module(module_path)
-        floors[name] = _counter_position(getattr(module, attr))
-    return floors
-
-
-def _apply_uid_floors(floors: Dict[str, int]) -> None:
-    """Advance the live uid streams past the checkpointed positions."""
-    for name, (module_path, attr) in _UID_COUNTERS.items():
-        floor = floors.get(name)
-        if floor is None:
-            continue
-        module = importlib.import_module(module_path)
-        if _counter_position(getattr(module, attr)) < floor:
-            setattr(module, attr, itertools.count(floor))
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +122,6 @@ def snapshot_bytes(machine) -> bytes:
         n_processors=machine.config.n_processors,
         cycle=machine.sim.now,
         events_processed=machine.sim.events_processed,
-        uid_floors=uid_floors(),
         payload_sha256=hashlib.sha256(payload).hexdigest(),
         payload_size=len(payload),
     )
@@ -215,11 +169,10 @@ def restore_bytes(data: bytes, allow_code_mismatch: bool = False):
 
     Verifies the magic, schema version, payload digest and (unless
     ``allow_code_mismatch``) that the ``repro`` sources are the ones the
-    checkpoint was taken under, then unpickles the machine and advances
-    the uid streams past their checkpointed floors.  The kernel checks
-    its event queue as it unpickles; a queue it could not run (another
-    code version's entry layout, a crafted payload) is a
-    :class:`CheckpointError`.
+    checkpoint was taken under, then unpickles the machine.  The kernel
+    checks its event queue and uid counter as it unpickles; a simulator
+    it could not run (another code version's entry layout, a crafted
+    payload) is a :class:`CheckpointError`.
     """
     from repro.runner.cache import code_version
 
@@ -240,12 +193,11 @@ def restore_bytes(data: bytes, allow_code_mismatch: bool = False):
             f"resume would not be bit-identical (pass "
             f"allow_code_mismatch=True to restore anyway)"
         )
-    _apply_uid_floors(header.uid_floors)
     try:
         return _Unpickler(io.BytesIO(payload)).load()
     except SimulationError as exc:
         raise CheckpointError(
-            f"checkpoint holds an invalid event queue: {exc}"
+            f"checkpoint holds an invalid simulator: {exc}"
         ) from exc
 
 

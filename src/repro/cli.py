@@ -252,18 +252,26 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         except CheckpointError as exc:
             raise SystemExit(f"--resume: {exc}")
-        print(outcome.results.summary())
-        return _audit_verdict(outcome.audit)
+        if args.metrics_out and outcome.obs is None:
+            raise SystemExit(
+                "--metrics-out: the checkpoint has no observability hub "
+                "(take it from a run with --metrics-out)"
+            )
+        return _report_run(args, outcome)
 
-    experiment = _experiment_from_args(args)
     outcome = _run_experiment(
-        experiment,
+        _experiment_from_args(args),
         checkpoint_every=args.checkpoint_every,
         checkpoint_path=args.checkpoint_path,
         instrument=bool(args.metrics_out),
         strict=False,
         record_trace=args.record_trace,
     )
+    return _report_run(args, outcome)
+
+
+def _report_run(args: argparse.Namespace, outcome: RunOutcome) -> int:
+    """Print a finished ``repro run``, fresh or resumed, the same way."""
     machine, obs = outcome.machine, outcome.obs
     print(outcome.results.summary())
     if machine.faults is not None:
@@ -289,7 +297,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print("\nper-outcome latency (cycles):")
             for _, hist in sorted(obs.latency.items()):
                 print(f"  {hist.summary_line()}")
-        if experiment.protocol == "twobit":
+        if machine.config.protocol == "twobit":
             occ = machine.state_occupancy()
             print("\nglobal-state occupancy (time-weighted, all blocks):")
             for state, fraction in occ.items():

@@ -167,23 +167,25 @@ class Network(Component):
     def reconcile_sparse_accounting(self) -> None:
         """Fold phantom deliveries into the skipped caches' snoop counters.
 
-        A dense useless broadcast delivery under the sparse envelope
-        (duplicate directory on, acks off) costs the recipient exactly
-        ``snoop_commands``/``snoop_useless``/``broadcast_useless``/
-        ``snoops_filtered_by_dup_directory`` — one each, nothing else.
-        Rather than paying four counter bumps per skipped cache per
-        round (which would re-introduce the O(n) the sparse path
-        removes), each round records only its addressed/excluded members
-        and this method back-fills the difference.  Idempotent: safe to
-        call from ``Machine.results()``, fingerprints, and tests in any
-        order.  The ``sparse_*`` bookkeeping counters themselves are
-        excluded from cross-machine fingerprints.
+        A dense delivery to a cache without the block, under the sparse
+        envelope (duplicate directory on, acks off), costs the recipient
+        one useless broadcast snoop and nothing else.  Rather than
+        charging it per skipped cache per round (which would
+        re-introduce the O(n) the sparse path removes), each round
+        records only its addressed/excluded members and this method
+        charges each cache the difference in one
+        :meth:`~repro.protocols.base.AbstractCacheController.charge_snoop`
+        call.  Idempotent: safe to call from ``Machine.results()``,
+        fingerprints, and tests in any order.  The ``sparse_*``
+        bookkeeping counters themselves are excluded from cross-machine
+        fingerprints.
         """
         rounds = self.counters.get("sparse_broadcast_rounds")
         if not rounds:
             return
         for name in self._broadcast_group:
-            cc = self._endpoints[name].counters
+            endpoint = self._endpoints[name]
+            cc = endpoint.counters
             skipped = (
                 rounds
                 - cc.get("sparse_net_addressed")
@@ -191,13 +193,7 @@ class Network(Component):
             )
             delta = skipped - cc.get("sparse_net_folded")
             if delta > 0:
-                for counter in (
-                    "snoop_commands",
-                    "snoop_useless",
-                    "broadcast_useless",
-                    "snoops_filtered_by_dup_directory",
-                ):
-                    cc.add(counter, delta)
+                endpoint.charge_snoop(False, broadcast=True, count=delta)
                 cc.add("sparse_net_folded", delta)
 
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ processor drains.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Dict, Iterator, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.protocols.base import AbstractCacheController, AccessResult
 from repro.sim.component import Component
@@ -35,7 +35,6 @@ class Processor(Component):
     #: Non-state fields (see :mod:`repro.verification.state`).
     _not_state = {
         "stream": "its position is captured by issued",
-        "on_drained": "wiring to the run harness",
         "exhausted": "reporting only; the stream position decides it",
         "latency_histogram": "statistics",
         "_acc": "batched statistics",
@@ -48,20 +47,15 @@ class Processor(Component):
         sim: Simulator,
         pid: int,
         cache: AbstractCacheController,
-        stream: Iterator[MemRef],
+        stream: ReplayableStream,
         budget: int = 0,
-        on_drained: Optional[Callable[["Processor"], None]] = None,
-        think_time: int = 0,
     ) -> None:
         super().__init__(sim, name=f"P{pid}")
         self.pid = pid
         self.cache = cache
         cache.processor = self
         self.stream = stream
-        self._replayable = isinstance(stream, ReplayableStream)
         self.budget = budget
-        self.on_drained = on_drained
-        self.think_time = think_time
         self.issued = 0
         self.completed = 0
         self.latency_histogram = Histogram(name=f"P{pid} latency")
@@ -107,14 +101,11 @@ class Processor(Component):
             return
         stream = self.stream
         try:
-            if self._replayable:
-                it = stream._it
-                if it is None:
-                    it = stream._restore()
-                ref = next(it)
-                stream.position += 1
-            else:
-                ref = next(stream)
+            it = stream._it
+            if it is None:
+                it = stream._restore()
+            ref = next(it)
+            stream.position += 1
         except StopIteration:
             self.exhausted = True
             self._stop()
@@ -185,14 +176,13 @@ class Processor(Component):
             if hit:
                 acc[6] += 1
         if self._running:
-            # Inline post(think_time, ...).
+            # Inline post(0, ...).
             rng = sim._tie_rng
             seq = sim._seq
             sim._seq = seq + 1
             heappush(
                 sim._queue,
-                (sim.now + self.think_time,
-                 0.0 if rng is None else rng.random(), seq,
+                (sim.now, 0.0 if rng is None else rng.random(), seq,
                  self._issue_next, ()),
             )
 
@@ -224,8 +214,6 @@ class Processor(Component):
     def _stop(self) -> None:
         self._running = False
         self._flush_counters()
-        if self.on_drained is not None:
-            self.on_drained(self)
 
 
 def in_flight_horizon(sim: Simulator, processors: Sequence[Processor]) -> int:

@@ -283,6 +283,33 @@ class AbstractCacheController(Component):
     # ------------------------------------------------------------------
     # Array occupancy
     # ------------------------------------------------------------------
+    def charge_snoop(
+        self, present: bool, broadcast: bool = False, count: int = 1
+    ) -> None:
+        """Charge ``count`` received coherence commands.
+
+        A command that finds the block steals an array cycle.  One that
+        does not is a useless snoop (from a broadcast, the paper's extra
+        command), which steals a cycle too unless §4.4's duplicate
+        directory filters it.  The sparse fan-out folds charge a batch of
+        useless snoops at once; the sparse envelope requires the
+        duplicate directory, so a batch never owes an array cycle.  Runs
+        for most copies of every broadcast, so it bumps the counter dict
+        directly rather than calling ``CounterSet.add`` per name.
+        """
+        values = self.counters._values
+        values["snoop_commands"] += count
+        if present:
+            values["snoop_useful"] += count
+        else:
+            values["snoop_useless"] += count
+            if broadcast:
+                values["broadcast_useless"] += count
+            if self.config.options.duplicate_directory:
+                values["snoops_filtered_by_dup_directory"] += count
+                return
+        self._use_array(stolen=True)
+
     def _use_array(self, stolen: bool) -> int:
         """Reserve one cache cycle on the array; return completion time.
 

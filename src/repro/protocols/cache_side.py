@@ -52,8 +52,6 @@ from repro.stats.tables import Table
 from repro.verification.oracle import CoherenceOracle
 from repro.workloads.reference import MemRef
 
-_op_uids = itertools.count(1)
-
 
 @dataclass
 class PendingOp:
@@ -401,7 +399,7 @@ class DirectoryCacheController(AbstractCacheController):
             # Ask the home controller for modification rights.
             self.pending = PendingOp(ref=ref, callback=callback,
                                      issue_time=issue_time, phase="mreq",
-                                     uid=next(_op_uids))
+                                     uid=self.sim.uid())
             self._to_home(MessageKind.MREQUEST, ref.block,
                           meta={"txn": self.pending.uid})
             return
@@ -445,7 +443,7 @@ class DirectoryCacheController(AbstractCacheController):
         self._evict_frame(frame)
         self.pending = PendingOp(ref=ref, callback=callback,
                                  issue_time=issue_time, phase="miss",
-                                 uid=next(_op_uids))
+                                 uid=self.sim.uid())
         self._to_home(MessageKind.REQUEST, ref.block,
                       rw="write" if ref.is_write else "read",
                       meta={"txn": self.pending.uid})
@@ -472,7 +470,7 @@ class DirectoryCacheController(AbstractCacheController):
         victim = frame.block
         assert victim is not None
         dirty = frame.modified
-        uid = next(_op_uids)
+        uid = self.sim.uid()
         self._ejects[victim] = EjectRecord(uid=uid, dirty=dirty)
         # case 2: EJECT(k, olda, "read"), keeping Present1 accurate;
         # case 3: EJECT(k, olda, "write") followed by put(b_k, olda).
@@ -604,26 +602,10 @@ class DirectoryCacheController(AbstractCacheController):
     # the resident line or None and ``pending`` the outstanding op.
     # ------------------------------------------------------------------
     def _snoop_useful(self, message, line, pending) -> None:
-        """A command found the block: it steals an array cycle."""
-        self.counters.add("snoop_commands")
-        self.counters.add("snoop_useful")
-        self._use_array(stolen=True)
+        self.charge_snoop(True)
 
     def _snoop_useless(self, message, line, pending) -> None:
-        """The paper's extra command: the block is not here.
-
-        Runs for most copies of every broadcast, so it bumps the counter
-        dict directly rather than calling ``CounterSet.add`` per name.
-        """
-        values = self.counters._values
-        values["snoop_commands"] += 1
-        values["snoop_useless"] += 1
-        if message.kind in _BROADCASTS:
-            values["broadcast_useless"] += 1
-        if self.config.options.duplicate_directory:
-            values["snoops_filtered_by_dup_directory"] += 1
-        else:
-            self._use_array(stolen=True)
+        self.charge_snoop(False, message.kind in _BROADCASTS)
 
     def _drop_line(self, message, line, pending) -> None:
         line.reset()
@@ -640,7 +622,7 @@ class DirectoryCacheController(AbstractCacheController):
         """Retry the store as a write miss (§3.2.5) under a fresh uid."""
         self.counters.add("mreq_converted_to_miss")
         pending.phase = "miss"
-        pending.uid = next(_op_uids)
+        pending.uid = self.sim.uid()
         # Fresh command, fresh retry budget: a NAK against the new
         # REQUEST must not be mistaken for a duplicate of one answered
         # while we were still an MREQUEST (the scheduled resend, if any,

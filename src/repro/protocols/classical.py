@@ -179,13 +179,13 @@ class ClassicalCacheController(AbstractCacheController):
         """One signal on the cache-invalidation line."""
         if writer_pid == self.pid:
             return
-        self.counters.add("snoop_commands")
         pending = self.pending
         if block in self._bias:
             # BIAS hit: the block is known absent — no directory lookup,
             # no stolen cycle.  The fill buffer is still checked (a
             # pending fetch crossed by this signal must be poisoned).
             self._bias.move_to_end(block)
+            self.counters.add("snoop_commands")
             self.counters.add("snoops_filtered_by_bias")
             self.counters.add("snoop_useless")
             if (
@@ -202,9 +202,6 @@ class ClassicalCacheController(AbstractCacheController):
         if present:
             line.reset()
             self.counters.add("invalidations_applied")
-            self.counters.add("snoop_useful")
-        else:
-            self.counters.add("snoop_useless")
         if self.holders is not None and (
             present or not self._holder_pinned(block)
         ):
@@ -219,10 +216,7 @@ class ClassicalCacheController(AbstractCacheController):
             and pending.ref.block == block
         ):
             pending.stale_fill = True
-        if present or not self.config.options.duplicate_directory:
-            self._use_array(stolen=True)
-        else:
-            self.counters.add("snoops_filtered_by_dup_directory")
+        self.charge_snoop(present)
 
     def _holder_pinned(self, block: int) -> bool:
         """True while this cache must stay in the holder index for

@@ -7,8 +7,7 @@ two layers:
 1. **Declarative tables** (:data:`PROTOCOL_TABLES`).  Each protocol
    declares its processor-side transitions as :class:`Rule` rows over the
    :class:`LineState` x :class:`Cmd` domain.  Guarded transitions carry a
-   :class:`Guard` column resolved by one precomputed callable per guard
-   class (:data:`GUARD_FNS`); anything data-dependent — misses, upgrades
+   :class:`Guard` column; anything data-dependent — misses, upgrades
    needing the interconnect, write-through stores — is an explicit
    :attr:`Action.ESCAPE` row.
 
@@ -32,7 +31,6 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.cache.line import CacheLine, LocalState
 from repro.protocols import registry
-from repro.workloads.reference import MemRef
 
 
 # ======================================================================
@@ -72,29 +70,15 @@ class Action(Enum):
 class Guard(Enum):
     """Guard classes a row may be conditioned on.
 
-    Guards are resolved by one precomputed callable per class
-    (:data:`GUARD_FNS`); a row whose guard holds takes precedence over
-    the state rows below it.
+    A row whose guard holds takes precedence over the state rows below
+    it.  The only pre-lookup guard, ``SHARED_REF``, compiles to
+    :attr:`CompiledKernel.pre_shared_escape`.
     """
 
     ALWAYS = "always"
     #: The reference is tagged writeable-shared (the static scheme's
     #: software tag — checked *before* the cache lookup).
     SHARED_REF = "shared_ref"
-
-
-def _guard_always(ref: MemRef) -> bool:
-    return True
-
-
-def _guard_shared_ref(ref: MemRef) -> bool:
-    return ref.shared
-
-
-GUARD_FNS = {
-    Guard.ALWAYS: _guard_always,
-    Guard.SHARED_REF: _guard_shared_ref,
-}
 
 
 @dataclass(frozen=True)
@@ -399,8 +383,6 @@ def compile_protocol(protocol: str) -> CompiledKernel:
                 raise TableCompileError(
                     f"{name}: pre-lookup rows must be guarded escapes: {rule}"
                 )
-            if rule.guard not in GUARD_FNS:
-                raise TableCompileError(f"{name}: unknown guard {rule.guard}")
             pre_shared_escape = pre_shared_escape or (
                 rule.guard is Guard.SHARED_REF
             )
@@ -462,7 +444,6 @@ __all__ = [
     "Action",
     "Cmd",
     "CompiledKernel",
-    "GUARD_FNS",
     "Guard",
     "LineState",
     "PROTOCOL_TABLES",

@@ -79,7 +79,7 @@ class IllinoisCacheController(SnoopCacheController):
     def snoop(self, kind: MessageKind, block: int, requester_pid: int) -> SnoopReply:
         line = self.array.lookup(block)
         present = line is not None or self.has_live_writeback(block)
-        self._snoop_cost(present)
+        self.charge_snoop(present)
         if kind is MessageKind.BUS_READ:
             if line is not None:
                 # Cache-to-cache supply; M flushes to memory and degrades.

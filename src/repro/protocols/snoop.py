@@ -345,20 +345,6 @@ class SnoopCacheController(AbstractCacheController):
         self._complete(ref, callback, issue_time, hit, version)
 
     # ------------------------------------------------------------------
-    # Snoop-side accounting
-    # ------------------------------------------------------------------
-    def _snoop_cost(self, present: bool) -> None:
-        self.counters.add("snoop_commands")
-        if present:
-            self.counters.add("snoop_useful")
-        else:
-            self.counters.add("snoop_useless")
-        if present or not self.config.options.duplicate_directory:
-            self._use_array(stolen=True)
-        else:
-            self.counters.add("snoops_filtered_by_dup_directory")
-
-    # ------------------------------------------------------------------
     # Protocol hooks
     # ------------------------------------------------------------------
     def _must_write_back(self, line: CacheLine) -> bool:

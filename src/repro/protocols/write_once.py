@@ -81,7 +81,7 @@ class WriteOnceCacheController(SnoopCacheController):
     def snoop(self, kind: MessageKind, block: int, requester_pid: int) -> SnoopReply:
         line = self.array.lookup(block)
         present = line is not None or self.has_live_writeback(block)
-        self._snoop_cost(present)
+        self.charge_snoop(present)
         if kind is MessageKind.BUS_READ:
             if line is not None and line.modified:
                 # Dirty owner supplies and flushes; both become Valid.

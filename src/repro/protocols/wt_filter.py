@@ -26,7 +26,6 @@ caches inside the same invalidation round — no network race exists.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional
 
 from repro.core.states import GlobalState, TwoBitDirectory
@@ -37,8 +36,6 @@ from repro.protocols.classical import (
     ClassicalCacheController,
     ClassicalMemoryController,
 )
-
-_eject_uids = itertools.count(1)
 
 
 class WTFilterCacheController(ClassicalCacheController):
@@ -60,7 +57,7 @@ class WTFilterCacheController(ClassicalCacheController):
         if not ref.is_write:  # a read miss: read hits never escape
             frame = self.array.frame_for(ref.block)
             if frame.valid and frame.block is not None:
-                uid = next(_eject_uids)
+                uid = self.sim.uid()
                 self._inflight_ejects[frame.block] = uid
                 self.counters.add("eviction_notices")
                 self._send(

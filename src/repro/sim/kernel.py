@@ -8,7 +8,9 @@ the same seed produce identical event orderings.
 All times are integer cycles.  Components schedule work with
 :meth:`Simulator.post` (relative delay) or :meth:`Simulator.post_at`
 (absolute time); events are fire-and-forget — there is no handle and no
-cancellation.
+cancellation.  :meth:`Simulator.uid` numbers the transactions the
+protocols match by identity; the counter is part of the machine, so it
+checkpoints and restores with it.
 
 Hot-path layout
 ---------------
@@ -60,7 +62,9 @@ def _check_queue(queue: Any, now: Any, next_seq: Any) -> None:
     :meth:`Simulator.run`.
     """
     if not (type(now) is type(next_seq) is int and type(queue) is list):
-        raise SimulationError("the clock and seq must be ints, the queue a list")
+        raise SimulationError(
+            "the clock and seq must be ints, the event queue a list"
+        )
     seqs = set()
     for i, entry in enumerate(queue):
         if not (
@@ -72,13 +76,14 @@ def _check_queue(queue: Any, now: Any, next_seq: Any) -> None:
             and callable(entry[3]) and type(entry[4]) is tuple
         ):
             raise SimulationError(
-                f"entry {i} is not a (time >= {now}, float tie, unique "
-                f"int seq < {next_seq}, callable, args tuple) tuple"
+                f"event queue entry {i} is not a (time >= {now}, float "
+                f"tie, unique int seq < {next_seq}, callable, args tuple) "
+                f"tuple"
             )
         seqs.add(entry[2])
     for i in range(1, len(queue)):
         if queue[i][:3] < queue[(i - 1) // 2][:3]:
-            raise SimulationError("queue violates the heap order")
+            raise SimulationError("event queue violates the heap order")
 
 
 class Simulator:
@@ -112,6 +117,7 @@ class Simulator:
         #: fast path either way.
         self.obs = None
         self._seq: int = 0
+        self._uid: int = 1
         self._queue: List[_Entry] = []
         self._events_processed: int = 0
         self._running: bool = False
@@ -119,6 +125,8 @@ class Simulator:
 
     def __setstate__(self, state: dict) -> None:
         _check_queue(state.get("_queue"), state.get("now"), state.get("_seq"))
+        if type(state.get("_uid")) is not int:
+            raise SimulationError("the uid counter must be an int")
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------
@@ -133,6 +141,18 @@ class Simulator:
     def pending(self) -> int:
         """Number of events still queued."""
         return len(self._queue)
+
+    def uid(self) -> int:
+        """A transaction uid no earlier call on this simulator returned.
+
+        The §3.2.5 race defences match commands by identity (a cancel
+        names the MREQUEST it withdraws, an ack the eviction notice it
+        answers); only equality between uids matters, never their
+        values.
+        """
+        uid = self._uid
+        self._uid = uid + 1
+        return uid
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -259,15 +259,10 @@ class Machine:
             )
             delta = skipped - cc.get("sparse_line_folded")
             if delta > 0:
-                # A dense useless signal under the sparse envelope
-                # (duplicate directory on, BIAS off) costs exactly these
-                # three counters — see ClassicalCacheController.
-                for name in (
-                    "snoop_commands",
-                    "snoop_useless",
-                    "snoops_filtered_by_dup_directory",
-                ):
-                    cc.add(name, delta)
+                # A dense signal under the sparse envelope (duplicate
+                # directory on, BIAS off) to a cache without the block
+                # is one useless snoop.
+                cache.charge_snoop(False, count=delta)
                 cc.add("sparse_line_folded", delta)
 
     def results(self) -> SimulationResults:

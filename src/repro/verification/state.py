@@ -19,10 +19,11 @@ declares, next to the fields it owns:
     derived at build time.  The key ``"*"`` declares the whole class
     non-state.
 ``_uid_fields``
-    ``{field: reason}`` for fields holding transaction uids.  Uids come
-    from module-global counters, so two replays of one schedule draw
-    different raw values; the walk renumbers them in the order it meets
-    them.  A uid field holds a uid, a dict whose values are uids, or a
+    ``{field: reason}`` for fields holding transaction uids.  Each
+    machine draws uids from its simulator's counter, and different
+    schedules draw them in different orders, so two schedules that reach
+    one state hold different raw values; the walk renumbers them in the
+    order it meets them.  A uid field holds a uid, a dict whose values are uids, or a
     set of tuples whose last item is a uid.  Only ``int`` values count
     as uids, so flags and labels stored next to them pass through.
 

@@ -6,6 +6,7 @@ from repro.protocols.base import AbstractCacheController, AccessResult
 from repro.sim.kernel import Simulator
 from repro.verification.oracle import CoherenceOracle
 from repro.workloads.reference import MemRef, Op
+from repro.workloads.synthetic import ScriptedWorkload
 
 
 class StubCache(AbstractCacheController):
@@ -43,11 +44,12 @@ class StubCache(AbstractCacheController):
         raise AssertionError("the stub never escapes")
 
 
-def stream_of(n, pid=0):
-    return iter(
-        MemRef(pid=pid, op=Op.WRITE if i % 2 else Op.READ, block=i % 4, shared=True)
+def stream_of(n):
+    script = [
+        MemRef(pid=0, op=Op.WRITE if i % 2 else Op.READ, block=i % 4, shared=True)
         for i in range(n)
-    )
+    ]
+    return ScriptedWorkload([script]).stream(0)
 
 
 def test_budget_limits_references():
@@ -104,26 +106,3 @@ def test_counters():
     assert proc.counters["shared_refs"] == 4
     assert proc.counters["hits"] == 4
     assert proc.counters["latency_cycles"] == 8
-
-
-def test_on_drained_callback():
-    sim = Simulator()
-    cache = StubCache(sim)
-    drained = []
-    proc = Processor(
-        sim, 0, cache, stream_of(1), budget=1, on_drained=drained.append
-    )
-    proc.start()
-    sim.run()
-    assert drained == [proc]
-
-
-def test_think_time_spaces_issues():
-    sim = Simulator()
-    cache = StubCache(sim, delay=1)
-    proc = Processor(sim, 0, cache, stream_of(3), budget=3, think_time=4)
-    proc.start()
-    sim.run()
-    # Each completion schedules the next issue attempt think_time later,
-    # including the final one that discovers the exhausted budget.
-    assert sim.now == 3 * 1 + 3 * 4

@@ -224,7 +224,6 @@ def test_peek_reads_header_without_unpickling(tmp_path):
     assert header.n_processors == N
     assert header.cycle > 0
     assert header.events_processed > 0
-    assert set(header.uid_floors) == {"op", "eject"}
     assert header.payload_size > 0
     assert path.stat().st_size == (
         len(checkpoint.MAGIC)
@@ -291,7 +290,7 @@ def test_payload_naming_a_missing_class_raises_checkpoint_error():
     header = checkpoint.CheckpointHeader(
         schema_version=SCHEMA_VERSION, code_version="0" * 16,
         protocol="twobit", n_processors=1, cycle=0, events_processed=0,
-        uid_floors={}, payload_sha256=hashlib.sha256(payload).hexdigest(),
+        payload_sha256=hashlib.sha256(payload).hexdigest(),
         payload_size=len(payload),
     )
     data = checkpoint.MAGIC + header.to_json().encode() + b"\n" + payload
@@ -341,24 +340,86 @@ def test_invalid_event_queue_raises_checkpoint_error(tamper, tmp_path):
         checkpoint.restore_bytes(data)
 
 
-def test_restore_advances_uid_floors(tmp_path):
+def test_simulator_without_uid_counter_raises_checkpoint_error():
+    # A payload taken before the simulator owned the uid counter.
+    machine, _ = _experiment("twobit").build()
+    machine.run(refs_per_proc=REFS, warmup_refs=WARMUP)
+    del machine.sim._uid
+    data = checkpoint.snapshot_bytes(machine)
+    with pytest.raises(checkpoint.CheckpointError, match="uid counter"):
+        checkpoint.restore_bytes(data)
+
+
+def _held_uids(machine):
+    """Uids the machine's caches hold in pending ops and eject records."""
+    held = []
+    for cache in machine.caches:
+        if cache.pending is not None:
+            held.append(cache.pending.uid)
+        held.extend(record.uid for record in cache._ejects.values())
+    return held
+
+
+def test_restored_machine_draws_uids_above_held_ones(tmp_path):
+    machine, _ = _experiment("twobit", q=0.3, faults="check").build()
+    machine.run(
+        refs_per_proc=REFS, warmup_refs=WARMUP,
+        checkpoint_every=61, checkpoint_path=str(tmp_path / "ck-{cycle}.bin"),
+    )
+    restored = [checkpoint.load(str(p)) for p in tmp_path.glob("ck-*.bin")]
+    busy = [(m, _held_uids(m)) for m in restored if _held_uids(m)]
+    assert busy, "no checkpoint caught a transaction in flight"
+    for machine, held in busy:
+        assert machine.sim.uid() > max(held)
+
+
+def _uids_drawn(machine):
+    """Every uid ``machine`` draws over one short run, in order."""
+    drawn = []
+    draw = machine.sim.uid
+
+    def record():
+        uid = draw()
+        drawn.append(uid)
+        return uid
+
+    machine.sim.uid = record
+    machine.run(refs_per_proc=REFS, warmup_refs=WARMUP)
+    assert drawn, "the run drew no uids"
+    return drawn
+
+
+def test_two_builds_draw_equal_uid_sequences():
+    experiment = _experiment("twobit", q=0.3)
+    first = _uids_drawn(experiment.build()[0])
+    assert _uids_drawn(experiment.build()[0]) == first
+
+
+@pytest.mark.parametrize(
+    "floors",
+    [{"op": "x"}, [], {"op": 10**30}], ids=["non-int", "list", "huge"],
+)
+def test_header_uid_floors_are_ignored(floors, tmp_path):
+    # Nothing reads the key, so even a malformed one leaves no trace on
+    # machines built afterwards.
+    experiment = _experiment("twobit", q=0.3)
+    before = _uids_drawn(experiment.build()[0])
     path = _write_checkpoint(tmp_path)
-    header = checkpoint.peek(str(path))
-    checkpoint.load(str(path))
-    floors = checkpoint.uid_floors()
-    for name, floor in header.uid_floors.items():
-        assert floors[name] >= floor, name
+    _rewrite_header(path, uid_floors=floors)
+    assert checkpoint.peek(str(path)).cycle > 0
+    machine = checkpoint.load(str(path))
+    machine.continue_run()
+    assert _uids_drawn(experiment.build()[0]) == before
 
 
 def test_header_with_a_retired_uid_floor_still_loads(tmp_path):
-    # Headers written while messages drew uids carry a "msg" floor.
-    data = _write_checkpoint(tmp_path).read_bytes()
-    header_line, payload = data[len(checkpoint.MAGIC):].split(b"\n", 1)
-    header = json.loads(header_line)
-    header["uid_floors"]["msg"] = 10**9
-    old = checkpoint.MAGIC + json.dumps(header).encode() + b"\n" + payload
-    machine = checkpoint.restore_bytes(old)
-    assert machine.sim.now == header["cycle"]
+    # Headers written by older builds carry uid floors, one of them for
+    # the message uids that are gone too.
+    path = _write_checkpoint(tmp_path)
+    _rewrite_header(path, uid_floors={"op": 5, "eject": 5, "msg": 10**9})
+    header = checkpoint.peek(str(path))
+    machine = checkpoint.load(str(path))
+    assert machine.sim.now == header.cycle
 
 
 def test_checkpoint_every_requires_path():

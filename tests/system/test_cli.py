@@ -269,6 +269,44 @@ def test_run_faults_on_protocol_without_recovery_exits():
     assert "no NAK/retry recovery path" in str(excinfo.value.code)
 
 
+def _checkpoints(tmp_path, *args):
+    """Run ``repro run`` with checkpointing; the files in cycle order."""
+    assert main(["run", *args, "--checkpoint-every", "150",
+                 "--checkpoint-path", str(tmp_path / "ck-{cycle}.bin")]) == 0
+    return sorted(
+        tmp_path.glob("ck-*.bin"), key=lambda p: int(p.stem.split("-")[1])
+    )
+
+
+def test_run_resume_reports_like_a_fresh_run(tmp_path, capsys):
+    base = ["--protocol", "twobit", "-n", "2", "--refs", "300",
+            "--warmup", "100", "--faults", "check"]
+    fresh_metrics = tmp_path / "fresh.jsonl"
+    assert main(["run", *base, "-v", "--metrics-out", str(fresh_metrics)]) == 0
+    fresh = capsys.readouterr().out
+    assert "fault injection: " in fresh
+    files = _checkpoints(tmp_path, *base, "--metrics-out",
+                         str(tmp_path / "ck.jsonl"))
+    assert len(files) >= 2
+    capsys.readouterr()
+    resumed_metrics = tmp_path / "resumed.jsonl"
+    code = main(["run", "--resume", str(files[len(files) // 2]), "-v",
+                 "--metrics-out", str(resumed_metrics)])
+    assert code == 0
+    resumed = capsys.readouterr().out
+    assert resumed == fresh.replace(str(fresh_metrics), str(resumed_metrics))
+    assert resumed_metrics.read_bytes() == fresh_metrics.read_bytes()
+
+
+def test_run_resume_refuses_metrics_out_without_a_hub(tmp_path, capsys):
+    files = _checkpoints(tmp_path, "-n", "2", "--refs", "300")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--resume", str(files[0]),
+              "--metrics-out", str(tmp_path / "m.jsonl")])
+    assert "observability hub" in str(excinfo.value.code)
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 def test_run_record_trace_then_replay(tmp_path, capsys):
     trace = tmp_path / "run.trace"
     code = main(

@@ -57,6 +57,9 @@ def _assert_replay_stable(protocol, scenario, faults, seed):
         build_scenario_machine(protocol, scenario, faults=faults)
         for _ in range(2)
     ]
+    # Start the second twin's uid counter far from the first's, so every
+    # uid the twins draw differs and only renumbering can equate them.
+    twins[1].sim._uid += 10**6
     for machine in twins:
         for proc, script in zip(machine.processors, scenario.scripts):
             proc.budget = len(script)
@@ -64,8 +67,6 @@ def _assert_replay_stable(protocol, scenario, faults, seed):
     rng = random.Random(f"{scenario.name}-{seed}")
     decision = 0
     while True:
-        # The twins step alternately, so every uid they draw from the
-        # module-global counters differs between them.
         n = len(twins[0].sim.enabled())
         assert n == len(twins[1].sim.enabled())
         if not n:
