@@ -501,6 +501,14 @@ def resume(
     machine = _checkpoint.load(
         checkpoint_path, allow_code_mismatch=allow_code_mismatch
     )
+    return _finish_resumed(machine, checkpoint_path, checkpoint_every, strict)
+
+
+def _finish_resumed(
+    machine: Machine, checkpoint_path: str, checkpoint_every: int, strict: bool
+) -> RunOutcome:
+    """The run half of :func:`resume`, for callers that inspect the
+    loaded machine before any simulation work."""
     machine.continue_run(
         checkpoint_every=checkpoint_every,
         checkpoint_path=checkpoint_path if checkpoint_every else None,

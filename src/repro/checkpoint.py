@@ -46,6 +46,7 @@ import os
 import pickle
 from dataclasses import asdict, dataclass
 
+from repro.atomic import atomic_write
 from repro.schema import SCHEMA_VERSION, check_schema
 from repro.sim.kernel import SimulationError
 
@@ -214,22 +215,15 @@ def save(machine, path: str) -> str:
 
     ``path`` may contain ``{cycle}``, replaced with the current
     simulation time — ``ckpt-{cycle}.bin`` keeps every interval's
-    snapshot instead of overwriting one file.  The write goes to a
-    temporary sibling and is renamed into place, so a crash mid-write
-    never leaves a half-written checkpoint at the target path.
+    snapshot instead of overwriting one file.  The write is atomic
+    (:func:`repro.atomic.atomic_write`): a crash mid-write never leaves
+    a half-written checkpoint at the target path.
     """
     final = resolve_path(path, machine.sim.now)
     data = snapshot_bytes(machine)
-    directory = os.path.dirname(final) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(
-        directory, f".{os.path.basename(final)}.tmp.{os.getpid()}"
-    )
-    with open(tmp, "wb") as fh:
+    os.makedirs(os.path.dirname(final) or ".", exist_ok=True)
+    with atomic_write(final) as fh:
         fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, final)
     return final
 
 

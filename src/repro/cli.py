@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis.dubois_briggs import generate_table_4_2
 from repro.analysis.overhead_model import compare_table_4_1, generate_table_4_1
@@ -104,10 +104,15 @@ def _machine_params():
 _MACHINE_PARAMS = _machine_params()
 
 
+def _flag_spellings(name: str) -> Tuple[str, ...]:
+    """The command-line spellings of the option for parameter ``name``."""
+    return _FLAG_ALIASES.get(name, ("--" + name.replace("_", "-"),))
+
+
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     """One flag per Experiment parameter, same name/default/type."""
     for name, param in _MACHINE_PARAMS.items():
-        flags = _FLAG_ALIASES.get(name, ("--" + name.replace("_", "-"),))
+        flags = _flag_spellings(name)
         help_text = _PARAM_HELP.get(name)
         default = param.default
         if isinstance(default, bool):
@@ -167,22 +172,25 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
 def _experiment_from_args(
     args: argparse.Namespace, protocol: Optional[str] = None
 ) -> Experiment:
-    """Build the :class:`Experiment` a command's flags describe."""
-    protocol = registry.canonical_name(
-        protocol if protocol is not None else args.protocol
-    )
+    """Build the :class:`Experiment` a command's flags describe.
+
+    ``protocol`` replaces ``--protocol`` for ``compare``, which walks
+    every protocol: one that does not run on ``--network`` (a snooping
+    protocol asked for the crossbar) takes its own network instead.
+    Elsewhere a mismatched pair is the machine's one-line error.
+    """
     kwargs = {
         name: getattr(args, name)
         for name in _MACHINE_PARAMS
         if hasattr(args, name)
     }
-    network = kwargs.get("network")
-    if network is not None:
+    if protocol is None:
+        protocol = args.protocol
+    else:
         pspec = registry.resolve(protocol)
-        if network not in pspec.networks:
-            # e.g. a snooping protocol asked to run on the crossbar:
-            # fall back to its required network, as the CLI always has.
-            kwargs["network"] = pspec.default_network()
+        if kwargs.get("network") not in pspec.networks:
+            kwargs["network"] = None  # the protocol's own network
+    protocol = registry.canonical_name(protocol)
     return Experiment(
         protocol=protocol,
         faults=_parse_faults_arg(args),
@@ -236,28 +244,45 @@ def _audit_verdict(report) -> int:
     return 1
 
 
+#: ``run`` options a checkpoint fixes: resuming cannot honour them.
+_RESUME_FIXED = ("protocol", *_MACHINE_PARAMS, "faults", "sample_interval",
+                 "checkpoint_path", "record_trace")
+
+
+def _resume(args: argparse.Namespace) -> RunOutcome:
+    """``run --resume``: refuse what the checkpoint cannot honour, then
+    load, check ``--metrics-out`` against the machine, and finish."""
+    from repro.api import _finish_resumed
+    from repro.checkpoint import CheckpointError, load
+
+    defaults = make_parser().parse_args(["run"])
+    given = [
+        "/".join(_flag_spellings(name)) for name in _RESUME_FIXED
+        if getattr(args, name) != getattr(defaults, name)
+    ]
+    if given:
+        raise SystemExit(
+            f"--resume: the checkpoint fixes the machine and its run; "
+            f"drop {', '.join(given)}"
+        )
+    try:
+        machine = load(args.resume, allow_code_mismatch=args.allow_code_mismatch)
+    except CheckpointError as exc:
+        raise SystemExit(f"--resume: {exc}")
+    if args.metrics_out and machine.sim.obs is None:
+        raise SystemExit(
+            "--metrics-out: the checkpoint has no observability hub "
+            "(take it from a run with --metrics-out)"
+        )
+    return _finish_resumed(machine, args.resume, args.checkpoint_every,
+                           strict=False)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     if args.checkpoint_every and not (args.checkpoint_path or args.resume):
         raise SystemExit("--checkpoint-every needs --checkpoint-path")
     if args.resume:
-        from repro.api import resume
-        from repro.checkpoint import CheckpointError
-
-        try:
-            outcome = resume(
-                args.resume,
-                checkpoint_every=args.checkpoint_every,
-                allow_code_mismatch=args.allow_code_mismatch,
-                strict=False,
-            )
-        except CheckpointError as exc:
-            raise SystemExit(f"--resume: {exc}")
-        if args.metrics_out and outcome.obs is None:
-            raise SystemExit(
-                "--metrics-out: the checkpoint has no observability hub "
-                "(take it from a run with --metrics-out)"
-            )
-        return _report_run(args, outcome)
+        return _report_run(args, _resume(args))
 
     outcome = _run_experiment(
         _experiment_from_args(args),

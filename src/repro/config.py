@@ -195,9 +195,14 @@ class MachineConfig:
             raise ValueError(
                 f"unknown network {self.network!r}; choose from {NETWORKS}"
             )
-        if self.protocol in ("write_once", "illinois") and self.network != "bus":
+        # Imported here: the registry imports this module.
+        from repro.protocols.registry import resolve
+
+        spec = resolve(self.protocol)
+        if self.network not in spec.networks:
             raise ValueError(
-                f"{self.protocol} is a snooping protocol and requires network='bus'"
+                f"{self.protocol} ({spec.description}) runs on network "
+                f"{' or '.join(spec.networks)}, not {self.network!r}"
             )
         if self.sparse_fanout:
             self._validate_sparse_envelope()

@@ -39,7 +39,7 @@ Span phases map onto the §3.2 protocol flows::
     directory  home controller dispatches REQUEST / MREQUEST
     fanout     BROADINV / BROADQUERY (or selective) round launches
     grant      GET / MGRANTED leaves the home controller
-    retire     the processor's callback runs
+    retire     the processor retires the reference
 
 A hit's span has no directory phases; a §3.2.5 conversion (MREQUEST
 denied, reissued as write miss) legitimately revisits ``directory``.

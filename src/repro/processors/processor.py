@@ -8,10 +8,12 @@ measurement windows: the harness raises the budget and calls
 
 Each reference costs two events: the issue (:meth:`Processor._issue_next`)
 and the cache's table-driven hit step one cache cycle later
-(:meth:`~repro.protocols.base.AbstractCacheController._step`).  A hit
-retires inside the step through :meth:`Processor._retire`; an escaped
-reference (miss, upgrade, ...) retires through the :meth:`_completed`
-callback when the protocol finishes it.  Per-reference counters and
+(:meth:`~repro.protocols.base.AbstractCacheController._step`).  Every
+reference retires through :meth:`Processor._retire`: a hit inside the
+step, an escaped one (miss, upgrade, ...) from the cache's
+:meth:`~repro.protocols.base.AbstractCacheController._complete` when the
+protocol finishes it.  No :class:`~repro.protocols.base.AccessResult` is
+built for the processor's references.  Per-reference counters and
 latency samples are batched in plain ints and dicts and flushed when the
 processor drains.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Dict, Sequence
 
-from repro.protocols.base import AbstractCacheController, AccessResult
+from repro.protocols.base import AbstractCacheController
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.stats.histogram import Histogram
@@ -125,8 +127,6 @@ class Processor(Component):
             pend["writes"] += 1
         else:
             pend["reads"] += 1
-        if cache._op_flag:
-            cache._op_in_progress = True
         # Inline _use_array(stolen=False).
         start = cache._array_free_at
         if start < now:
@@ -144,13 +144,8 @@ class Processor(Component):
         heappush(
             sim._queue,
             (done, 0.0 if rng is None else rng.random(), seq,
-             cache._step, (ref, None, now)),
+             cache._step, (ref, now)),
         )
-
-    def _completed(self, result: AccessResult) -> None:
-        """Completion callback for references the cache's table escaped."""
-        self._retire(result.ref, result.complete_time - result.issue_time,
-                     result.hit)
 
     def _retire(self, ref: MemRef, latency: int, hit: bool) -> None:
         """Account one completed reference and schedule the next issue."""

@@ -1,9 +1,17 @@
 """Shared protocol interfaces.
 
-Every protocol family exposes the same processor-facing interface — a
-cache controller with :meth:`AbstractCacheController.access` — so the
-system harness and the benchmarks are protocol-agnostic.  Results flow
-back through :class:`AccessResult` callbacks.
+Every protocol family exposes the same processor-facing cache
+controller, so the system harness and the benchmarks are
+protocol-agnostic.  A reference completes in one place,
+:meth:`AbstractCacheController._complete` (or the table step for a hit):
+it retires straight to the cache's
+:class:`~repro.processors.processor.Processor`, or, when a harness issued
+it through :meth:`AbstractCacheController.access`, reaches that caller
+as an :class:`AccessResult`.  Each side's linearization point is written
+once here too: :meth:`AbstractCacheController._finish_read` for reads,
+:meth:`AbstractCacheController._perform_write` for stores a cache
+performs, :meth:`AbstractMemoryController._commit_at_memory` for stores
+memory performs.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from abc import abstractmethod
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.cache.array import CacheArray
-from repro.cache.line import LocalState
+from repro.cache.line import CacheLine, LocalState
 from repro.cache.replacement import LRUPolicy, make_policy
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
@@ -87,7 +95,8 @@ class AbstractCacheController(Component):
     row completes it on the spot, an escape row hands it to the
     subclass's :meth:`_classify` — misses, upgrades, write-through
     stores and shared-tagged references.  Subclasses implement only
-    those escape rows and the network side.
+    those escape rows and the network side, and finish each escaped
+    reference through :meth:`_complete`.
     """
 
     #: Non-state fields (see :mod:`repro.verification.state`).
@@ -116,11 +125,8 @@ class AbstractCacheController(Component):
         self._array_free_at = 0
         self._cache_cycle = config.timing.cache_cycle
         kernel = compile_protocol(config.protocol)
-        #: Directory caches stay busy from issue to completion and mark
-        #: the span's ``lookup`` phase; the others guard on ``pending``.
-        self._op_flag = kernel.op_flag
+        #: Directory caches mark the span's ``lookup`` phase.
         self._lookup_phase = kernel.family == "directory"
-        self._op_in_progress = False
         self._pre_shared_escape = kernel.pre_shared_escape
         self._r_clean = kernel.r_clean
         self._r_dirty = kernel.r_dirty
@@ -135,6 +141,9 @@ class AbstractCacheController(Component):
         #: The processor issuing into this cache, if any (set by
         #: :class:`~repro.processors.processor.Processor`).
         self.processor = None
+        #: The :meth:`access` caller awaiting the outstanding reference;
+        #: None while the reference is the processor's (or none is out).
+        self._callback: Optional[AccessCallback] = None
 
     # ------------------------------------------------------------------
     # Processor interface
@@ -143,40 +152,38 @@ class AbstractCacheController(Component):
         """Service ``ref``; invoke ``callback`` with an
         :class:`AccessResult` when it completes.
 
-        The processor's issue loop inlines this issue half (batching its
-        counters) and schedules the same :meth:`_step`.
+        The harness's issue path.  The processor's issue loop inlines
+        this issue half (batching its counters), schedules the same
+        :meth:`_step` and leaves :attr:`_callback` empty, so its
+        references retire through :meth:`Processor._retire` instead.
+        The slot and the subclass's ``pending`` record refuse a second
+        outstanding reference.
         """
-        if self.pending is not None or self._op_in_progress:
+        if self._callback is not None or self.pending is not None:
             raise RuntimeError(f"{self.name} already has an outstanding reference")
         if ref.pid != self.pid:
             raise ValueError(f"{self.name} got a reference for P{ref.pid}")
-        if self._op_flag:
-            self._op_in_progress = True
+        self._callback = callback
         issue_time = self.sim.now
         self.counters.add("refs")
         self.counters.add("writes" if ref.is_write else "reads")
         done = self._use_array(stolen=False)
-        self.sim.post_at(done, self._step, ref, callback, issue_time)
+        self.sim.post_at(done, self._step, ref, issue_time)
 
-    def _step(
-        self, ref: MemRef, callback: Optional[AccessCallback], issue_time: int
-    ) -> None:
+    def _step(self, ref: MemRef, issue_time: int) -> None:
         """The table-driven hit step: one event per reference, one cache
         cycle after issue.
 
-        ``callback`` is None for references issued by :attr:`processor`:
-        their hits retire through :meth:`Processor._retire` with no
-        :class:`AccessResult`.  The fast-vs-escape decision is made
-        before the line is touched: an escape re-runs the lookup in
-        :meth:`_classify`, and an early touch would tick the replacement
-        clock twice.
+        The fast-vs-escape decision is made before the line is touched:
+        an escape re-runs the lookup in :meth:`_classify`, and an early
+        touch would tick the replacement clock twice.
         """
         sim = self.sim
         obs = sim.obs
         if obs is not None and self._lookup_phase:
             obs.span_phase(ref.pid, sim.now, "lookup")
         if self._pre_shared_escape and ref.shared:
-            self._escape(ref, callback, issue_time)
+            self._classify(ref, issue_time)
             return
         array = self.array
         block = ref.block
@@ -184,21 +191,21 @@ class AbstractCacheController(Component):
         if line is None or not line.valid or line.block != block:
             line = array.lookup(block)
             if line is None:
-                self._escape(ref, callback, issue_time)
+                self._classify(ref, issue_time)
                 return
         if ref.is_write:
             micro = (self._w_dirty if line.modified else self._w_clean).get(
                 line.local
             )
             if micro is None:
-                self._escape(ref, callback, issue_time)
+                self._classify(ref, issue_time)
                 return
         elif line.modified:
             if not self._r_dirty:
-                self._escape(ref, callback, issue_time)
+                self._classify(ref, issue_time)
                 return
         elif line.local not in self._r_clean:
-            self._escape(ref, callback, issue_time)
+            self._classify(ref, issue_time)
             return
         if self._lru_touch:
             clock = array._clock + 1
@@ -226,50 +233,51 @@ class AbstractCacheController(Component):
             pend["read_hits"] += 1
             version = line.version
             self.oracle.check_read(block, version, issue_time, self.pid)
-        if self._op_flag:
-            self._op_in_progress = False
         latency = now - issue_time
         pend["latency_cycles"] += latency
+        callback = self._callback
         if callback is None:
             self.processor._retire(ref, latency, True)
             return
+        self._callback = None
         self.flush_counters()
         callback(AccessResult(ref, True, issue_time, now, version))
 
-    def _escape(
-        self, ref: MemRef, callback: Optional[AccessCallback], issue_time: int
-    ) -> None:
-        """Hand an escape row to the protocol's :meth:`_classify`."""
-        if callback is None:
-            callback = self.processor._completed
-        self._classify(ref, callback, issue_time)
-
     @abstractmethod
-    def _classify(
-        self, ref: MemRef, callback: AccessCallback, issue_time: int
-    ) -> None:
+    def _classify(self, ref: MemRef, issue_time: int) -> None:
         """Run the protocol for a reference the table escaped."""
 
     def _complete(
-        self,
-        ref: MemRef,
-        callback: AccessCallback,
-        issue_time: int,
-        hit: bool,
-        version: int,
+        self, ref: MemRef, issue_time: int, hit: bool, version: int
     ) -> None:
-        """Finish an escaped reference and report it to ``callback``."""
-        self._op_in_progress = False
-        self.counters.add("latency_cycles", self.sim.now - issue_time)
-        callback(
-            AccessResult(
-                ref=ref,
-                hit=hit,
-                issue_time=issue_time,
-                complete_time=self.sim.now,
-                version=version,
-            )
-        )
+        """Finish an escaped reference: retire it to the processor, or
+        report it to the :meth:`access` caller."""
+        now = self.sim.now
+        latency = now - issue_time
+        self.counters.add("latency_cycles", latency)
+        callback = self._callback
+        if callback is None:
+            self.processor._retire(ref, latency, hit)
+            return
+        self._callback = None
+        callback(AccessResult(ref, hit, issue_time, now, version))
+
+    def _finish_read(
+        self, ref: MemRef, issue_time: int, version: int, hit: bool
+    ) -> None:
+        """Linearization point of a read: the oracle checks ``version``."""
+        self.oracle.check_read(ref.block, version, issue_time, self.pid)
+        self._complete(ref, issue_time, hit, version)
+
+    def _perform_write(
+        self, line: CacheLine, ref: MemRef, issue_time: int, hit: bool
+    ) -> None:
+        """Linearization point of a store: the line takes a new version."""
+        version = self.oracle.new_version()
+        line.version = version
+        line.modified = True
+        self.oracle.commit_write(ref.block, version, self.sim.now, self.pid)
+        self._complete(ref, issue_time, hit, version)
 
     def flush_counters(self) -> None:
         """Move the batched counter increments into :attr:`counters`."""
@@ -331,6 +339,13 @@ class AbstractCacheController(Component):
         self._array_free_at = start + cycle
         return self._array_free_at
 
+    # ------------------------------------------------------------------
+    # Introspection for audits
+    # ------------------------------------------------------------------
+    def holds(self, block: int) -> Optional[CacheLine]:
+        """The valid line holding ``block``, or None."""
+        return self.array.lookup(block)
+
 
 class AbstractMemoryController(Component):
     """Home-side controller fronting one memory module."""
@@ -351,6 +366,16 @@ class AbstractMemoryController(Component):
         self._mem_free_at = start + access
         self.counters.add("memory_busy_cycles", access)
         return self._mem_free_at
+
+    def _commit_at_memory(self, block: int, requester: int) -> int:
+        """Linearization point of a store memory performs (write-through
+        and uncached stores): memory takes a new version, returned for
+        the acknowledgement.  Needs the subclass's ``module`` and
+        ``oracle``."""
+        version = self.oracle.new_version()
+        self.module.write(block, version)
+        self.oracle.commit_write(block, version, self.sim.now, requester)
+        return version
 
     @abstractmethod
     def quiescent(self) -> bool:

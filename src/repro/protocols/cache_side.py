@@ -40,11 +40,7 @@ from repro.cache.wbbuffer import WriteBackBuffer
 from repro.faults.plan import DEFAULT_MAX_RETRIES, DEFAULT_RETRY_BACKOFF
 from repro.interconnect.message import Message, MessageKind
 from repro.interconnect.network import Network
-from repro.protocols.base import (
-    AbstractCacheController,
-    AccessCallback,
-    ProtocolError,
-)
+from repro.protocols.base import AbstractCacheController, ProtocolError
 from repro.protocols.compiled import LineState, line_state
 from repro.sim.kernel import Simulator
 from repro.config import MachineConfig
@@ -61,7 +57,6 @@ class PendingOp:
     _uid_fields = {"uid": "the transaction uid its messages carry as txn"}
 
     ref: MemRef
-    callback: AccessCallback
     issue_time: int
     #: "mreq" while waiting for MGRANTED; "miss" while waiting for GET.
     phase: str
@@ -381,7 +376,7 @@ class DirectoryCacheController(AbstractCacheController):
     # ==================================================================
     # Processor interface
     # ==================================================================
-    def _classify(self, ref: MemRef, callback: AccessCallback, issue_time: int) -> None:
+    def _classify(self, ref: MemRef, issue_time: int) -> None:
         # The escape rows of the §3.2 table: hits completed in the
         # table step, so a resident line here is a write hit on an
         # unmodified block.
@@ -397,9 +392,8 @@ class DirectoryCacheController(AbstractCacheController):
                 # write_hits_unmodified counter exactly.
                 obs.span_outcome(ref.pid, "WH-unmod")
             # Ask the home controller for modification rights.
-            self.pending = PendingOp(ref=ref, callback=callback,
-                                     issue_time=issue_time, phase="mreq",
-                                     uid=self.sim.uid())
+            self.pending = PendingOp(ref=ref, issue_time=issue_time,
+                                     phase="mreq", uid=self.sim.uid())
             self._to_home(MessageKind.MREQUEST, ref.block,
                           meta={"txn": self.pending.uid})
             return
@@ -407,11 +401,9 @@ class DirectoryCacheController(AbstractCacheController):
         self.counters.add("write_misses" if ref.is_write else "read_misses")
         if obs is not None:
             obs.span_outcome(ref.pid, "WM" if ref.is_write else "RM")
-        self._begin_miss(ref, callback, issue_time, 0)
+        self._begin_miss(ref, issue_time, 0)
 
-    def _begin_miss(
-        self, ref: MemRef, callback: AccessCallback, issue_time: int, attempt: int
-    ) -> None:
+    def _begin_miss(self, ref: MemRef, issue_time: int, attempt: int) -> None:
         """Evict the victim and issue the REQUEST — unless the eviction
         needs a write-back slot and the buffer is full, in which case the
         miss backs off and retries (structured backpressure; the buffer
@@ -425,7 +417,7 @@ class DirectoryCacheController(AbstractCacheController):
             # Hold the miss until the eject is acked; the eject's own
             # give-up bound caps how long that can take.
             self._back_off(
-                ref, callback, issue_time, attempt, 4 * self._max_retries(),
+                ref, issue_time, attempt, 4 * self._max_retries(),
                 "self_eject_miss_stalls",
                 f"miss on block {ref.block} stalled behind its own "
                 f"in-flight eject after {attempt} backoff attempts",
@@ -434,29 +426,28 @@ class DirectoryCacheController(AbstractCacheController):
         frame = self.array.frame_for(ref.block)
         if frame.valid and frame.modified and self.wb_buffer.full:
             self._back_off(
-                ref, callback, issue_time, attempt, self._max_retries(),
+                ref, issue_time, attempt, self._max_retries(),
                 "wb_backpressure_stalls",
                 f"write-back buffer still full after {attempt} backoff "
                 f"attempts (miss on block {ref.block})",
             )
             return
         self._evict_frame(frame)
-        self.pending = PendingOp(ref=ref, callback=callback,
-                                 issue_time=issue_time, phase="miss",
-                                 uid=self.sim.uid())
+        self.pending = PendingOp(ref=ref, issue_time=issue_time,
+                                 phase="miss", uid=self.sim.uid())
         self._to_home(MessageKind.REQUEST, ref.block,
                       rw="write" if ref.is_write else "read",
                       meta={"txn": self.pending.uid})
 
-    def _back_off(self, ref: MemRef, callback: AccessCallback, issue_time: int,
-                  attempt: int, limit: int, counter: str, stalled: str) -> None:
+    def _back_off(self, ref: MemRef, issue_time: int, attempt: int,
+                  limit: int, counter: str, stalled: str) -> None:
         """Retry the miss after a backoff; give up past ``limit`` attempts."""
         if attempt >= limit:
             raise ProtocolError(f"{self.name}: {stalled}")
         self.counters.add(counter)
         self._note_retry(ref.pid)
         self.sim.post(self._backoff_delay(attempt + 1),
-                      self._begin_miss, ref, callback, issue_time, attempt + 1)
+                      self._begin_miss, ref, issue_time, attempt + 1)
 
     def _evict_frame(self, frame: CacheLine) -> None:
         """§3.2.1 replacement protocol for the frame a miss will occupy.
@@ -485,28 +476,13 @@ class DirectoryCacheController(AbstractCacheController):
         frame.reset()
 
     # ==================================================================
-    # Completion paths
+    # Completion
     # ==================================================================
-    def _finish_read(self, ref: MemRef, callback: AccessCallback,
-                     issue_time: int, version: int, hit: bool) -> None:
-        self.oracle.check_read(ref.block, version, issue_time, self.pid)
-        self._complete(ref, callback, issue_time, hit, version)
-
-    def _perform_write(self, line: CacheLine, ref: MemRef,
-                       callback: AccessCallback, issue_time: int,
-                       hit: bool) -> None:
-        """Linearization point of a store: the line takes a new version."""
-        version = self.oracle.new_version()
-        line.version = version
-        line.modified = True
-        self.oracle.commit_write(ref.block, version, self.sim.now, self.pid)
-        self._complete(ref, callback, issue_time, hit, version)
-
     def _fill_and_complete(self, message: Message, pending: PendingOp) -> None:
         self.pending = None
         version = message.version
         assert version is not None
-        ref, callback, issue_time = pending.ref, pending.callback, pending.issue_time
+        ref, issue_time = pending.ref, pending.issue_time
         if pending.stale:
             # An invalidation crossed the fill: the data was current when
             # our transaction was serialized, so a read may still consume
@@ -517,15 +493,15 @@ class DirectoryCacheController(AbstractCacheController):
                     "(must be impossible under per-block serialization)"
                 )
             self.counters.add("stale_fills_uncached")
-            self._finish_read(ref, callback, issue_time, version, hit=False)
+            self._finish_read(ref, issue_time, version, hit=False)
         else:
             line = self.array.fill(ref.block, version=version, modified=False)
             if message.meta.get("exclusive"):
                 line.local = LocalState.EXCLUSIVE
             if ref.is_write:
-                self._perform_write(line, ref, callback, issue_time, hit=False)
+                self._perform_write(line, ref, issue_time, hit=False)
             else:
-                self._finish_read(ref, callback, issue_time, version, hit=False)
+                self._finish_read(ref, issue_time, version, hit=False)
         # Answer the queries that arrived while the fill was landing.
         for query in pending.deferred:
             self.counters.add("deferred_queries_replayed")
@@ -709,8 +685,7 @@ class DirectoryCacheController(AbstractCacheController):
 
     def _complete_write(self, message, line, pending) -> None:
         self.pending = None
-        self._perform_write(line, pending.ref, pending.callback,
-                            pending.issue_time, hit=True)
+        self._perform_write(line, pending.ref, pending.issue_time, hit=True)
 
     def _lost_grant(self, message, line, pending) -> None:
         raise RuntimeError(f"{self.name}: MGRANTED(true) for a block we lost")
@@ -793,9 +768,6 @@ class DirectoryCacheController(AbstractCacheController):
     # ------------------------------------------------------------------
     # Introspection for audits
     # ------------------------------------------------------------------
-    def holds(self, block: int) -> Optional[CacheLine]:
-        return self.array.lookup(block)
-
     def quiescent(self) -> bool:
         """No outstanding reference and no unacknowledged eject."""
         return self.pending is None and len(self.wb_buffer) == 0 and not self._ejects

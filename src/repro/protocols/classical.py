@@ -24,11 +24,7 @@ from repro.interconnect.holders import SPARSE_INDEX, CopyHolderIndex
 from repro.interconnect.message import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.memory.module import MemoryModule
-from repro.protocols.base import (
-    AbstractCacheController,
-    AbstractMemoryController,
-    AccessCallback,
-)
+from repro.protocols.base import AbstractCacheController, AbstractMemoryController
 from repro.sim.kernel import Simulator
 from repro.config import MachineConfig
 from repro.verification.oracle import CoherenceOracle
@@ -38,7 +34,6 @@ from repro.workloads.reference import MemRef
 @dataclass
 class _Pending:
     ref: MemRef
-    callback: AccessCallback
     issue_time: int
     #: "fetch" (read miss) or "store" (write-through in flight).
     phase: str
@@ -80,10 +75,10 @@ class ClassicalCacheController(AbstractCacheController):
     # ------------------------------------------------------------------
     # Processor interface (escape rows: read misses and every store)
     # ------------------------------------------------------------------
-    def _classify(self, ref: MemRef, callback: AccessCallback, issue_time: int) -> None:
+    def _classify(self, ref: MemRef, issue_time: int) -> None:
         if not ref.is_write:
             self.counters.add("read_misses")
-            self.pending = _Pending(ref, callback, issue_time, phase="fetch")
+            self.pending = _Pending(ref, issue_time, phase="fetch")
             if self.holders is not None:
                 # Join the holder set at *send* time: a store committing
                 # while the fetch is in flight must still signal us so
@@ -97,7 +92,7 @@ class ClassicalCacheController(AbstractCacheController):
         # serialization order, not their issue order.
         line = self.array.lookup(ref.block)
         self.counters.add("write_hits" if line is not None else "write_misses")
-        self.pending = _Pending(ref, callback, issue_time, phase="store")
+        self.pending = _Pending(ref, issue_time, phase="store")
         self._send(
             MessageKind.WT_WRITE, ref.block, meta={"hit": line is not None}
         )
@@ -132,13 +127,8 @@ class ClassicalCacheController(AbstractCacheController):
                 assert message.version is not None
                 line.version = message.version
                 self.array.touch(line)
-            self._complete(
-                pending.ref,
-                pending.callback,
-                pending.issue_time,
-                hit=line is not None,
-                version=message.version or 0,
-            )
+            self._complete(pending.ref, pending.issue_time,
+                           hit=line is not None, version=message.version or 0)
         else:
             raise ValueError(f"{self.name} cannot handle {message!r}")
 
@@ -165,12 +155,8 @@ class ClassicalCacheController(AbstractCacheController):
         self.array.fill(pending.ref.block, version=message.version, modified=False)
         if self.holders is not None:
             self.holders.add(pending.ref.block, self.pid)
-        self.oracle.check_read(
-            pending.ref.block, message.version, pending.issue_time, self.pid
-        )
-        self._complete(
-            pending.ref, pending.callback, pending.issue_time, False, message.version
-        )
+        self._finish_read(pending.ref, pending.issue_time, message.version,
+                          hit=False)
 
     # ------------------------------------------------------------------
     # Invalidation line (synchronous, called by the memory controller)
@@ -244,9 +230,6 @@ class ClassicalCacheController(AbstractCacheController):
             )
         )
 
-    def holds(self, block: int):
-        return self.array.lookup(block)
-
     def quiescent(self) -> bool:
         return self.pending is None
 
@@ -301,15 +284,15 @@ class ClassicalMemoryController(AbstractMemoryController):
             )
         )
 
-    def _commit_store(self, message: Message) -> None:
+    def _commit_store(self, message: Message, signal: bool = True) -> None:
+        """Commit a write-through store and acknowledge it; ``signal``
+        runs the invalidation-line round (the two-bit filter skips the
+        rounds its map proves pointless)."""
         assert message.requester is not None
-        version = self.oracle.new_version()
-        self.module.write(message.block, version)
-        self.oracle.commit_write(
-            message.block, version, self.sim.now, message.requester
-        )
+        version = self._commit_at_memory(message.block, message.requester)
         self.counters.add("stores_committed")
-        self._signal_invalidations(message.block, message.requester)
+        if signal:
+            self._signal_invalidations(message.block, message.requester)
         self.net.send(
             Message(
                 kind=MessageKind.WT_ACK,

@@ -124,9 +124,6 @@ class ProtocolTable:
     protocol: str
     #: Structural family: "directory", "write_through", "static", "snoop".
     family: str
-    #: Whether the cache keeps the ``_op_in_progress`` busy flag
-    #: (directory caches do; the others guard on ``pending`` alone).
-    op_flag: bool
     states: Tuple[LineState, ...]
     rules: Tuple[Rule, ...]
 
@@ -238,35 +235,35 @@ _ILLINOIS_RULES = (
 
 PROTOCOL_TABLES: Dict[str, ProtocolTable] = {
     "twobit": ProtocolTable(
-        protocol="twobit", family="directory", op_flag=True,
+        protocol="twobit", family="directory",
         states=(_I, _V, _D), rules=_directory_rules(),
     ),
     "fullmap": ProtocolTable(
-        protocol="fullmap", family="directory", op_flag=True,
+        protocol="fullmap", family="directory",
         states=(_I, _V, _D), rules=_directory_rules(),
     ),
     "fullmap_local": ProtocolTable(
-        protocol="fullmap_local", family="directory", op_flag=True,
+        protocol="fullmap_local", family="directory",
         states=(_I, _V, _E, _D), rules=_directory_rules(extended=True),
     ),
     "classical": ProtocolTable(
-        protocol="classical", family="write_through", op_flag=False,
+        protocol="classical", family="write_through",
         states=(_I, _V), rules=_write_through_rules(),
     ),
     "twobit_wt": ProtocolTable(
-        protocol="twobit_wt", family="write_through", op_flag=False,
+        protocol="twobit_wt", family="write_through",
         states=(_I, _V), rules=_write_through_rules(),
     ),
     "static": ProtocolTable(
-        protocol="static", family="static", op_flag=False,
+        protocol="static", family="static",
         states=(_I, _V, _D), rules=_STATIC_RULES,
     ),
     "write_once": ProtocolTable(
-        protocol="write_once", family="snoop", op_flag=False,
+        protocol="write_once", family="snoop",
         states=(_I, _V, _RS, _D), rules=_WRITE_ONCE_RULES,
     ),
     "illinois": ProtocolTable(
-        protocol="illinois", family="snoop", op_flag=False,
+        protocol="illinois", family="snoop",
         states=(_I, _E, _S, _D), rules=_ILLINOIS_RULES,
     ),
 }
@@ -337,7 +334,6 @@ class CompiledKernel:
     protocol: str
     #: Structural family (see :class:`ProtocolTable`).
     family: str
-    op_flag: bool
     #: Static scheme: escape before lookup when ``ref.shared``.
     pre_shared_escape: bool
     #: LocalState values for which a clean-line read is a fast hit.
@@ -427,7 +423,6 @@ def compile_protocol(protocol: str) -> CompiledKernel:
     kernel = CompiledKernel(
         protocol=name,
         family=table.family,
-        op_flag=table.op_flag,
         pre_shared_escape=pre_shared_escape,
         r_clean=frozenset(r_clean),
         r_dirty=r_dirty,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from repro.cache.line import CacheLine, LocalState
 from repro.interconnect.message import MessageKind
-from repro.protocols.base import AccessCallback
 from repro.protocols.snoop import (
     SnoopBusManager,
     SnoopCacheController,
@@ -40,17 +39,11 @@ class IllinoisCacheController(SnoopCacheController):
     # ------------------------------------------------------------------
     # Requester side
     # ------------------------------------------------------------------
-    def _write_hit(
-        self,
-        line: CacheLine,
-        ref: MemRef,
-        callback: AccessCallback,
-        issue_time: int,
-    ) -> None:
+    def _write_hit(self, line: CacheLine, ref: MemRef, issue_time: int) -> None:
         # S -> M: invalidate the other sharers first.  M and E (the
         # silent upgrade) write locally: hit rows of the transition table.
         self.counters.add("upgrade_invalidations")
-        self.pending = _Pending(ref, callback, issue_time, MessageKind.BUS_INV)
+        self.pending = _Pending(ref, issue_time)
         self.manager.request(MessageKind.BUS_INV, ref.block, self)
 
     def _after_read_fill(self, line: CacheLine, others_had_copy: bool) -> None:
@@ -58,20 +51,12 @@ class IllinoisCacheController(SnoopCacheController):
         if not others_had_copy:
             self.counters.add("exclusive_fills")
 
-    def _after_store(self, line: CacheLine) -> None:
-        line.local = LocalState.NONE
-
     def _after_upgrade(
-        self,
-        kind: MessageKind,
-        line: CacheLine,
-        ref: MemRef,
-        callback: AccessCallback,
-        issue_time: int,
+        self, kind: MessageKind, line: CacheLine, ref: MemRef, issue_time: int
     ) -> None:
         assert kind is MessageKind.BUS_INV
-        line.local = LocalState.NONE
-        self._commit_store(line, ref, callback, issue_time, hit=True)
+        line.local = LocalState.NONE  # S -> M
+        self._perform_write(line, ref, issue_time, hit=True)
 
     # ------------------------------------------------------------------
     # Snooper side

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.cache.line import CacheLine
 from repro.interconnect.bus import Bus
 from repro.interconnect.message import DATA_SIZE, MessageKind
 from repro.memory.address import AddressMap
 from repro.memory.module import MemoryModule
-from repro.protocols.base import AbstractCacheController, AccessCallback
+from repro.protocols.base import AbstractCacheController
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.config import MachineConfig
@@ -195,9 +195,7 @@ class SnoopBusManager(Component):
 @dataclass
 class _Pending:
     ref: MemRef
-    callback: AccessCallback
     issue_time: int
-    kind: MessageKind
 
 
 class SnoopCacheController(AbstractCacheController):
@@ -224,19 +222,19 @@ class SnoopCacheController(AbstractCacheController):
     # ------------------------------------------------------------------
     # Processor interface
     # ------------------------------------------------------------------
-    def _classify(self, ref: MemRef, callback: AccessCallback, issue_time: int) -> None:
+    def _classify(self, ref: MemRef, issue_time: int) -> None:
         # Escape rows only: a resident line here is a write hit that
         # needs the bus (the table step completed every local hit).
         line = self.array.lookup(ref.block)
         if line is not None:
             self.array.touch(line)
             self.counters.add("write_hits")
-            self._write_hit(line, ref, callback, issue_time)
+            self._write_hit(line, ref, issue_time)
             return
         self.counters.add("write_misses" if ref.is_write else "read_misses")
         self._evict_victim(ref.block)
         kind = MessageKind.BUS_RDX if ref.is_write else MessageKind.BUS_READ
-        self.pending = _Pending(ref, callback, issue_time, kind)
+        self.pending = _Pending(ref, issue_time)
         self.manager.request(kind, ref.block, self)
 
     def _evict_victim(self, incoming_block: int) -> None:
@@ -310,13 +308,12 @@ class SnoopCacheController(AbstractCacheController):
             assert version is not None
             line = self.array.fill(ref.block, version, modified=False)
             self._after_read_fill(line, others_had_copy)
-            self.oracle.check_read(ref.block, version, pending.issue_time, self.pid)
-            self._complete(ref, pending.callback, pending.issue_time, False, version)
+            self._finish_read(ref, pending.issue_time, version, hit=False)
             return
         if kind is MessageKind.BUS_RDX:
             assert version is not None
             line = self.array.fill(ref.block, version, modified=False)
-            self._commit_store(line, ref, pending.callback, pending.issue_time, False)
+            self._perform_write(line, ref, pending.issue_time, hit=False)
             return
         if kind is MessageKind.BUS_INV or kind is MessageKind.BUS_WRITE_WORD:
             line = self.array.lookup(ref.block)
@@ -325,24 +322,9 @@ class SnoopCacheController(AbstractCacheController):
                     f"{self.name}: upgrade completed without a line (recheck "
                     "should have converted it)"
                 )
-            self._after_upgrade(kind, line, ref, pending.callback, pending.issue_time)
+            self._after_upgrade(kind, line, ref, pending.issue_time)
             return
         raise AssertionError(f"unexpected kind {kind}")
-
-    def _commit_store(
-        self,
-        line: CacheLine,
-        ref: MemRef,
-        callback: AccessCallback,
-        issue_time: int,
-        hit: bool,
-    ) -> None:
-        version = self.oracle.new_version()
-        line.version = version
-        line.modified = True
-        self._after_store(line)
-        self.oracle.commit_write(ref.block, version, self.sim.now, self.pid)
-        self._complete(ref, callback, issue_time, hit, version)
 
     # ------------------------------------------------------------------
     # Protocol hooks
@@ -351,30 +333,17 @@ class SnoopCacheController(AbstractCacheController):
         """Does evicting ``line`` require a data transfer to memory?"""
         return line.modified
 
-    def _write_hit(
-        self,
-        line: CacheLine,
-        ref: MemRef,
-        callback: AccessCallback,
-        issue_time: int,
-    ) -> None:
+    def _write_hit(self, line: CacheLine, ref: MemRef, issue_time: int) -> None:
         """Start the bus upgrade of a write hit the table escaped."""
         raise NotImplementedError
 
     def _after_read_fill(self, line: CacheLine, others_had_copy: bool) -> None:
         raise NotImplementedError
 
-    def _after_store(self, line: CacheLine) -> None:
-        """Adjust local state after a store dirties ``line``."""
-
     def _after_upgrade(
-        self,
-        kind: MessageKind,
-        line: CacheLine,
-        ref: MemRef,
-        callback: AccessCallback,
-        issue_time: int,
+        self, kind: MessageKind, line: CacheLine, ref: MemRef, issue_time: int
     ) -> None:
+        """Finish a write hit's bus upgrade on ``line``."""
         raise NotImplementedError
 
     def recheck(self, kind: MessageKind, block: int) -> MessageKind:
@@ -392,8 +361,5 @@ class SnoopCacheController(AbstractCacheController):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def holds(self, block: int) -> Optional[CacheLine]:
-        return self.array.lookup(block)
-
     def quiescent(self) -> bool:
         return self.pending is None and not self._wb_pending

@@ -20,11 +20,7 @@ from typing import Callable, Optional
 from repro.interconnect.message import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.memory.module import MemoryModule
-from repro.protocols.base import (
-    AbstractCacheController,
-    AbstractMemoryController,
-    AccessCallback,
-)
+from repro.protocols.base import AbstractCacheController, AbstractMemoryController
 from repro.sim.kernel import Simulator
 from repro.config import MachineConfig
 from repro.verification.oracle import CoherenceOracle
@@ -34,7 +30,6 @@ from repro.workloads.reference import MemRef
 @dataclass
 class _Pending:
     ref: MemRef
-    callback: AccessCallback
     issue_time: int
     #: "fill" (private miss) or "mem" (uncached shared access).
     phase: str
@@ -63,11 +58,11 @@ class StaticCacheController(AbstractCacheController):
     # ------------------------------------------------------------------
     # Processor interface
     # ------------------------------------------------------------------
-    def _classify(self, ref: MemRef, callback: AccessCallback, issue_time: int) -> None:
+    def _classify(self, ref: MemRef, issue_time: int) -> None:
         if ref.shared:
             # Tagged public: bypass the cache entirely (§2.2).
             self.counters.add("uncached_accesses")
-            self.pending = _Pending(ref, callback, issue_time, phase="mem")
+            self.pending = _Pending(ref, issue_time, phase="mem")
             if ref.is_write:
                 # The version is drawn by the controller at the commit
                 # instant: racing uncached stores must take version
@@ -79,7 +74,7 @@ class StaticCacheController(AbstractCacheController):
         # Private miss (the table step completed every private hit).
         self.counters.add("write_misses" if ref.is_write else "read_misses")
         self._evict_victim(ref.block)
-        self.pending = _Pending(ref, callback, issue_time, phase="fill")
+        self.pending = _Pending(ref, issue_time, phase="fill")
         self._send(MessageKind.MEM_READ, ref.block, meta={"fill": True})
 
     def _evict_victim(self, incoming_block: int) -> None:
@@ -112,44 +107,23 @@ class StaticCacheController(AbstractCacheController):
             done = self._use_array(stolen=False)
             self.sim.post_at(done, self._fill, message, pending)
             return
-        # Uncached access completed at memory.
+        # Uncached access completed at memory (a store committed there).
+        assert message.version is not None
         if pending.ref.is_write:
-            assert message.version is not None
-            self._complete(
-                pending.ref, pending.callback, pending.issue_time, False,
-                message.version,
-            )
+            self._complete(pending.ref, pending.issue_time, False,
+                           message.version)
         else:
-            assert message.version is not None
-            self.oracle.check_read(
-                pending.ref.block, message.version, pending.issue_time, self.pid
-            )
-            self._complete(
-                pending.ref, pending.callback, pending.issue_time, False,
-                message.version,
-            )
+            self._finish_read(pending.ref, pending.issue_time,
+                              message.version, hit=False)
 
     def _fill(self, message: Message, pending: _Pending) -> None:
         assert message.version is not None
         line = self.array.fill(pending.ref.block, message.version, modified=False)
         if pending.ref.is_write:
-            version = self.oracle.new_version()
-            line.version = version
-            line.modified = True
-            self.oracle.commit_write(
-                pending.ref.block, version, self.sim.now, self.pid
-            )
-            self._complete(
-                pending.ref, pending.callback, pending.issue_time, False, version
-            )
+            self._perform_write(line, pending.ref, pending.issue_time, hit=False)
         else:
-            self.oracle.check_read(
-                pending.ref.block, message.version, pending.issue_time, self.pid
-            )
-            self._complete(
-                pending.ref, pending.callback, pending.issue_time, False,
-                message.version,
-            )
+            self._finish_read(pending.ref, pending.issue_time,
+                              message.version, hit=False)
 
     def _send(self, kind: MessageKind, block: int, **fields) -> None:
         fields.setdefault("requester", self.pid)
@@ -162,9 +136,6 @@ class StaticCacheController(AbstractCacheController):
                 **fields,
             )
         )
-
-    def holds(self, block: int):
-        return self.array.lookup(block)
 
     def quiescent(self) -> bool:
         return self.pending is None
@@ -215,11 +186,7 @@ class StaticMemoryController(AbstractMemoryController):
 
     def _serve_write(self, message: Message) -> None:
         assert message.requester is not None
-        version = self.oracle.new_version()
-        self.module.write(message.block, version)
-        self.oracle.commit_write(
-            message.block, version, self.sim.now, message.requester
-        )
+        version = self._commit_at_memory(message.block, message.requester)
         self.counters.add("writes_served")
         self.net.send(
             Message(

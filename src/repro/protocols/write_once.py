@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from repro.cache.line import CacheLine, LocalState
 from repro.interconnect.message import MessageKind
-from repro.protocols.base import AccessCallback
 from repro.protocols.snoop import SnoopCacheController, SnoopReply, _Pending
 from repro.workloads.reference import MemRef
 
@@ -35,41 +34,31 @@ class WriteOnceCacheController(SnoopCacheController):
     # ------------------------------------------------------------------
     # Requester side
     # ------------------------------------------------------------------
-    def _write_hit(
-        self,
-        line: CacheLine,
-        ref: MemRef,
-        callback: AccessCallback,
-        issue_time: int,
-    ) -> None:
+    def _write_hit(self, line: CacheLine, ref: MemRef, issue_time: int) -> None:
         # Valid: the write-once write-through (bus word write).  Reserved
         # and Dirty copies are exclusive and write locally: hit rows of
         # the transition table.
         self.counters.add("write_through_words")
-        self.pending = _Pending(ref, callback, issue_time, MessageKind.BUS_WRITE_WORD)
+        self.pending = _Pending(ref, issue_time)
         self.manager.request(MessageKind.BUS_WRITE_WORD, ref.block, self)
 
     def _after_read_fill(self, line: CacheLine, others_had_copy: bool) -> None:
         line.local = LocalState.NONE  # Valid
 
     def _after_upgrade(
-        self,
-        kind: MessageKind,
-        line: CacheLine,
-        ref: MemRef,
-        callback: AccessCallback,
-        issue_time: int,
+        self, kind: MessageKind, line: CacheLine, ref: MemRef, issue_time: int
     ) -> None:
         assert kind is MessageKind.BUS_WRITE_WORD
         # The word went through to memory within the bus tenure: memory is
-        # current and all other copies were invalidated -> Reserved.
+        # current and all other copies were invalidated -> Reserved.  Not
+        # _perform_write: memory takes the version too, the line stays clean.
         version = self.oracle.new_version()
         line.version = version
         line.modified = False
         line.local = LocalState.RESERVED
         self.manager.module_of(ref.block).write(ref.block, version)
         self.oracle.commit_write(ref.block, version, self.sim.now, self.pid)
-        self._complete(ref, callback, issue_time, True, version)
+        self._complete(ref, issue_time, True, version)
 
     def _must_write_back(self, line: CacheLine) -> bool:
         # Reserved blocks are current in memory; only Dirty writes back.

@@ -53,7 +53,7 @@ class WTFilterCacheController(ClassicalCacheController):
     # Eviction notices (the classical cache evicts silently; the filter
     # variant tells the home directory so Present1 can return to Absent).
     # ------------------------------------------------------------------
-    def _classify(self, ref, callback, issue_time):
+    def _classify(self, ref, issue_time):
         if not ref.is_write:  # a read miss: read hits never escape
             frame = self.array.frame_for(ref.block)
             if frame.valid and frame.block is not None:
@@ -67,7 +67,7 @@ class WTFilterCacheController(ClassicalCacheController):
                     meta={"ej": uid},
                 )
                 frame.reset()
-        super()._classify(ref, callback, issue_time)
+        super()._classify(ref, issue_time)
 
     def deliver(self, message: Message) -> None:
         if message.kind is MessageKind.EJECT_ACK:
@@ -180,25 +180,7 @@ class WTFilterMemoryController(ClassicalMemoryController):
         if skip:
             # No other cache can hold a copy: commit without signalling.
             self.counters.add("stores_filtered")
-            assert message.requester is not None
-            version = self.oracle.new_version()
-            self.module.write(block, version)
-            self.oracle.commit_write(
-                block, version, self.sim.now, message.requester
-            )
-            self.counters.add("stores_committed")
-            self.net.send(
-                Message(
-                    kind=MessageKind.WT_ACK,
-                    src=self.name,
-                    dst=message.src,
-                    block=block,
-                    version=version,
-                    requester=message.requester,
-                )
-            )
-        else:
-            super()._commit_store(message)
+        super()._commit_store(message, signal=not skip)
         # Post-store state: the writer's copy (if it had one) is the
         # only survivor; with no-write-allocate a missing writer leaves
         # the block uncached.

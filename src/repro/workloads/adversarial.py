@@ -22,11 +22,11 @@ that :func:`load_stressor` turns back into scenarios for exact replay.
 from __future__ import annotations
 
 import json
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.atomic import atomic_write
 from repro.workloads.reference import MemRef, Op
 from repro.workloads.synthetic import HIGH_SHARING, ScriptedWorkload
 
@@ -210,23 +210,9 @@ class Stressor:
 
 def promote(stressor: Stressor, path: str) -> str:
     """Write ``stressor`` to ``path`` as JSON (atomically); returns path."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(
-        directory, f".{os.path.basename(path)}.tmp.{os.getpid()}"
-    )
-    try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            json.dump(stressor.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path, "w", encoding="ascii") as fh:
+        json.dump(stressor.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return path
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Union
 
+from repro.atomic import atomic_write
 from repro.workloads.reference import MemRef, RefTable
 from repro.workloads.synthetic import Workload
 
@@ -157,55 +158,43 @@ def write_trace(
 ) -> int:
     """Write references to ``path`` atomically; returns the number written.
 
-    Like checkpoint files, the trace is written to a temporary sibling,
-    flushed and fsynced, then moved into place with :func:`os.replace` —
-    a crash mid-write never leaves a truncated trace at ``path``.  A
-    fixed-width ``# meta`` line is patched in after streaming the refs so
-    readers learn the trace shape without a prescan.
+    Like checkpoint files, the trace is written atomically
+    (:func:`repro.atomic.atomic_write`): a crash mid-write never leaves
+    a truncated trace at ``path``.  A fixed-width ``# meta`` line is
+    patched in after streaming the refs so readers learn the trace shape
+    without a prescan.
 
     ``n_processors``/``n_blocks`` declare a shape larger than the refs
     imply (the recorder passes the source machine's config so a replay
     machine is sized identically even when the tail of the address space
     was never referenced).
     """
-    path = Path(path)
-    tmp = path.parent / f".{path.name}.tmp.{os.getpid()}"
     count = 0
     max_pid = -1
     max_block = -1
-    try:
-        # Binary mode: the meta line is patched in place via seek, and
-        # byte offsets must be exact (text-mode tell cookies are opaque).
-        with open(tmp, "wb") as fh:
-            fh.write((TRACE_HEADER + "\n").encode("ascii"))
-            meta_offset = fh.tell()
-            placeholder = _META_FMT.format(n_processors=0, n_blocks=0, refs=0)
-            fh.write((placeholder + "\n").encode("ascii"))
-            for ref in refs:
-                fh.write((str(ref) + "\n").encode("ascii"))
-                count += 1
-                if ref.pid > max_pid:
-                    max_pid = ref.pid
-                if ref.block > max_block:
-                    max_block = ref.block
-            patched = _META_FMT.format(
-                n_processors=max(max_pid + 1, n_processors or 0),
-                n_blocks=max(max_block + 1, n_blocks or 0),
-                refs=count,
-            )
-            assert len(patched) == len(placeholder)
-            fh.seek(meta_offset)
-            fh.write(patched.encode("ascii"))
-            fh.seek(0, os.SEEK_END)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    # Binary mode: the meta line is patched in place via seek, and byte
+    # offsets must be exact (text-mode tell cookies are opaque).
+    with atomic_write(path) as fh:
+        fh.write((TRACE_HEADER + "\n").encode("ascii"))
+        meta_offset = fh.tell()
+        placeholder = _META_FMT.format(n_processors=0, n_blocks=0, refs=0)
+        fh.write((placeholder + "\n").encode("ascii"))
+        for ref in refs:
+            fh.write((str(ref) + "\n").encode("ascii"))
+            count += 1
+            if ref.pid > max_pid:
+                max_pid = ref.pid
+            if ref.block > max_block:
+                max_block = ref.block
+        patched = _META_FMT.format(
+            n_processors=max(max_pid + 1, n_processors or 0),
+            n_blocks=max(max_block + 1, n_blocks or 0),
+            refs=count,
+        )
+        assert len(patched) == len(placeholder)
+        fh.seek(meta_offset)
+        fh.write(patched.encode("ascii"))
+        fh.seek(0, os.SEEK_END)
     return count
 
 

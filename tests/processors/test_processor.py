@@ -1,5 +1,6 @@
 """Processor model: budgets, blocking, counters."""
 
+from repro.api import Experiment
 from repro.config import MachineConfig
 from repro.processors.processor import Processor
 from repro.protocols.base import AbstractCacheController, AccessResult
@@ -12,7 +13,7 @@ from repro.workloads.synthetic import ScriptedWorkload
 class StubCache(AbstractCacheController):
     """Completes every access ``delay`` cycles after issue (no protocol:
     the table step is replaced, so every reference is a fixed-latency
-    hit reported through the processor's completion callback)."""
+    hit finished through the cache's one completion path)."""
 
     def __init__(self, sim, delay=3):
         super().__init__(
@@ -23,24 +24,12 @@ class StubCache(AbstractCacheController):
         self.accesses = []
         self.pending = None
 
-    def _step(self, ref, callback, issue_time):
+    def _step(self, ref, issue_time):
         self.accesses.append(ref)
-        callback = callback or self.processor._completed
+        self.sim.post_at(issue_time + self.delay, self._complete,
+                         ref, issue_time, True, 0)
 
-        def finish():
-            callback(
-                AccessResult(
-                    ref=ref,
-                    hit=True,
-                    issue_time=issue_time,
-                    complete_time=self.sim.now,
-                    version=0,
-                )
-            )
-
-        self.sim.post_at(issue_time + self.delay, finish)
-
-    def _classify(self, ref, callback, issue_time):
+    def _classify(self, ref, issue_time):
         raise AssertionError("the stub never escapes")
 
 
@@ -106,3 +95,23 @@ def test_counters():
     assert proc.counters["shared_refs"] == 4
     assert proc.counters["hits"] == 4
     assert proc.counters["latency_cycles"] == 8
+
+
+def test_processor_driven_run_builds_no_access_result(monkeypatch):
+    # Hits and escaped references alike retire straight to the
+    # processor; only access() callers get an AccessResult.
+    built = []
+    original = AccessResult.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AccessResult, "__init__", counting)
+    machine = Experiment(
+        protocol="twobit", n_processors=4, q=0.2, w=0.5,
+        refs_per_proc=300, warmup_refs=0,
+    ).run().machine
+    assert machine.registry.total("read_misses") > 0
+    assert machine.registry.total("write_hits_unmodified") > 0
+    assert built == []

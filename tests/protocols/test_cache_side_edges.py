@@ -3,6 +3,7 @@
 import pytest
 
 from repro.interconnect.message import Message, MessageKind
+from repro.protocols import registry
 from repro.workloads.reference import MemRef, Op
 
 from tests.conftest import (
@@ -17,6 +18,20 @@ def test_rejects_second_outstanding_reference():
     machine = scripted_machine([[], []])
     cache = machine.caches[0]
     cache.access(MemRef(0, Op.READ, 1, shared=True), lambda r: None)
+    with pytest.raises(RuntimeError, match="outstanding"):
+        cache.access(MemRef(0, Op.READ, 2, shared=True), lambda r: None)
+
+
+@pytest.mark.parametrize("protocol", registry.protocol_names())
+def test_second_access_before_the_step_is_refused(protocol):
+    # One outstanding reference per cache in every family: the second
+    # access() arrives before the first one's table step has run.
+    machine = scripted_machine(
+        [[], []], protocol=protocol,
+        network=registry.resolve(protocol).default_network(),
+    )
+    cache = machine.caches[0]
+    cache.access(MemRef(0, Op.WRITE, 1, shared=True), lambda r: None)
     with pytest.raises(RuntimeError, match="outstanding"):
         cache.access(MemRef(0, Op.READ, 2, shared=True), lambda r: None)
 

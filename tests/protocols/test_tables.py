@@ -45,7 +45,6 @@ def test_compile_protocol_structure(protocol):
     table = PROTOCOL_TABLES[protocol]
     assert kernel.protocol == protocol
     assert kernel.family == table.family
-    assert kernel.op_flag == table.op_flag
     # Every counter the hit step can touch is pre-declared.
     for rule in table.rules:
         if rule.action is Action.WRITE:

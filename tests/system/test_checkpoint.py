@@ -232,6 +232,22 @@ def test_peek_reads_header_without_unpickling(tmp_path):
     )
 
 
+def test_failed_save_leaves_no_temporary_file(tmp_path, monkeypatch):
+    import errno
+    import os
+
+    machine, _ = _experiment("twobit").build()
+    machine.run(refs_per_proc=20, warmup_refs=0)
+
+    def full_disk(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        checkpoint.save(machine, str(tmp_path / "full.ckpt"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_magic_raises(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"this is not a checkpoint\n")

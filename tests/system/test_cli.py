@@ -199,6 +199,24 @@ def test_compare_metrics_out_and_verbose_report(tmp_path, capsys):
     assert "counter totals" in out
 
 
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_unlisted_protocol_network_pair_exits(tmp_path, command):
+    args = [command, "--protocol", "static", "--network", "delta",
+            "-n", "2", "--refs", "50"]
+    if command == "trace":
+        args += ["--out", str(tmp_path / "t.json")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(args)
+    message = str(excinfo.value.code)
+    assert "runs on network xbar, not 'delta'" in message
+    assert "\n" not in message
+
+
+def test_compare_gives_each_protocol_a_network_it_runs_on(capsys):
+    assert main(["compare", "-n", "2", "--refs", "50", "--warmup", "10",
+                 "--network", "delta"]) == 0
+
+
 def test_check_replay_trace_out(tmp_path, capsys):
     out_path = tmp_path / "replay.json"
     code = main(
@@ -298,13 +316,45 @@ def test_run_resume_reports_like_a_fresh_run(tmp_path, capsys):
     assert resumed_metrics.read_bytes() == fresh_metrics.read_bytes()
 
 
-def test_run_resume_refuses_metrics_out_without_a_hub(tmp_path, capsys):
+def test_run_resume_refuses_metrics_out_without_a_hub(tmp_path, capsys,
+                                                      monkeypatch):
+    from repro.system.machine import Machine
+
     files = _checkpoints(tmp_path, "-n", "2", "--refs", "300")
+
+    def no_run(self, *args, **kwargs):
+        raise AssertionError("the resumed run started")
+
+    # Refused before any simulation work.
+    monkeypatch.setattr(Machine, "continue_run", no_run)
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--resume", str(files[0]),
               "--metrics-out", str(tmp_path / "m.jsonl")])
     assert "observability hub" in str(excinfo.value.code)
     assert not (tmp_path / "m.jsonl").exists()
+
+
+def test_run_resume_refuses_flags_it_cannot_honour(tmp_path, capsys,
+                                                   monkeypatch):
+    from repro import checkpoint
+
+    files = _checkpoints(tmp_path, "-n", "2", "--refs", "300")
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the checkpoint was loaded")
+
+    monkeypatch.setattr(checkpoint, "load", no_load)
+    trace = tmp_path / "t.trace"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--resume", str(files[0]), "--record-trace", str(trace),
+              "--protocol", "illinois", "-n", "8", "--faults", "check"])
+    message = str(excinfo.value.code)
+    assert message.startswith("--resume: ")
+    assert "\n" not in message
+    for flag in ("--protocol", "-n/--processors", "--record-trace",
+                 "--faults"):
+        assert flag in message
+    assert not trace.exists()
 
 
 def test_run_record_trace_then_replay(tmp_path, capsys):

@@ -52,6 +52,19 @@ def test_snoop_protocols_require_bus():
         MachineConfig(protocol="write_once", network="delta")
 
 
+def test_pairs_outside_the_registry_rejected():
+    from repro.protocols.registry import compatible_pairs
+
+    listed = set(compatible_pairs())
+    for protocol in PROTOCOLS:
+        for network in NETWORKS:
+            if (protocol, network) in listed:
+                MachineConfig(protocol=protocol, network=network)
+            else:
+                with pytest.raises(ValueError, match="runs on network"):
+                    MachineConfig(protocol=protocol, network=network)
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         MachineConfig(n_processors=0)
