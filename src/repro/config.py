@@ -125,18 +125,6 @@ def sparse_options(**overrides) -> "ProtocolOptions":
     return ProtocolOptions(**base)
 
 
-#: Protocols the builder knows how to assemble.
-PROTOCOLS = (
-    "twobit",
-    "twobit_wt",
-    "fullmap",
-    "fullmap_local",
-    "classical",
-    "static",
-    "write_once",
-    "illinois",
-)
-
 #: Interconnects the builder knows how to assemble.
 NETWORKS = ("xbar", "bus", "delta")
 
@@ -187,17 +175,18 @@ class MachineConfig:
             raise ValueError("cache geometry must be positive")
         if self.delta_radix < 2:
             raise ValueError("delta_radix must be >= 2")
-        if self.protocol not in PROTOCOLS:
+        # Imported here: the registry imports this module.
+        from repro.protocols.registry import protocol_names, resolve
+
+        names = protocol_names()
+        if self.protocol not in names:
             raise ValueError(
-                f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"
+                f"unknown protocol {self.protocol!r}; choose from {names}"
             )
         if self.network not in NETWORKS:
             raise ValueError(
                 f"unknown network {self.network!r}; choose from {NETWORKS}"
             )
-        # Imported here: the registry imports this module.
-        from repro.protocols.registry import resolve
-
         spec = resolve(self.protocol)
         if self.network not in spec.networks:
             raise ValueError(

@@ -184,17 +184,9 @@ class Network(Component):
         if not rounds:
             return
         for name in self._broadcast_group:
-            endpoint = self._endpoints[name]
-            cc = endpoint.counters
-            skipped = (
-                rounds
-                - cc.get("sparse_net_addressed")
-                - cc.get("sparse_net_excluded")
+            self._endpoints[name].fold_sparse_snoops(
+                "sparse_net_", rounds, broadcast=True
             )
-            delta = skipped - cc.get("sparse_net_folded")
-            if delta > 0:
-                endpoint.charge_snoop(False, broadcast=True, count=delta)
-                cc.add("sparse_net_folded", delta)
 
     # ------------------------------------------------------------------
     # Hooks for subclasses

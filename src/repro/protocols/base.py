@@ -318,6 +318,26 @@ class AbstractCacheController(Component):
                 return
         self._use_array(stolen=True)
 
+    def fold_sparse_snoops(
+        self, prefix: str, rounds: int, broadcast: bool
+    ) -> None:
+        """Charge one useless snoop per sparse round that skipped us.
+
+        ``<prefix>addressed`` and ``<prefix>excluded`` count the rounds
+        that reached or excluded this cache; ``<prefix>folded`` counts
+        what earlier folds charged, so the fold is idempotent.
+        """
+        cc = self.counters
+        delta = (
+            rounds
+            - cc.get(prefix + "addressed")
+            - cc.get(prefix + "excluded")
+            - cc.get(prefix + "folded")
+        )
+        if delta > 0:
+            self.charge_snoop(False, broadcast=broadcast, count=delta)
+            cc.add(prefix + "folded", delta)
+
     def _use_array(self, stolen: bool) -> int:
         """Reserve one cache cycle on the array; return completion time.
 

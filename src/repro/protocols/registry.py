@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Set, Tuple
 
 from repro.config import MachineConfig
-from repro.config import PROTOCOLS as _CONFIG_PROTOCOLS
 from repro.interconnect.bus import Bus
 from repro.interconnect.network import Network
 from repro.memory.address import AddressMap
@@ -302,12 +301,6 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {
         ),
     )
 }
-
-# The config-layer tuple (used by MachineConfig validation) and this
-# registry must agree exactly; drift here is a packaging bug.
-assert set(PROTOCOLS) == set(_CONFIG_PROTOCOLS), (
-    set(PROTOCOLS), set(_CONFIG_PROTOCOLS),
-)
 
 _ALIASES: Dict[str, str] = {}
 for _spec in PROTOCOLS.values():

@@ -34,7 +34,8 @@ seed, and a retried shard either restarts or resumes bit-identically
 from its checkpoint.
 
 A scheduler is not thread-safe; each transport drives it from one
-thread (the pool's supervisor loop, the coordinator's event loop).
+thread at a time (the pool's supervisor loop; the coordinator's
+handlers and reaper, under the coordinator's one lock).
 """
 
 from __future__ import annotations

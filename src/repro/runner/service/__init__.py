@@ -4,10 +4,11 @@ This package is the HTTP transport of the sweep scheduler
 (:class:`~repro.runner.scheduler.Scheduler`): the same state machine
 that drives local sweeps, with its workers spread over hosts:
 
-* :class:`~repro.runner.service.coordinator.Coordinator` — an asyncio
-  HTTP coordinator (``repro serve``) holding one scheduler per
-  submitted sweep; it leases shards to remote workers, reports dead or
-  stalled workers to the scheduler, persists results into the same
+* :class:`~repro.runner.service.coordinator.Coordinator` — the HTTP
+  coordinator (``repro serve``, on the standard library's threaded
+  HTTP server) holding one scheduler per submitted sweep; it leases
+  shards to remote workers, reports dead or stalled workers to the
+  scheduler, persists results into the same
   content-addressed :class:`~repro.runner.cache.ResultCache` local
   sweeps use (so local and distributed runs share entries), and writes
   one coordinator-side JSONL progress stream per sweep;

@@ -25,12 +25,13 @@ totally ordered: :func:`repro.obs.read_progress`,
 :func:`repro.obs.rollup_results`, and ``repro report`` consume it with
 no changes.
 
-All handler code runs on the event loop thread; nothing here locks.
+Route handlers and the reaper run under the server's one lock
+(:class:`~repro.runner.service.wire.ServiceServer`), so they see and
+change coordinator state one at a time.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import tempfile
 import threading
@@ -41,9 +42,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.scheduler import Scheduler
 from repro.runner.service.wire import (
+    ServiceServer,
     decode_payload,
     encode_payload,
-    start_http_server,
 )
 from repro.runner.sweep import SweepPoint, WithMetrics
 from repro.schema import SCHEMA_VERSION
@@ -92,10 +93,10 @@ class Coordinator:
 
     Two ways to run one:
 
-    * :func:`serve` (the ``repro serve`` CLI) — blocks the process on
-      the event loop until interrupted;
-    * :meth:`start` / :meth:`stop` — runs the loop on a background
-      thread and exposes :attr:`url`, for tests and embedding.
+    * :func:`serve` (the ``repro serve`` CLI) — blocks the process
+      until interrupted;
+    * :meth:`start` / :meth:`stop` — serves from a background thread
+      and exposes :attr:`url`, for tests and embedding.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
@@ -123,76 +124,43 @@ class Coordinator:
         self.workers: Dict[str, _Worker] = {}
         self._next_sweep = 0
         self._next_worker = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._server: Optional[ServiceServer] = None
         self._thread: Optional[threading.Thread] = None
-        self._supervisor: Optional["asyncio.Task[None]"] = None
 
     # ------------------------------------------------------------------
     # lifecycle
 
-    async def start_async(self) -> str:
-        """Bind the server and start the reaper on the running loop."""
-        self._server = await start_http_server(
-            self.config.host, self.config.port, self.handle
-        )
-        port = self._server.sockets[0].getsockname()[1]
-        self.url = f"http://{self.config.host}:{port}"
-        self._supervisor = asyncio.get_running_loop().create_task(
-            self._supervise()
-        )
-        return self.url
-
-    async def stop_async(self) -> None:
-        if self._supervisor is not None:
-            self._supervisor.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for sweep in self.sweeps.values():
-            if sweep.status == "running":
-                sweep.progress.close()
-
     def start(self) -> str:
-        """Serve from a daemon thread; returns the bound URL."""
-        ready = threading.Event()
-        failure: List[BaseException] = []
+        """Bind, then serve from a daemon thread; returns the bound URL.
 
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(self.start_async())
-            except BaseException as exc:  # bind failure etc.
-                failure.append(exc)
-                ready.set()
-                return
-            ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self.stop_async())
-                loop.close()
-
+        A bind failure raises here, in the caller's thread.
+        """
+        self._server = ServiceServer(
+            (self.config.host, self.config.port), self.handle, self._supervise
+        )
+        self.url = f"http://{self.config.host}:{self._server.server_address[1]}"
         self._thread = threading.Thread(
-            target=_run, name="repro-coordinator", daemon=True
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": _REAP_INTERVAL},
+            name="repro-coordinator",
+            daemon=True,
         )
         self._thread.start()
-        if not ready.wait(timeout=10.0):
-            raise RuntimeError("coordinator did not start within 10s")
-        if failure:
-            raise failure[0]
-        assert self.url is not None
         return self.url
 
     def stop(self) -> None:
-        if self._loop is None:
+        """Stop serving and close every running sweep's progress stream."""
+        if self._server is None:
             return
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-        self._loop = None
+        self._server.shutdown()
+        assert self._thread is not None
+        self._thread.join(timeout=10.0)
+        self._server.server_close()
+        with self._server.lock:
+            for sweep in self.sweeps.values():
+                if sweep.status == "running":
+                    sweep.progress.close()
+        self._server = None
         self._thread = None
 
     # ------------------------------------------------------------------
@@ -201,7 +169,7 @@ class Coordinator:
     def handle(
         self, method: str, path: str, body: Optional[Dict[str, Any]]
     ) -> Tuple[int, Any]:
-        """Route one request.  Runs on the event loop thread."""
+        """Route one request.  Runs under the server's lock."""
         parts = [p for p in path.split("/") if p]
         if path == "/healthz" and method == "GET":
             return self._healthz()
@@ -415,21 +383,24 @@ class Coordinator:
         return 200, {"ok": True, "stale": stale}
 
     # ------------------------------------------------------------------
-    # supervision, on the event loop
+    # supervision, under the server's lock
 
-    async def _supervise(self) -> None:
-        while True:
-            await asyncio.sleep(_REAP_INTERVAL)
-            now = time.monotonic()
-            for worker in list(self.workers.values()):
-                if now - worker.last_seen > self.config.heartbeat_timeout:
-                    self._reap(worker)
-            idle = sum(1 for w in self.workers.values() if w.task is None)
-            for sweep_id, sweep in self.sweeps.items():
-                for index in sweep.tick(len(self.workers), idle):
-                    for worker in list(self.workers.values()):
-                        if worker.task == (sweep_id, index):
-                            self._reap(worker)
+    def _supervise(self) -> None:
+        """Reap silent and stalled workers.
+
+        The server runs this every ``_REAP_INTERVAL`` seconds and after
+        each accepted connection.
+        """
+        now = time.monotonic()
+        for worker in list(self.workers.values()):
+            if now - worker.last_seen > self.config.heartbeat_timeout:
+                self._reap(worker)
+        idle = sum(1 for w in self.workers.values() if w.task is None)
+        for sweep_id, sweep in self.sweeps.items():
+            for index in sweep.tick(len(self.workers), idle):
+                for worker in list(self.workers.values()):
+                    if worker.task == (sweep_id, index):
+                        self._reap(worker)
 
     def _reap(self, worker: _Worker) -> None:
         """Deregister ``worker``; every running sweep sees it go.
@@ -452,24 +423,17 @@ def serve(config: Optional[ServiceConfig] = None) -> None:
     blocks until interrupted.
     """
     coordinator = Coordinator(config)
-
-    async def _main() -> None:
-        url = await coordinator.start_async()
-        print(f"repro-service listening on {url}", flush=True)
-        print(
-            f"repro-service cache={coordinator.cache.directory} "
-            f"progress={coordinator.progress_dir}",
-            flush=True,
-        )
-        assert coordinator._server is not None
-        try:
-            await coordinator._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await coordinator.stop_async()
-
+    url = coordinator.start()
+    print(f"repro-service listening on {url}", flush=True)
+    print(
+        f"repro-service cache={coordinator.cache.directory} "
+        f"progress={coordinator.progress_dir}",
+        flush=True,
+    )
     try:
-        asyncio.run(_main())
+        assert coordinator._thread is not None
+        coordinator._thread.join()
     except KeyboardInterrupt:
         pass
+    finally:
+        coordinator.stop()

@@ -1,11 +1,12 @@
-"""Wire protocol for the sweep service: tiny HTTP/1.1 + pickle codecs.
+"""Wire protocol for the sweep service: HTTP/1.1 + pickle codecs.
 
-The coordinator speaks a deliberately minimal subset of HTTP/1.1 over
-:mod:`asyncio` streams — request line, headers, ``Content-Length``
-body, one request per connection, ``Connection: close`` — and clients
+The coordinator serves HTTP/1.1 from the standard library's
+:class:`http.server.ThreadingHTTPServer` — one thread per connection,
+one request per connection, ``Connection: close`` — and clients
 (worker agent, submit client) use :class:`http.client.HTTPConnection`.
-Plain HTTP keeps the service curl-able and stdlib-only; the subset is
-small enough to audit in one sitting.
+Every route handler runs under one lock (:class:`ServiceServer`), so
+coordinator state is mutated by one thread at a time.  Plain HTTP keeps
+the service curl-able and stdlib-only.
 
 Payloads that must round-trip arbitrary Python values — sweep point
 functions, kwargs, result values — travel as base64-encoded pickles
@@ -21,24 +22,30 @@ worker can never poison shared cache entries.
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import json
 import pickle
+import sys
+import threading
+from http import HTTPStatus
 from http.client import HTTPConnection
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple, Union
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
 __all__ = [
     "ServiceError",
+    "ServiceServer",
     "decode_payload",
     "encode_payload",
     "request_json",
-    "start_http_server",
 ]
 
-#: Seconds a half-open connection may sit before the server drops it.
+#: Seconds a silent connection may sit before the server drops it.
 _REQUEST_TIMEOUT = 60.0
+
+#: Largest single read of a request body.
+_CHUNK = 1 << 16
 
 #: A handler returns (status, body); dict bodies are sent as JSON,
 #: ``("text/plain", str)`` tuples as raw text.
@@ -46,16 +53,6 @@ Handler = Callable[
     [str, str, Optional[Dict[str, Any]]],
     Tuple[int, Union[Dict[str, Any], Tuple[str, str]]],
 ]
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    410: "Gone",
-    500: "Internal Server Error",
-}
 
 
 class _BadRequest(ValueError):
@@ -81,48 +78,6 @@ def decode_payload(text: str) -> Any:
     return pickle.loads(base64.b64decode(text.encode("ascii")))
 
 
-def _response_bytes(status: int, content_type: str, body: bytes) -> bytes:
-    head = (
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-        f"Content-Type: {content_type}\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n"
-        f"\r\n"
-    )
-    return head.encode("latin-1") + body
-
-
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, bytes]]:
-    """Parse one request; ``None`` if the peer hung up before sending.
-
-    The head is read in full before it is judged, so a malformed
-    request still gets its 400 rather than a reset connection.
-    """
-    request_line = await reader.readline()
-    if not request_line:
-        return None
-    length = "0"
-    while True:
-        line = await reader.readline()
-        if not line or line in (b"\r\n", b"\n"):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            length = value.strip()
-    parts = request_line.decode("latin-1").split()
-    if len(parts) < 2:
-        raise _BadRequest(f"malformed request line: {request_line!r}")
-    if not (length.isascii() and length.isdigit()):
-        raise _BadRequest(f"bad Content-Length: {length!r}")
-    try:
-        body = await reader.readexactly(int(length))
-    except asyncio.IncompleteReadError:
-        raise _BadRequest("body shorter than Content-Length") from None
-    return parts[0].upper(), parts[1], body
-
-
 def _parse_body(raw_body: bytes) -> Optional[Dict[str, Any]]:
     """The JSON object a request carries; ``None`` for an empty body."""
     if not raw_body:
@@ -136,58 +91,125 @@ def _parse_body(raw_body: bytes) -> Optional[Dict[str, Any]]:
     return payload
 
 
-async def _handle_connection(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    handler: Handler,
-) -> None:
-    try:
+def _read_exactly(rfile: Any, length: int) -> bytes:
+    """``length`` body bytes, read in bounded chunks.
+
+    ``BufferedReader.read(n)`` allocates ``n`` bytes up front, so a
+    forged ``Content-Length`` would cost memory the peer never sent.
+    """
+    chunks = []
+    while length > 0:
+        chunk = rfile.read1(min(length, _CHUNK))
+        if not chunk:
+            raise _BadRequest("body shorter than Content-Length")
+        chunks.append(chunk)
+        length -= len(chunk)
+    return b"".join(chunks)
+
+
+class _RequestHandler(BaseHTTPRequestHandler):
+    """One request per connection: parse, run the handler, reply."""
+
+    server: "ServiceServer"
+    protocol_version = "HTTP/1.1"
+    timeout = _REQUEST_TIMEOUT
+    # The head and the body go out as two writes; with Nagle on, the
+    # second waits for the peer's delayed ACK.
+    disable_nagle_algorithm = True
+
+    def do_GET(self) -> None:
+        # A peer that hangs up or goes silent mid-body raises OSError
+        # here, which ServiceServer.handle_error drops without a reply.
         try:
-            request = await asyncio.wait_for(
-                _read_request(reader), _REQUEST_TIMEOUT
-            )
-            if request is None:
-                return
-            method, path, raw_body = request
-            payload = _parse_body(raw_body)
-            status, body = handler(method, path, payload)
+            payload = _parse_body(self._read_body())
         except _BadRequest as exc:
-            status, body = 400, {"error": f"bad request: {exc}"}
+            self._reply(400, {"error": f"bad request: {exc}"})
+            return
+        try:
+            # Taken only once the body is in: a stalled client holds
+            # its own thread, never the coordinator.
+            with self.server.lock:
+                status, body = self.server.handler(
+                    self.command, self.path, payload
+                )
         except Exception as exc:  # a bug in the handler
             status, body = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        self._reply(status, body)
+
+    do_POST = do_GET
+
+    def _read_body(self) -> bytes:
+        lengths = {
+            value.strip()
+            for value in self.headers.get_all("Content-Length", ["0"])
+        }
+        if len(lengths) > 1:
+            # RFC 9112 §6.3: an unrecoverable framing error.
+            raise _BadRequest(f"conflicting Content-Length: {sorted(lengths)}")
+        (length,) = lengths
+        if not (length.isascii() and length.isdigit()):
+            raise _BadRequest(f"bad Content-Length: {length!r}")
+        return _read_exactly(self.rfile, int(length))
+
+    def send_error(
+        self, code: int, message: Optional[str] = None, explain: Any = None
+    ) -> None:
+        """The stdlib's own refusals (bad request line, over-long line or
+        headers, unsupported method), in the service's JSON shape."""
+        detail = message or HTTPStatus(code).phrase
+        self._reply(code, {"error": f"bad request: {detail}"})
+
+    def _reply(self, status: int, body: Any) -> None:
         if isinstance(body, tuple):
             content_type, text = body
             encoded = text.encode("utf-8")
         else:
             content_type = "application/json"
             encoded = json.dumps(body).encode("utf-8")
-        writer.write(_response_bytes(status, content_type, encoded))
-        await writer.drain()
-    except (ConnectionError, asyncio.TimeoutError):
-        pass  # peer vanished mid-exchange; nothing to salvage
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        # A one-word request line leaves the stdlib on HTTP/0.9, which
+        # writes no status line or headers.
+        self.request_version = self.protocol_version
+        self.send_response_only(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(encoded)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(encoded)
+
+    def log_message(self, format: str, *args: Any) -> None:
+        pass
 
 
-async def start_http_server(
-    host: str, port: int, handler: Handler
-) -> "asyncio.AbstractServer":
-    """Bind and start serving ``handler``; ``port=0`` picks a free port.
+class ServiceServer(ThreadingHTTPServer):
+    """One thread per connection; ``handler`` and ``tick`` share :attr:`lock`.
 
-    The handler runs synchronously on the event loop thread, so all
-    coordinator state mutations are serialized without locks.
+    ``serve_forever`` runs ``tick`` every ``poll_interval`` and after
+    each accepted connection.
     """
 
-    async def on_connection(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> Awaitable[None]:
-        return await _handle_connection(reader, writer, handler)
+    # A fleet's heartbeats and lease polls can arrive together, and a
+    # connection beyond the accept backlog waits out a 1 s SYN resend.
+    request_queue_size = 100
 
-    return await asyncio.start_server(on_connection, host=host, port=port)
+    def __init__(
+        self,
+        address: Tuple[str, int],
+        handler: Handler,
+        tick: Callable[[], None],
+    ) -> None:
+        self.handler = handler
+        self.tick = tick
+        self.lock = threading.Lock()
+        super().__init__(address, _RequestHandler)
+
+    def service_actions(self) -> None:
+        with self.lock:
+            self.tick()
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        if isinstance(sys.exc_info()[1], OSError):
+            return  # peer hung up or timed out mid-exchange
+        super().handle_error(request, client_address)
 
 
 def request_json(

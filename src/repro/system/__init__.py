@@ -3,7 +3,6 @@
 from repro.system.builder import build_machine, build_network
 from repro.config import (
     NETWORKS,
-    PROTOCOLS,
     MachineConfig,
     ProtocolOptions,
     TimingConfig,
@@ -19,7 +18,6 @@ __all__ = [
     "Machine",
     "MachineConfig",
     "NETWORKS",
-    "PROTOCOLS",
     "ProtocolOptions",
     "SimulationResults",
     "TimingConfig",

@@ -251,19 +251,10 @@ class Machine:
         if not rounds:
             return
         for cache in self.caches:
-            cc = cache.counters
-            skipped = (
-                rounds
-                - cc.get("sparse_line_addressed")
-                - cc.get("sparse_line_excluded")
-            )
-            delta = skipped - cc.get("sparse_line_folded")
-            if delta > 0:
-                # A dense signal under the sparse envelope (duplicate
-                # directory on, BIAS off) to a cache without the block
-                # is one useless snoop.
-                cache.charge_snoop(False, count=delta)
-                cc.add("sparse_line_folded", delta)
+            # A dense signal under the sparse envelope (duplicate
+            # directory on, BIAS off) to a cache without the block is
+            # one useless snoop.
+            cache.fold_sparse_snoops("sparse_line_", rounds, broadcast=False)
 
     def results(self) -> SimulationResults:
         self.reconcile_sparse_counters()

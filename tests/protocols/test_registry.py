@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.config import PROTOCOLS as CONFIG_PROTOCOLS
 from repro.protocols import registry
 from repro.system.builder import build_machine
 from repro.workloads.synthetic import ScriptedWorkload
-
-
-def test_registry_matches_config_protocols():
-    assert set(registry.protocol_names()) == set(CONFIG_PROTOCOLS)
 
 
 def test_aliases_resolve_to_canonical_specs():

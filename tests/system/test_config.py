@@ -4,11 +4,11 @@ import pytest
 
 from repro.config import (
     NETWORKS,
-    PROTOCOLS,
     MachineConfig,
     ProtocolOptions,
     TimingConfig,
 )
+from repro.protocols.registry import protocol_names
 
 
 def test_defaults_are_valid():
@@ -25,7 +25,7 @@ def test_with_updates_functionally():
 
 
 def test_every_protocol_name_accepted():
-    for protocol in PROTOCOLS:
+    for protocol in protocol_names():
         network = "bus" if protocol in ("write_once", "illinois") else "xbar"
         MachineConfig(protocol=protocol, network=network)
 
@@ -56,7 +56,7 @@ def test_pairs_outside_the_registry_rejected():
     from repro.protocols.registry import compatible_pairs
 
     listed = set(compatible_pairs())
-    for protocol in PROTOCOLS:
+    for protocol in protocol_names():
         for network in NETWORKS:
             if (protocol, network) in listed:
                 MachineConfig(protocol=protocol, network=network)
