@@ -43,10 +43,12 @@ from repro.analysis.thresholds import generate_threshold_table
 from repro.api import Experiment, RunOutcome
 from repro.config import NETWORKS, MachineConfig
 from repro.faults import CANNED_PLANS, FAULT_PROTOCOLS, parse_faults
+from repro.options import OptionError, parse_options
 from repro.core.spec import render_spec
 from repro.protocols import registry
 from repro.protocols.cache_side import render_cache_side_spec
 from repro.protocols.fullmap import render_full_map_spec
+from repro.stats.histogram import Histogram
 from repro.stats.tables import Table
 from repro.workloads.registry import WorkloadSpecError
 from repro.workloads.traces import scan_trace_meta
@@ -288,7 +290,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _experiment_from_args(args),
         checkpoint_every=args.checkpoint_every,
         checkpoint_path=args.checkpoint_path,
-        instrument=bool(args.metrics_out),
+        instrument=bool(args.metrics_out or args.verbose),
         strict=False,
         record_trace=args.record_trace,
     )
@@ -317,8 +319,13 @@ def _report_run(args: argparse.Namespace, outcome: RunOutcome) -> int:
         print(f"metrics written to {args.metrics_out}")
     if args.verbose:
         print()
-        print(machine.latency_histogram().render())
-        if obs is not None and obs.latency:
+        if obs is None:  # resumed from a checkpoint taken without a hub
+            print("latency (cycles): not recorded (the checkpoint has no "
+                  "observability hub)")
+        elif obs.latency:
+            print(Histogram.merged(
+                obs.latency.values(), name="latency (cycles)"
+            ).render())
             print("\nper-outcome latency (cycles):")
             for _, hist in sorted(obs.latency.items()):
                 print(f"  {hist.summary_line()}")
@@ -330,28 +337,6 @@ def _report_run(args: argparse.Namespace, outcome: RunOutcome) -> int:
     return _audit_verdict(outcome.audit)
 
 
-def _coerce_axis_value(name: str, text: str, base: dict):
-    """Parse one ``--axis`` value with the base parameter's type."""
-    current = base[name]
-    if isinstance(current, bool):
-        low = text.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise SystemExit(f"--axis {name}: not a boolean: {text!r}")
-    try:
-        if isinstance(current, int):
-            return int(text)
-        if isinstance(current, float):
-            return float(text)
-    except ValueError:
-        raise SystemExit(
-            f"--axis {name}: expected {type(current).__name__}, got {text!r}"
-        )
-    return text.strip()
-
-
 def _parse_axes(axis_items, base: dict, command: str = "sweep") -> dict:
     """``--axis NAME=V1,V2,...`` items -> ``{name: [values]}``."""
     axes = {}
@@ -360,15 +345,13 @@ def _parse_axes(axis_items, base: dict, command: str = "sweep") -> dict:
         name = name.strip().replace("-", "_")
         if not sep or not values:
             raise SystemExit(f"--axis: expected NAME=V1,V2,... got {item!r}")
-        if name not in base:
-            raise SystemExit(
-                f"--axis: unknown experiment parameter {name!r} "
-                f"(choose from {', '.join(sorted(base))})"
-            )
-        axes[name] = [
-            _coerce_axis_value(name, value, base)
-            for value in values.split(",")
-        ]
+        try:
+            axes[name] = [
+                parse_options({name: value}, base, "experiment parameter")[name]
+                for value in values.split(",")
+            ]
+        except OptionError as exc:
+            raise SystemExit(f"--axis: {exc}")
     if not axes:
         raise SystemExit(f"{command} needs at least one --axis NAME=V1,V2,...")
     return axes
@@ -901,7 +884,8 @@ def make_parser() -> argparse.ArgumentParser:
                          "needs --workers or --service)")
     p_sweep.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                          help="where shard checkpoints live (default: a "
-                         "temporary directory; needs --workers)")
+                         "temporary directory, removed when the sweep "
+                         "ends; a given DIR is kept; needs --workers)")
     p_sweep.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="result cache directory (default: "
                          ".sweep_cache or $REPRO_SWEEP_CACHE)")
@@ -947,11 +931,13 @@ def make_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                          help="shard checkpoint directory; must be "
                          "worker-reachable for mid-shard resume "
-                         "(default: a temporary directory)")
+                         "(default: a temporary directory, removed on "
+                         "Ctrl-C; a given DIR is kept)")
     p_serve.add_argument("--progress-dir", default=None, metavar="DIR",
                          help="where per-sweep merged progress JSONL "
                          "streams are written (default: a temporary "
-                         "directory)")
+                         "directory, removed on Ctrl-C; a given DIR is "
+                         "kept)")
     p_serve.add_argument("--heartbeat-timeout", type=float, default=5.0,
                          metavar="SECONDS",
                          help="a worker silent this long is presumed dead "

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Dict
 
+from repro.options import parse_options
+
 #: Recovery bounds used when no fault plan is attached (the write-back
 #: buffer backpressure path can engage without an injector when
 #: ``ProtocolOptions.wb_capacity`` is set).
@@ -107,14 +109,14 @@ CANNED_PLANS: Dict[str, FaultSpec] = {
     ),
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(FaultSpec)}
-
 
 def parse_faults(text: str) -> FaultSpec:
     """Parse a fault plan: a canned name, or ``key=value[,key=value...]``.
 
     A canned name may be extended with overrides, e.g.
-    ``light,seed=3`` or ``check,stall_prob=0.1``.
+    ``light,seed=3`` or ``check,stall_prob=0.1``.  A field's value takes
+    the type of its :class:`FaultSpec` default
+    (:func:`repro.options.parse_options`).
     """
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
@@ -127,15 +129,11 @@ def parse_faults(text: str) -> FaultSpec:
             raise ValueError(f"unknown fault plan {name!r} (canned: {known})")
         base = CANNED_PLANS[name]
         parts = parts[1:]
-    overrides = {}
+    pairs = {}
     for part in parts:
         if "=" not in part:
             raise ValueError(f"expected key=value, got {part!r}")
         key, _, raw = part.partition("=")
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            known = ", ".join(sorted(_FIELD_TYPES))
-            raise ValueError(f"unknown fault field {key!r} (fields: {known})")
-        caster = float if "prob" in key else int
-        overrides[key] = caster(raw.strip())
-    return base.with_(**overrides)
+        pairs[key.strip()] = raw
+    defaults = {f.name: f.default for f in fields(FaultSpec)}
+    return base.with_(**parse_options(pairs, defaults, "fault field"))

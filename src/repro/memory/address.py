@@ -10,45 +10,30 @@ pertaining to its module".
 
 from __future__ import annotations
 
-from enum import Enum
-
-
-class Interleaving(Enum):
-    """How blocks are spread over memory modules."""
-
-    #: Block ``a`` lives in module ``a % n_modules`` (fine interleaving).
-    LOW_ORDER = "low-order"
-    #: Contiguous ranges of blocks per module (bank partitioning).
-    BLOCKED = "blocked"
-
 
 class AddressMap:
     """Maps block numbers to home memory modules.
 
+    Block ``a`` lives in module ``a % n_modules`` (low-order
+    interleaving).
+
     >>> amap = AddressMap(n_modules=4, n_blocks=64)
     >>> amap.home(5)
     1
-    >>> AddressMap(4, 64, Interleaving.BLOCKED).home(17)
-    1
+    >>> list(amap.blocks_of(1))[:3]
+    [1, 5, 9]
     """
 
     #: Non-state fields (see :mod:`repro.verification.state`).
     _not_state = {"*": "a pure function of the configuration"}
 
-    def __init__(
-        self,
-        n_modules: int,
-        n_blocks: int,
-        interleaving: Interleaving = Interleaving.LOW_ORDER,
-    ) -> None:
+    def __init__(self, n_modules: int, n_blocks: int) -> None:
         if n_modules < 1:
             raise ValueError("need at least one memory module")
         if n_blocks < 1:
             raise ValueError("need at least one block")
         self.n_modules = n_modules
         self.n_blocks = n_blocks
-        self.interleaving = interleaving
-        self._blocks_per_module = -(-n_blocks // n_modules)  # ceil division
 
     def check(self, block: int) -> None:
         """Raise if ``block`` is outside the address space."""
@@ -60,9 +45,7 @@ class AddressMap:
     def home(self, block: int) -> int:
         """Index of the module (and controller) owning ``block``."""
         self.check(block)
-        if self.interleaving is Interleaving.LOW_ORDER:
-            return block % self.n_modules
-        return min(block // self._blocks_per_module, self.n_modules - 1)
+        return block % self.n_modules
 
     def home_name(self, block: int) -> str:
         """Endpoint name of the controller owning ``block``.
@@ -74,12 +57,7 @@ class AddressMap:
         return f"ctrl{self.home(block)}"
 
     def blocks_of(self, module: int) -> range:
-        """Iterable of the blocks homed at ``module`` (BLOCKED) or a
-        stride range (LOW_ORDER)."""
+        """The blocks homed at ``module``: a stride range."""
         if not 0 <= module < self.n_modules:
             raise ValueError(f"module {module} out of range")
-        if self.interleaving is Interleaving.LOW_ORDER:
-            return range(module, self.n_blocks, self.n_modules)
-        start = module * self._blocks_per_module
-        stop = min(start + self._blocks_per_module, self.n_blocks)
-        return range(start, stop)
+        return range(module, self.n_blocks, self.n_modules)

@@ -13,20 +13,21 @@ reference retires through :meth:`Processor._retire`: a hit inside the
 step, an escaped one (miss, upgrade, ...) from the cache's
 :meth:`~repro.protocols.base.AbstractCacheController._complete` when the
 protocol finishes it.  No :class:`~repro.protocols.base.AccessResult` is
-built for the processor's references.  Per-reference counters and
-latency samples are batched in plain ints and dicts and flushed when the
-processor drains.
+built for the processor's references.  Per-reference counters are
+batched in plain ints and flushed when the processor drains.  The
+latency distribution is the observability hub's
+(:attr:`repro.obs.Observability.latency`), recorded only when one is
+attached.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Dict, Sequence
+from typing import Sequence
 
 from repro.protocols.base import AbstractCacheController
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
-from repro.stats.histogram import Histogram
 from repro.workloads.reference import MemRef
 from repro.workloads.synthetic import ReplayableStream
 
@@ -38,9 +39,7 @@ class Processor(Component):
     _not_state = {
         "stream": "its position is captured by issued",
         "exhausted": "reporting only; the stream position decides it",
-        "latency_histogram": "statistics",
         "_acc": "batched statistics",
-        "_hpend": "batched statistics",
         "_ref_issue_cycle": "the oracle's pruning horizon: memory, not verdicts",
     }
 
@@ -60,7 +59,6 @@ class Processor(Component):
         self.budget = budget
         self.issued = 0
         self.completed = 0
-        self.latency_histogram = Histogram(name=f"P{pid} latency")
         self.exhausted = False  # stream ran out
         self._waiting = False  # an access is outstanding
         #: Issue cycle of the outstanding access (see in_flight_horizon).
@@ -70,8 +68,6 @@ class Processor(Component):
         # update per stat per reference is measurable at this call rate)
         # and flush to the CounterSet when the processor drains.
         self._acc = [0, 0, 0, 0, 0, 0, 0]
-        #: Batched latency histogram samples: latency -> count.
-        self._hpend: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Control
@@ -158,8 +154,6 @@ class Processor(Component):
         acc = self._acc
         acc[0] += 1
         acc[1] += latency
-        hpend = self._hpend
-        hpend[latency] = hpend.get(latency, 0) + 1
         if hit:
             acc[2] += 1
         if ref.is_write:
@@ -182,7 +176,7 @@ class Processor(Component):
             )
 
     def _flush_counters(self) -> None:
-        """Move the batched stats into the CounterSets and histogram."""
+        """Move the batched stats into the CounterSets."""
         acc = self._acc
         add = self.counters.add
         for name, value in zip(
@@ -200,10 +194,6 @@ class Processor(Component):
             if value:
                 add(name, value)
         self._acc = [0, 0, 0, 0, 0, 0, 0]
-        hadd = self.latency_histogram.add
-        for value, count in self._hpend.items():
-            hadd(value, count)
-        self._hpend.clear()
         self.cache.flush_counters()
 
     def _stop(self) -> None:

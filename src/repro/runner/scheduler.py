@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import inspect
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -121,8 +120,9 @@ class Scheduler:
             transport can lose workers (pool, service).
         checkpoint_every: per-shard checkpoint cadence (0 = retried
             shards restart from scratch).
-        checkpoint_dir: where shard checkpoints live; a temporary
-            directory when omitted.
+        checkpoint_dir: where shard checkpoints live; needed with
+            ``checkpoint_every``.  The scheduler removes each shard's
+            checkpoint when the shard completes, never the directory.
         max_retries: retries per shard after worker death or stall.
         stall_timeout: seconds a lease may be held before its worker is
             presumed hung (``None`` = no stall check).
@@ -145,6 +145,8 @@ class Scheduler:
         verbose: bool = False,
         service: Optional[str] = None,
     ) -> None:
+        if checkpoint_every and checkpoint_dir is None:
+            raise ValueError("checkpoint_every needs a checkpoint_dir")
         self.points = list(points)
         self.label = label
         self.cache = cache
@@ -216,10 +218,6 @@ class Scheduler:
                     continue
             kwargs = dict(point.kwargs)
             if self.checkpoint_every and _accepts_checkpoint(point.fn):
-                if self.checkpoint_dir is None:
-                    self.checkpoint_dir = tempfile.mkdtemp(
-                        prefix="repro-sweep-"
-                    )
                 os.makedirs(self.checkpoint_dir, exist_ok=True)
                 path = os.path.join(self.checkpoint_dir, f"shard-{i}.ckpt")
                 kwargs["checkpoint_every"] = self.checkpoint_every

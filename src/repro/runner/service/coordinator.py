@@ -33,6 +33,7 @@ change coordinator state one at a time.
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 import threading
 import time
@@ -68,8 +69,10 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = pick a free port; see Coordinator.url
     cache_dir: Optional[str] = None  # None = repro's default cache dir
-    checkpoint_dir: Optional[str] = None  # None = fresh temp dir
-    progress_dir: Optional[str] = None  # None = fresh temp dir
+    #: ``None`` for either dir = a fresh temp dir that ``stop()`` removes;
+    #: a given dir is never removed.
+    checkpoint_dir: Optional[str] = None
+    progress_dir: Optional[str] = None
     #: Seconds without a heartbeat before a worker is presumed dead.
     heartbeat_timeout: float = 5.0
     #: Heartbeat cadence advertised to registering workers.
@@ -107,18 +110,10 @@ class Coordinator:
             else default_cache_dir()
         )
         self.cache = ResultCache(cache_dir)
-        self.checkpoint_dir = (
-            self.config.checkpoint_dir
-            if self.config.checkpoint_dir is not None
-            else tempfile.mkdtemp(prefix="repro-service-ckpt-")
-        )
-        self.progress_dir = (
-            self.config.progress_dir
-            if self.config.progress_dir is not None
-            else tempfile.mkdtemp(prefix="repro-service-progress-")
-        )
-        os.makedirs(self.checkpoint_dir, exist_ok=True)
-        os.makedirs(self.progress_dir, exist_ok=True)
+        #: The temp dirs this coordinator made; :meth:`stop` removes them.
+        self._made: List[str] = []
+        self.checkpoint_dir = self._dir(self.config.checkpoint_dir, "ckpt")
+        self.progress_dir = self._dir(self.config.progress_dir, "progress")
         self.url: Optional[str] = None
         self.sweeps: Dict[str, Scheduler] = {}
         self.workers: Dict[str, _Worker] = {}
@@ -126,6 +121,13 @@ class Coordinator:
         self._next_worker = 0
         self._server: Optional[ServiceServer] = None
         self._thread: Optional[threading.Thread] = None
+
+    def _dir(self, given: Optional[str], kind: str) -> str:
+        if given is None:
+            self._made.append(tempfile.mkdtemp(prefix=f"repro-service-{kind}-"))
+            return self._made[-1]
+        os.makedirs(given, exist_ok=True)
+        return given
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -149,19 +151,22 @@ class Coordinator:
         return self.url
 
     def stop(self) -> None:
-        """Stop serving and close every running sweep's progress stream."""
-        if self._server is None:
-            return
-        self._server.shutdown()
-        assert self._thread is not None
-        self._thread.join(timeout=10.0)
-        self._server.server_close()
-        with self._server.lock:
-            for sweep in self.sweeps.values():
-                if sweep.status == "running":
-                    sweep.progress.close()
-        self._server = None
-        self._thread = None
+        """Stop serving, close every running sweep's progress stream and
+        remove the temp dirs this coordinator made."""
+        if self._server is not None:
+            self._server.shutdown()
+            assert self._thread is not None
+            self._thread.join(timeout=10.0)
+            self._server.server_close()
+            with self._server.lock:
+                for sweep in self.sweeps.values():
+                    if sweep.status == "running":
+                        sweep.progress.close()
+            self._server = None
+            self._thread = None
+        for path in self._made:
+            shutil.rmtree(path, ignore_errors=True)
+        self._made.clear()
 
     # ------------------------------------------------------------------
     # routing
@@ -420,7 +425,8 @@ def serve(config: Optional[ServiceConfig] = None) -> None:
 
     Prints ``repro-service listening on <url>`` once bound — with
     ``port=0`` this line is how spawners learn the chosen port — then
-    blocks until interrupted.
+    blocks until interrupted.  Ctrl-C (SIGINT) runs :meth:`Coordinator.stop`,
+    which removes the temp dirs it made; SIGTERM and SIGKILL do not.
     """
     coordinator = Coordinator(config)
     url = coordinator.start()

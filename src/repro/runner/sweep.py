@@ -32,6 +32,8 @@ produces the same rollup-ready stream as a cold one.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -239,8 +241,9 @@ def run_sweep(
             checkpoints (0 = retried shards restart from scratch).
             Only applied to point functions that accept the
             ``checkpoint_every``/``checkpoint_path`` kwargs.
-        checkpoint_dir: where shard checkpoints live; a temporary
-            directory when omitted.
+        checkpoint_dir: where shard checkpoints live; when omitted, a
+            temporary ``repro-sweep-*`` directory that is removed when
+            the sweep ends.  A given directory is never removed.
         max_retries: how many times one shard may be retried after
             worker death/stall before the sweep fails.
         stall_timeout: seconds a shard may hold a worker before it is
@@ -271,35 +274,43 @@ def run_sweep(
         else None
     )
     n_workers = 1 if workers is None else max(1, int(workers))
-    scheduler = Scheduler(
-        points,
-        label=label,
-        cache=cache,
-        progress_out=progress_out,
-        workers=n_workers,
-        elastic=workers is not None,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        max_retries=max_retries,
-        stall_timeout=stall_timeout,
-        verbose=verbose,
-    )
+    made = None
+    if checkpoint_every and checkpoint_dir is None:
+        checkpoint_dir = made = tempfile.mkdtemp(prefix="repro-sweep-")
     try:
-        scheduler.start()
-        if workers is not None:
-            run_pool(scheduler, n_workers)
-        else:
-            for task in iter(scheduler.lease, None):
-                try:
-                    value, elapsed = execute(task.fn, task.kwargs)
-                except Exception as exc:
-                    scheduler.fail(task.index, str(exc))
-                    raise SweepError(scheduler.error) from exc
-                scheduler.complete(task.index, value, elapsed)
-    except BaseException as exc:
-        # e.g. KeyboardInterrupt: the stream still closes every trail.
-        scheduler.abort(f"sweep {label!r} failed: {exc}")
-        raise
+        scheduler = Scheduler(
+            points,
+            label=label,
+            cache=cache,
+            progress_out=progress_out,
+            workers=n_workers,
+            elastic=workers is not None,
+            checkpoint_every=checkpoint_every,
+            checkpoint_dir=checkpoint_dir,
+            max_retries=max_retries,
+            stall_timeout=stall_timeout,
+            verbose=verbose,
+        )
+        try:
+            scheduler.start()
+            if workers is not None:
+                run_pool(scheduler, n_workers)
+            else:
+                for task in iter(scheduler.lease, None):
+                    try:
+                        value, elapsed = execute(task.fn, task.kwargs)
+                    except Exception as exc:
+                        scheduler.fail(task.index, str(exc))
+                        raise SweepError(scheduler.error) from exc
+                    scheduler.complete(task.index, value, elapsed)
+        except BaseException as exc:
+            # e.g. KeyboardInterrupt: the stream still closes every trail.
+            scheduler.abort(f"sweep {label!r} failed: {exc}")
+            raise
+    finally:
+        # After run_pool: its workers, the only checkpoint writers, are gone.
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
     if scheduler.status != "ok":
         raise SweepError(scheduler.error)
     report = scheduler.report(n_workers)

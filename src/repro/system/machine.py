@@ -213,11 +213,7 @@ class Machine:
 
     def reset_measurement(self) -> None:
         """Open a measurement window: zero all counters and state clocks."""
-        from repro.stats.histogram import Histogram
-
         self.registry.reset_all()
-        for proc in self.processors:
-            proc.latency_histogram = Histogram(name=proc.latency_histogram.name)
         for ctrl in self.controllers:
             directory = getattr(ctrl, "directory", None)
             if directory is not None and hasattr(directory, "reset_window"):
@@ -352,15 +348,6 @@ class Machine:
         if weight == 0:
             return {state: 0.0 for state in GlobalState}
         return {state: value / weight for state, value in totals.items()}
-
-    def latency_histogram(self):
-        """Merged per-reference latency distribution across processors."""
-        from repro.stats.histogram import Histogram
-
-        merged = Histogram(name="latency (cycles)")
-        for proc in self.processors:
-            merged.merge(proc.latency_histogram)
-        return merged
 
     def translation_buffer_stats(self) -> Dict[str, float]:
         """Aggregate §4.4 translation-buffer statistics."""

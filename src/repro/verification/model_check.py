@@ -6,8 +6,11 @@ registered protocol.  The only nondeterminism the kernel has is the
 order of same-cycle events, so the checker enumerates exactly that: at
 each *decision point* (more than one event enabled) it explores every
 choice index depth-first, replaying the deterministic prefix from a
-fresh machine each time (stateless search: the simulator cannot be
-checkpointed, but it replays bit-identically).
+fresh machine each time.  The search replays rather than snapshotting
+machines (which checkpoint fine) because its output is schedules: a
+counterexample is a list of choice indices that ``repro check --replay``
+must reproduce from a fresh machine, and replay is what proves it does.
+Snapshotting each decision state is ROADMAP item 4(b).
 
 Checked properties:
 

@@ -28,19 +28,29 @@ Examples::
 Unparsable specs raise :class:`WorkloadSpecError` naming the offending
 piece and the known families — never a bare KeyError.
 
-Sizing knobs the workload does not define itself (``n_processors``,
-``seed``, the legacy sharing kwargs) come from the
-:class:`WorkloadContext` the caller supplies —
-:class:`~repro.api.Experiment` fills it from its own parameters, which
-is what makes ``Experiment(workload="dubois:low")`` build the identical
-machine to the legacy ``Experiment(q=0.01, w=0.2)`` path.
+A family's ``key=value`` options are the keyword parameters of the
+callable it configures (a workload constructor, or
+:func:`~repro.workloads.synthetic.hot_cold_scripts`), read from its
+signature and coerced by :func:`repro.options.parse_options`;
+:func:`workload_options` lists them.  A parameter that shares its name
+with a :class:`WorkloadContext` field takes the context's value unless
+the spec sets it.  :class:`~repro.api.Experiment` fills the context
+from its own parameters, which is what makes
+``Experiment(workload="dubois:low")`` build the identical machine to
+the legacy ``Experiment(q=0.01, w=0.2)`` path.  ``n_processors`` has no
+default in any signature, so it always comes from the machine and is
+never an option.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+import inspect
+import os
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
+from repro.options import parse_options
 from repro.workloads.locks import LockContentionWorkload
 from repro.workloads.migration import MigratingWorkload
 from repro.workloads.synthetic import (
@@ -48,7 +58,6 @@ from repro.workloads.synthetic import (
     LOW_SHARING,
     MODERATE_SHARING,
     DuboisBriggsWorkload,
-    ScriptedWorkload,
     UniformWorkload,
     Workload,
     hot_cold_scripts,
@@ -64,6 +73,7 @@ __all__ = [
     "parse_workload",
     "resolve",
     "workload_names",
+    "workload_options",
 ]
 
 
@@ -82,6 +92,13 @@ class WorkloadContext:
     private_blocks_per_proc: int = 128
 
 
+#: A family's positional-argument rule: ``arg`` -> (the callable its
+#: ``key=value`` options configure, the keyword arguments ``arg`` fixes).
+Target = Callable[
+    [Optional[str]], Tuple[Callable[..., Workload], Dict[str, Any]]
+]
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """One registered workload family."""
@@ -89,177 +106,70 @@ class WorkloadSpec:
     name: str
     aliases: Tuple[str, ...]
     description: str
-    arg_help: str
-    build: Callable[[WorkloadContext, Optional[str], Dict[str, str]], Workload]
+    target: Target
 
 
 _SHARING_LEVELS = {
     level.name: level for level in (LOW_SHARING, MODERATE_SHARING, HIGH_SHARING)
 }
 
+#: Constructor parameters the caller's context fills by name.
+_CONTEXT = tuple(f.name for f in fields(WorkloadContext))
 
-def _convert(spec_name: str, key: str, raw: str, conv: Callable) -> object:
-    try:
-        return conv(raw)
-    except ValueError:
+
+def _dubois(arg: Optional[str]):
+    if not arg:
+        return DuboisBriggsWorkload, {}
+    level = _SHARING_LEVELS.get(arg)
+    if level is None:
         raise WorkloadSpecError(
-            f"workload {spec_name!r}: bad value {raw!r} for {key!r} "
-            f"(expected {conv.__name__})"
-        ) from None
-
-
-def _apply_kv(
-    spec_name: str,
-    kv: Dict[str, str],
-    allowed: Dict[str, Callable],
-    out: Dict[str, object],
-) -> Dict[str, object]:
-    for key, raw in kv.items():
-        conv = allowed.get(key)
-        if conv is None:
-            raise WorkloadSpecError(
-                f"workload {spec_name!r}: unknown option {key!r} "
-                f"(known: {', '.join(sorted(allowed))})"
-            )
-        out[key] = _convert(spec_name, key, raw, conv)
-    return out
-
-
-def _build_dubois(
-    ctx: WorkloadContext, arg: Optional[str], kv: Dict[str, str]
-) -> Workload:
-    q, w = ctx.q, ctx.w
-    if arg:
-        level = _SHARING_LEVELS.get(arg)
-        if level is None:
-            raise WorkloadSpecError(
-                f"workload 'dubois': unknown sharing level {arg!r} "
-                f"(known: {', '.join(sorted(_SHARING_LEVELS))})"
-            )
-        q, w = level.q, level.w
-    kwargs = _apply_kv(
-        "dubois",
-        kv,
-        {
-            "q": float,
-            "w": float,
-            "n_shared_blocks": int,
-            "private_blocks_per_proc": int,
-            "locality": float,
-            "private_write_frac": float,
-            "seed": int,
-        },
-        {
-            "q": q,
-            "w": w,
-            "private_blocks_per_proc": ctx.private_blocks_per_proc,
-            "seed": ctx.seed,
-        },
-    )
-    return DuboisBriggsWorkload(n_processors=ctx.n_processors, **kwargs)
-
-
-def _build_uniform(
-    ctx: WorkloadContext, arg: Optional[str], kv: Dict[str, str]
-) -> Workload:
-    if arg:
-        raise WorkloadSpecError(
-            "workload 'uniform' takes only key=value options "
-            "(n_blocks=, write_frac=, seed=)"
+            f"workload 'dubois': unknown sharing level {arg!r} "
+            f"(known: {', '.join(sorted(_SHARING_LEVELS))})"
         )
-    kwargs = _apply_kv(
-        "uniform",
-        kv,
-        {"n_blocks": int, "write_frac": float, "seed": int},
-        {"n_blocks": 256, "seed": ctx.seed},
-    )
-    return UniformWorkload(n_processors=ctx.n_processors, **kwargs)
+    return DuboisBriggsWorkload, {"q": level.q, "w": level.w}
 
 
-def _build_trace(
-    ctx: WorkloadContext, arg: Optional[str], kv: Dict[str, str]
-) -> Workload:
+def _options_only(name: str, cls: Callable[..., Workload]) -> Target:
+    def target(arg: Optional[str]):
+        if arg:
+            raise WorkloadSpecError(
+                f"workload {name!r} takes only key=value options"
+            )
+        return cls, {}
+
+    return target
+
+
+def _trace(arg: Optional[str]):
     if not arg:
         raise WorkloadSpecError(
             "workload 'trace' needs a file path: trace:path/to.trace"
         )
-    import os
-
     if not os.path.exists(arg):
         raise WorkloadSpecError(f"workload 'trace': no such trace file {arg!r}")
-    kwargs = _apply_kv("trace", kv, {"max_lookahead": int}, {})
-    return StreamingTraceWorkload(arg, **kwargs)
+    return partial(StreamingTraceWorkload, arg), {}
 
 
-def _build_scripted(
-    ctx: WorkloadContext, arg: Optional[str], kv: Dict[str, str]
-) -> Workload:
+def _stressor(path: str) -> Workload:
+    from repro.workloads.adversarial import load_stressor
+
+    return load_stressor(path).workload()
+
+
+def _scripted(arg: Optional[str]):
     if not arg:
         raise WorkloadSpecError(
             "workload 'scripted' needs a script name or stressor file: "
             "scripted:hot_cold or scripted:stressor.json"
         )
     if arg.endswith(".json"):
-        from repro.workloads.adversarial import load_stressor
-
-        return load_stressor(arg).workload()
+        return partial(_stressor, arg), {}
     if arg == "hot_cold":
-        kwargs = _apply_kv(
-            "scripted",
-            kv,
-            {"hot_block": int, "refs_per_proc": int, "write_every": int},
-            {"hot_block": 0, "refs_per_proc": 64},
-        )
-        return hot_cold_scripts(n_processors=ctx.n_processors, **kwargs)
+        return hot_cold_scripts, {}
     raise WorkloadSpecError(
         f"workload 'scripted': unknown script {arg!r} "
         "(known: hot_cold, or a promoted-stressor .json path)"
     )
-
-
-def _build_locks(
-    ctx: WorkloadContext, arg: Optional[str], kv: Dict[str, str]
-) -> Workload:
-    if arg:
-        raise WorkloadSpecError("workload 'locks' takes only key=value options")
-    kwargs = _apply_kv(
-        "locks",
-        kv,
-        {
-            "n_locks": int,
-            "protected_blocks_per_lock": int,
-            "critical_section_refs": int,
-            "think_refs": int,
-            "think_blocks_per_proc": int,
-            "seed": int,
-        },
-        {"seed": ctx.seed},
-    )
-    return LockContentionWorkload(n_processors=ctx.n_processors, **kwargs)
-
-
-def _build_migration(
-    ctx: WorkloadContext, arg: Optional[str], kv: Dict[str, str]
-) -> Workload:
-    if arg:
-        raise WorkloadSpecError(
-            "workload 'migration' takes only key=value options"
-        )
-    kwargs = _apply_kv(
-        "migration",
-        kv,
-        {
-            "migration_interval": int,
-            "q": float,
-            "w": float,
-            "n_shared_blocks": int,
-            "process_blocks": int,
-            "private_write_frac": float,
-            "seed": int,
-        },
-        {"q": ctx.q, "w": ctx.w, "seed": ctx.seed},
-    )
-    return MigratingWorkload(n_processors=ctx.n_processors, **kwargs)
 
 
 WORKLOADS: Dict[str, WorkloadSpec] = {
@@ -269,43 +179,37 @@ WORKLOADS: Dict[str, WorkloadSpec] = {
             name="dubois",
             aliases=("dubois-briggs", "db"),
             description="the paper's two-stream private/shared model (§4.2)",
-            arg_help="sharing level: low | moderate | high",
-            build=_build_dubois,
+            target=_dubois,
         ),
         WorkloadSpec(
             name="uniform",
             aliases=(),
             description="uniform random references over one flat pool",
-            arg_help="(options only: n_blocks=, write_frac=, seed=)",
-            build=_build_uniform,
+            target=_options_only("uniform", UniformWorkload),
         ),
         WorkloadSpec(
             name="trace",
             aliases=(),
             description="streaming replay of a recorded trace file",
-            arg_help="path to a '# repro trace v1' file",
-            build=_build_trace,
+            target=_trace,
         ),
         WorkloadSpec(
             name="scripted",
             aliases=(),
             description="fixed per-processor scripts (finite streams)",
-            arg_help="hot_cold, or a promoted-stressor .json path",
-            build=_build_scripted,
+            target=_scripted,
         ),
         WorkloadSpec(
             name="locks",
             aliases=("lock-contention",),
             description="§2.2 semaphore contention (test-and-set ping-pong)",
-            arg_help="(options only)",
-            build=_build_locks,
+            target=_options_only("locks", LockContentionWorkload),
         ),
         WorkloadSpec(
             name="migration",
             aliases=(),
             description="two-stream model with migrating processes (§2.2)",
-            arg_help="(options only)",
-            build=_build_migration,
+            target=_options_only("migration", MigratingWorkload),
         ),
     )
 }
@@ -333,25 +237,26 @@ def resolve(name: str) -> WorkloadSpec:
     return WORKLOADS[canonical]
 
 
-def parse_workload(
-    spec: str, ctx: Optional[WorkloadContext] = None
-) -> Workload:
-    """Build a workload from a spec string (see module docstring)."""
-    if ctx is None:
-        ctx = WorkloadContext()
+def _bind(spec: str, ctx: Optional[WorkloadContext]):
+    """Split ``spec`` and resolve its family's target.
+
+    Returns the family, the target, the keyword arguments the context
+    and the positional argument fix, the target's options (name ->
+    signature default) and the spec's ``key=value`` pairs.
+    """
+    ctx = ctx or WorkloadContext()
     spec = spec.strip()
     if not spec:
         raise WorkloadSpecError("empty workload spec")
     name, _, rest = spec.partition(":")
     family = resolve(name.strip())
     arg: Optional[str] = None
-    kv: Dict[str, str] = {}
+    pairs: Dict[str, str] = {}
     if rest:
-        parts = [p.strip() for p in rest.split(",")]
-        for i, part in enumerate(parts):
+        for i, part in enumerate(p.strip() for p in rest.split(",")):
             if "=" in part:
                 key, _, value = part.partition("=")
-                kv[key.strip()] = value.strip()
+                pairs[key.strip()] = value
             elif i == 0 and part:
                 arg = part
             else:
@@ -359,11 +264,36 @@ def parse_workload(
                     f"workload {name!r}: malformed option {part!r} "
                     "(expected key=value)"
                 )
+    target, fixed = family.target(arg)
+    params = inspect.signature(target).parameters
+    kwargs = {key: getattr(ctx, key) for key in params if key in _CONTEXT}
+    kwargs.update(fixed)
+    options = {
+        key: p.default for key, p in params.items() if p.default is not p.empty
+    }
+    return family, target, kwargs, options, pairs
+
+
+def workload_options(
+    spec: str, ctx: Optional[WorkloadContext] = None
+) -> Dict[str, Any]:
+    """The ``key=value`` options ``spec``'s family accepts, each with the
+    value it takes when the spec does not set it."""
+    _, _, kwargs, options, _ = _bind(spec, ctx)
+    return {key: kwargs.get(key, default) for key, default in options.items()}
+
+
+def parse_workload(
+    spec: str, ctx: Optional[WorkloadContext] = None
+) -> Workload:
+    """Build a workload from a spec string (see module docstring)."""
+    family, target, kwargs, options, pairs = _bind(spec, ctx)
     try:
-        return family.build(ctx, arg, kv)
+        kwargs.update(parse_options(pairs, options))
+        return target(**kwargs)
     except WorkloadSpecError:
         raise
-    except ValueError as exc:  # a constructor's range check, e.g. q=2
+    except ValueError as exc:  # an unknown option, a bad value, or q=2
         raise WorkloadSpecError(f"workload {family.name!r}: {exc}") from exc
 
 

@@ -120,8 +120,6 @@ class DuboisBriggsWorkload(Workload):
             larger means deeper (worse locality).
         private_write_frac: fraction of private references that are writes
             (exercises write-backs without coherence traffic).
-        shared_base: first block number of the shared pool; private pools
-            are laid out after it, disjoint per processor.
         seed: master seed; per-processor streams derive their own RNGs.
     """
 
@@ -134,7 +132,6 @@ class DuboisBriggsWorkload(Workload):
         private_blocks_per_proc: int = 256,
         locality: float = 0.95,
         private_write_frac: float = 0.3,
-        shared_base: int = 0,
         seed: int = 1984,
     ) -> None:
         if not 0.0 <= q <= 1.0 or not 0.0 <= w <= 1.0:
@@ -152,7 +149,6 @@ class DuboisBriggsWorkload(Workload):
         self.private_blocks_per_proc = private_blocks_per_proc
         self.locality = locality
         self.private_write_frac = private_write_frac
-        self.shared_base = shared_base
         self.seed = seed
 
     # ------------------------------------------------------------------
@@ -160,24 +156,16 @@ class DuboisBriggsWorkload(Workload):
     # ------------------------------------------------------------------
     @property
     def shared_blocks(self) -> range:
-        return range(self.shared_base, self.shared_base + self.n_shared_blocks)
+        return range(self.n_shared_blocks)
 
     def private_blocks(self, pid: int) -> range:
-        start = (
-            self.shared_base
-            + self.n_shared_blocks
-            + pid * self.private_blocks_per_proc
-        )
+        start = self.n_shared_blocks + pid * self.private_blocks_per_proc
         return range(start, start + self.private_blocks_per_proc)
 
     @property
     def n_blocks(self) -> int:
         """Total address-space size covering every pool."""
-        return (
-            self.shared_base
-            + self.n_shared_blocks
-            + self.n_processors * self.private_blocks_per_proc
-        )
+        return self.n_shared_blocks + self.n_processors * self.private_blocks_per_proc
 
     def is_shared_block(self, block: int) -> bool:
         return block in self.shared_blocks
@@ -198,7 +186,7 @@ class DuboisBriggsWorkload(Workload):
             f"private_blocks_per_proc={self.private_blocks_per_proc}, "
             f"locality={self.locality}, "
             f"private_write_frac={self.private_write_frac}, "
-            f"shared_base={self.shared_base}, seed={self.seed})"
+            f"seed={self.seed})"
         )
 
     def _generate(self, pid: int) -> Iterator[MemRef]:
@@ -261,7 +249,7 @@ class UniformWorkload(Workload):
     def __init__(
         self,
         n_processors: int,
-        n_blocks: int,
+        n_blocks: int = 256,
         write_frac: float = 0.3,
         seed: int = 7,
     ) -> None:
@@ -329,8 +317,8 @@ class ScriptedWorkload(Workload):
 
 def hot_cold_scripts(
     n_processors: int,
-    hot_block: int,
-    refs_per_proc: int,
+    hot_block: int = 0,
+    refs_per_proc: int = 64,
     write_every: int = 4,
 ) -> ScriptedWorkload:
     """All processors hammer one hot block, writing every ``write_every``

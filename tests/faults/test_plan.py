@@ -1,5 +1,7 @@
 """FaultSpec validation and fault-plan string parsing."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.faults import CANNED_PLANS, FaultSpec, parse_faults
@@ -89,3 +91,19 @@ class TestParseFaults:
     def test_out_of_range_override_rejected(self):
         with pytest.raises(ValueError, match="delay_prob"):
             parse_faults("delay_prob=2.0")
+
+    def test_every_field_parses_with_its_type(self):
+        types = {
+            "seed": int, "delay_prob": float, "max_delay": int,
+            "dup_prob": float, "max_dups": int, "reorder_prob": float,
+            "stall_prob": float, "max_stall": int, "max_retries": int,
+            "retry_backoff": int,
+        }
+        assert [f.name for f in fields(FaultSpec)] == list(types)
+        for field, kind in types.items():
+            value = getattr(parse_faults(f"{field}=1"), field)
+            assert type(value) is kind and value == 1, field
+
+    def test_bad_value_names_field_and_type(self):
+        with pytest.raises(ValueError, match=r"^seed: expected int, got 'abc'$"):
+            parse_faults("seed=abc")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memory.address import AddressMap, Interleaving
+from repro.memory.address import AddressMap
 
 
 def test_low_order_interleaving():
@@ -10,27 +10,12 @@ def test_low_order_interleaving():
     assert [amap.home(b) for b in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
-def test_blocked_interleaving():
-    amap = AddressMap(4, 16, Interleaving.BLOCKED)
-    assert amap.home(0) == 0
-    assert amap.home(3) == 0
-    assert amap.home(4) == 1
-    assert amap.home(15) == 3
-
-
-def test_blocked_uneven_blocks():
-    amap = AddressMap(3, 10, Interleaving.BLOCKED)
-    homes = [amap.home(b) for b in range(10)]
-    assert homes == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
-
-
 def test_blocks_of_partitions_address_space():
-    for interleaving in Interleaving:
-        amap = AddressMap(3, 11, interleaving)
-        seen = []
-        for module in range(3):
-            seen.extend(amap.blocks_of(module))
-        assert sorted(seen) == list(range(11))
+    amap = AddressMap(3, 11)
+    seen = []
+    for module in range(3):
+        seen.extend(amap.blocks_of(module))
+    assert sorted(seen) == list(range(11))
 
 
 def test_blocks_of_matches_home():

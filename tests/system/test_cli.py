@@ -403,3 +403,39 @@ def test_sweep_pool_budget_without_workers_exits(capsys):
         main(["sweep", "--axis", "q=0.02", "-n", "2", "--refs", "40",
               "--no-cache", "--stall-timeout", "1"])
     assert "workers" in str(excinfo.value.code)
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    (
+        ("duplicate_directory=maybe",
+         "--axis: duplicate_directory: not a boolean: 'maybe'"),
+        ("q=0.02,abc", "--axis: q: expected float, got 'abc'"),
+        ("n_processors=2.5", "--axis: n_processors: expected int, got '2.5'"),
+        ("zeta=1", "--axis: unknown experiment parameter 'zeta'"),
+    ),
+)
+def test_sweep_axis_values_take_the_parameter_type(axis, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--axis", axis, "--no-cache"])
+    assert str(excinfo.value.code).startswith(message)
+
+
+def test_run_verbose_prints_the_hub_latency_histogram(capsys):
+    assert main(["run", "-n", "2", "--refs", "200", "-v"]) == 0
+    out = capsys.readouterr().out
+    assert "\nlatency (cycles): n=400 " in out
+    assert "per-outcome latency (cycles):" in out
+
+
+def test_resume_verbose_without_hub_says_not_recorded(capsys, tmp_path):
+    base = ["run", "-n", "2", "--refs", "400", "--warmup", "100"]
+    path = str(tmp_path / "c-{cycle}.ckpt")
+    assert main([*base, "--checkpoint-every", "200",
+                 "--checkpoint-path", path]) == 0
+    first = sorted(tmp_path.glob("c-*.ckpt"))[0]
+    capsys.readouterr()
+    assert main(["run", "--resume", str(first), "-v"]) == 0
+    out = capsys.readouterr().out
+    assert "latency (cycles): not recorded" in out
+    assert "coherence audit: CLEAN" in out

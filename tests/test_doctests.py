@@ -6,6 +6,7 @@ import pytest
 
 import repro.cache.array
 import repro.memory.address
+import repro.options
 import repro.sim.kernel
 import repro.stats.tables
 
@@ -13,6 +14,7 @@ MODULES = [
     repro.sim.kernel,
     repro.cache.array,
     repro.memory.address,
+    repro.options,
     repro.stats.tables,
 ]
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads import parse_workload
+from repro.workloads import WorkloadSpecError, parse_workload
 from repro.workloads.adversarial import (
     OBJECTIVES,
     Stressor,
@@ -72,6 +72,15 @@ def test_promoted_stressor_feeds_registry(small_hunt, tmp_path):
     w = parse_workload(f"scripted:{path}")
     assert isinstance(w, ScriptedWorkload)
     assert w.n_processors == 4
+
+
+def test_promoted_stressor_takes_no_options(small_hunt, tmp_path):
+    # A stressor fixes its own scripts: an option is an error, not
+    # silently dropped.
+    path = tmp_path / "stressor.json"
+    promote(small_hunt.best, str(path))
+    with pytest.raises(WorkloadSpecError, match="unknown option 'seed'"):
+        parse_workload(f"scripted:{path},seed=3")
 
 
 def test_load_rejects_non_stressor_json(tmp_path):

@@ -1,5 +1,8 @@
 """The workload registry: spec strings, aliases, context inheritance."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.workloads import (
@@ -16,8 +19,11 @@ from repro.workloads import (
     make_workload,
     parse_workload,
     workload_names,
+    workload_options,
     write_trace,
 )
+
+DOCS = Path(__file__).resolve().parents[2] / "docs" / "workloads.md"
 
 
 def test_registry_lists_every_builtin():
@@ -162,6 +168,89 @@ def test_trace_requires_path():
 def test_trace_missing_file(tmp_path):
     with pytest.raises(WorkloadSpecError, match="no such trace"):
         parse_workload(f"trace:{tmp_path}/absent.trace")
+
+
+# ----------------------------------------------------------------------
+# The grammar: each family's options, types and defaults
+# ----------------------------------------------------------------------
+#: Every family's accepted options and the value each takes under the
+#: default WorkloadContext (q, w, seed and private_blocks_per_proc come
+#: from the context).  ``PATH`` stands for an existing file.
+GRAMMAR = {
+    "dubois": {
+        "q": 0.05, "w": 0.2, "n_shared_blocks": 16,
+        "private_blocks_per_proc": 128, "locality": 0.95,
+        "private_write_frac": 0.3, "seed": 1984,
+    },
+    "uniform": {"n_blocks": 256, "write_frac": 0.3, "seed": 1984},
+    "trace:PATH": {"max_lookahead": 4096},
+    "scripted:hot_cold": {"hot_block": 0, "refs_per_proc": 64,
+                          "write_every": 4},
+    "scripted:PATH.json": {},
+    "locks": {
+        "n_locks": 4, "protected_blocks_per_lock": 4,
+        "critical_section_refs": 3, "think_refs": 10,
+        "think_blocks_per_proc": 32, "seed": 1984,
+    },
+    "migration": {
+        "migration_interval": 200, "q": 0.05, "w": 0.2,
+        "n_shared_blocks": 16, "process_blocks": 64,
+        "private_write_frac": 0.3, "seed": 1984,
+    },
+}
+
+
+@pytest.fixture
+def trace_path(tmp_path):
+    path = tmp_path / "t.trace"
+    write_trace(path, [MemRef(0, Op.READ, 0, True)])
+    return str(path)
+
+
+def _typed(options):
+    return {name: (type(value), value) for name, value in options.items()}
+
+
+@pytest.mark.parametrize("spec", sorted(GRAMMAR))
+def test_grammar_is_pinned(spec, trace_path):
+    real = spec.replace("PATH", trace_path)
+    assert _typed(workload_options(real)) == _typed(GRAMMAR[spec])
+
+
+def test_context_fills_options_that_share_its_names():
+    ctx = WorkloadContext(n_processors=6, seed=42, q=0.07, w=0.9,
+                          private_blocks_per_proc=32)
+    options = workload_options("dubois:low", ctx)
+    assert (options["q"], options["w"]) == (0.01, 0.2)  # the level wins
+    assert (options["seed"], options["private_blocks_per_proc"]) == (42, 32)
+    assert workload_options("locks", ctx)["seed"] == 42
+
+
+def test_n_processors_is_never_an_option():
+    with pytest.raises(WorkloadSpecError, match="unknown option 'n_processors'"):
+        parse_workload("dubois:low,n_processors=8")
+
+
+def test_docs_option_tables_match_the_registry(trace_path):
+    text = DOCS.read_text(encoding="utf-8")
+    section = text.split("## Options", 1)[1].split("\n## ", 1)[0]
+    tables = {}
+    for line in section.splitlines():
+        heading = re.match(r"^### `([^`]+)`", line)
+        if heading:
+            rows = tables[heading.group(1)] = {}
+            continue
+        row = re.match(r"^\| `(\w+)` \| (\w+) \| `([^`]*)` \|", line)
+        if row:
+            rows[row.group(1)] = (row.group(2), row.group(3))
+    assert sorted(tables) == sorted(GRAMMAR)
+    for spec, rows in tables.items():
+        real = spec.replace("PATH", trace_path)
+        derived = {
+            name: (type(value).__name__, repr(value))
+            for name, value in workload_options(real).items()
+        }
+        assert rows == derived, spec
 
 
 # ----------------------------------------------------------------------
