@@ -7,6 +7,9 @@ and shows that (a) replays are bit-for-bit deterministic and (b) the
 protocols disagree only in cost, never in the values read.
 
 Run:  python examples/trace_driven.py [trace-file]
+
+Without a trace-file argument the trace goes to a temporary directory
+that is removed on exit.
 """
 
 import sys
@@ -36,10 +39,13 @@ def replay(path: Path, protocol: str):
 
 def main() -> None:
     if len(sys.argv) > 1:
-        path = Path(sys.argv[1])
+        demo(Path(sys.argv[1]))
     else:
-        path = Path(tempfile.gettempdir()) / "repro_example.trace"
+        with tempfile.TemporaryDirectory() as scratch:
+            demo(Path(scratch) / "repro_example.trace")
 
+
+def demo(path: Path) -> None:
     source = DuboisBriggsWorkload(
         n_processors=3, q=0.08, w=0.3, private_blocks_per_proc=64, seed=2718
     )

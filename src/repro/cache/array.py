@@ -4,11 +4,17 @@ Pure state + lookup/victim mechanics; all protocol behaviour (what to do on
 a miss, when to write back) lives in the cache controllers.  The paper's
 ``b_k`` — "the position in C_k of the block chosen to be replaced" — is the
 frame returned by :meth:`frame_for`.
+
+Frames are made as fills first need them: a set holds the frames filled
+so far, in the order a full set would hold them, and a frame never filled
+is not stored.  Every replacement policy fills an invalid frame before
+evicting, and frames not yet made come after the made ones, so victims
+are the ones a fully built array picks.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.line import CacheLine
 from repro.cache.replacement import FIFOPolicy, ReplacementPolicy, make_policy
@@ -41,9 +47,8 @@ class CacheArray:
         self.n_sets = n_sets
         self.associativity = associativity
         self.policy = policy if policy is not None else make_policy("lru")
-        self._sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(associativity)] for _ in range(n_sets)
-        ]
+        #: set index -> its frames made so far (see the module docstring).
+        self._sets: Dict[int, List[CacheLine]] = {}
         self._clock = 0  # internal use-ordering clock
         # block -> line placed by fill(); entries may be stale (the line
         # since evicted or invalidated), so every probe re-validates.
@@ -89,12 +94,20 @@ class CacheArray:
         resident = self.lookup(block)
         if resident is not None:
             return resident
-        lines = self._sets[self.set_index(block)]
+        lines = self._sets.get(self.set_index(block), ())
+        if len(lines) < self.associativity:
+            for line in lines:
+                if not line.valid:
+                    return line
+            return CacheLine()  # the set's next frame, made by fill()
         return lines[self.policy.victim(lines, self._clock)]
 
     def fill(self, block: int, version: int, modified: bool = False) -> CacheLine:
         """Place ``block`` into its frame (assumes eviction already handled)."""
         line = self.frame_for(block)
+        if not line.last_use:
+            # A frame never filled: every filled one has a use stamp.
+            self._sets.setdefault(self.set_index(block), []).append(line)
         line.fill(block, version, modified)
         self._index[block] = line
         now = self._tick()
@@ -108,9 +121,9 @@ class CacheArray:
     # Introspection (audits, tests)
     # ------------------------------------------------------------------
     def lines(self) -> Iterator[CacheLine]:
-        """All frames, valid or not."""
-        for line_set in self._sets:
-            yield from line_set
+        """Every frame made so far, valid or not, in set order."""
+        for index in sorted(self._sets):
+            yield from self._sets[index]
 
     def valid_lines(self) -> Iterator[CacheLine]:
         for line in self.lines():

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.enums import IdentityEnum
+from repro.sim.enums import SLOTS, IdentityEnum
 
 
 class LocalState(IdentityEnum):
@@ -31,7 +31,7 @@ class LocalState(IdentityEnum):
     SHARED = "shared"
 
 
-@dataclass
+@dataclass(**SLOTS)
 class CacheLine:
     """One cache frame (the paper's position ``b_k``)."""
 

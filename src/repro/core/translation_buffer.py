@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import Optional, Set
+from typing import Iterable, Optional, Set
 
 
 class TranslationBuffer:
@@ -122,6 +122,10 @@ class TranslationBuffer:
     def invalidate(self, block: int) -> None:
         """Forget a block (membership no longer derivable)."""
         self._entries.pop(block, None)
+
+    def recorded(self) -> Iterable[int]:
+        """The blocks with an entry."""
+        return self._entries.keys()
 
     def peek(self, block: int) -> Optional[Set[int]]:
         """Entry contents without LRU/statistics side effects."""

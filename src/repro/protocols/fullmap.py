@@ -21,7 +21,7 @@ through the real controller and checks the commands it sends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, Optional, Set
+from typing import Collection, Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.interconnect.message import Message
 from repro.interconnect.network import Network
@@ -58,30 +58,55 @@ class FullMapEntry:
 
 
 class FullMapDirectory:
-    """Map block -> :class:`FullMapEntry` for one module's blocks."""
+    """Map block -> :class:`FullMapEntry` for one module's blocks.
 
-    def __init__(self, blocks: Iterable[int]) -> None:
-        self._entries: Dict[int, FullMapEntry] = {
-            block: FullMapEntry() for block in blocks
-        }
+    Only blocks whose entry differs from the initial one (no owners,
+    clean) are stored: a commit that empties an entry drops it, so a
+    built directory holds nothing.
+    """
+
+    #: Non-state fields (see :mod:`repro.verification.state`).
+    _not_state = {"blocks": "configuration"}
+
+    def __init__(self, blocks: Collection[int]) -> None:
+        #: The blocks homed here (a ``range``, as
+        #: :meth:`~repro.memory.address.AddressMap.blocks_of` gives).
+        self.blocks = blocks
+        self._entries: Dict[int, FullMapEntry] = {}
 
     def __contains__(self, block: int) -> bool:
-        return block in self._entries
+        return block in self.blocks
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.blocks)
 
     def entry(self, block: int) -> FullMapEntry:
-        try:
-            return self._entries[block]
-        except KeyError:
-            raise KeyError(f"block {block} not homed at this directory") from None
+        """``block``'s entry; a fresh unstored one if it has none (a
+        change to it lasts only through :meth:`commit`)."""
+        entry = self._entries.get(block)
+        if entry is not None:
+            return entry
+        if block not in self.blocks:
+            raise KeyError(f"block {block} not homed at this directory")
+        return FullMapEntry()
+
+    def commit(self, block: int, entry: FullMapEntry) -> None:
+        """Keep ``entry`` as ``block``'s, or drop it once it is empty."""
+        if entry.owners or entry.modified or entry.exclusive:
+            self._entries[block] = entry
+        else:
+            self._entries.pop(block, None)
+
+    def recorded(self) -> Iterable[int]:
+        """The blocks with an entry: some cache holds them, or they are
+        marked modified or exclusive."""
+        return self._entries.keys()
 
     def storage_bits(self, n_caches: int) -> int:
-        """Directory cost grows with n — the economy contrast of §3.1."""
-        return (n_caches + 1) * len(self._entries)
-
-
+        """Directory cost in the modelled hardware: ``n+1`` bits per homed
+        block, growing with n — the economy contrast of §3.1.  The host
+        stores an entry only for a block some cache holds."""
+        return (n_caches + 1) * len(self.blocks)
 
 
 class Situation(IdentityEnum):
@@ -284,13 +309,13 @@ class FullMapDirectoryController(DirectoryController):
             entry.owners.add(requester)
         entry.modified = write
         entry.exclusive = not write and txn.row.next_state is Situation.OWNED
+        self.directory.commit(txn.msg.block, entry)
         return entry.exclusive
 
     def _commit_modify(self, txn: _Txn) -> None:
-        entry = self.directory.entry(txn.msg.block)
-        entry.owners = {self._requester(txn)}
-        entry.modified = True
-        entry.exclusive = False
+        self.directory.commit(
+            txn.msg.block, FullMapEntry({self._requester(txn)}, modified=True)
+        )
 
     def _commit_eject(self, txn: _Txn) -> None:
         # A stale notice (copy invalidated in flight) is harmless here:
@@ -300,12 +325,10 @@ class FullMapDirectoryController(DirectoryController):
         entry.owners.discard(self._requester(txn))
         if not entry.owners:
             entry.exclusive = False
+        self.directory.commit(txn.msg.block, entry)
 
     def _commit_writeback(self, txn: _Txn) -> None:
-        entry = self.directory.entry(txn.msg.block)
-        entry.owners = set()
-        entry.modified = False
-        entry.exclusive = False
+        self.directory.commit(txn.msg.block, FullMapEntry())
 
     def copy_holders(self, block: int) -> FrozenSet[int]:
         """Exact pids holding a valid copy of ``block`` (the full map).

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 #: Fewest kept commits that trigger a prune (see the module docstring).
 PRUNE_MIN = 256
@@ -253,6 +253,10 @@ class CoherenceOracle:
         """Most recent committed version of ``block`` (0 if never written)."""
         history = self._history.get(block)
         return history.versions[-1] if history else 0
+
+    def recorded(self) -> Iterable[int]:
+        """The blocks with a kept commit history (those ever written)."""
+        return self._history.keys()
 
     def latest_committer_time(self, block: int) -> Optional[int]:
         history = self._history.get(block)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable, Hashable, Optional
+
+from repro.sim.enums import SLOTS
 
 
 class Op(Enum):
@@ -28,7 +30,7 @@ _OP_BY_TEXT = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTS)
 class MemRef:
     """One memory reference issued by processor ``pid``.
 
@@ -44,11 +46,11 @@ class MemRef:
     #: reference (the paper's ``q``-stream); used by measurement, and by
     #: the static scheme, which never caches shared-writeable data.
     shared: bool = False
+    #: ``op is Op.WRITE``, consulted several times per reference on the
+    #: simulator hot path, so resolved once; outside equality and repr.
+    is_write: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # ``is_write`` is consulted several times per reference on the
-        # simulator hot path; resolve it once instead of per access.  Not
-        # a dataclass field, so equality/repr are unaffected.
         object.__setattr__(self, "is_write", self.op is Op.WRITE)
 
     def __str__(self) -> str:

@@ -55,10 +55,7 @@ class ReplayableStream:
         return ref
 
     def _restore(self) -> Iterator[MemRef]:
-        it = self.workload._raw_stream(self.pid)
-        for _ in range(self.position):
-            next(it)
-        self._it = it
+        it = self._it = self.workload._resume_stream(self.pid, self.position)
         return it
 
     def __getstate__(self):
@@ -67,6 +64,7 @@ class ReplayableStream:
     def __setstate__(self, state) -> None:
         self.workload, self.pid, self.position = state
         self._it = None
+        self.workload._will_resume(self.pid, self.position)
 
 
 class Workload(ABC):
@@ -84,6 +82,20 @@ class Workload(ABC):
     @abstractmethod
     def _raw_stream(self, pid: int) -> Iterator[MemRef]:
         """The underlying reference iterator (may be a generator)."""
+
+    def _will_resume(self, pid: int, position: int) -> None:
+        """A restored stream of ``pid`` will resume at ``position``.
+
+        Called as each stream unpickles, so a workload learns every
+        restored stream before any of them draws.
+        """
+
+    def _resume_stream(self, pid: int, position: int) -> Iterator[MemRef]:
+        """``pid``'s raw stream past its first ``position`` references."""
+        it = self._raw_stream(pid)
+        for _ in range(position):
+            next(it)
+        return it
 
     def take(self, pid: int, count: int) -> List[MemRef]:
         """First ``count`` references of processor ``pid``'s stream."""

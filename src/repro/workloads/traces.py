@@ -15,7 +15,8 @@ Two replay paths exist:
   a per-pid demultiplexer with bounded lookahead buffers, so multi-GB
   traces run in O(lookahead) memory.  Streams remain checkpointable: the
   position-counting :class:`~repro.workloads.synthetic.ReplayableStream`
-  wrapper restores by re-scanning the file and fast-forwarding.
+  wrapper restores by re-reading the file once, through a fresh
+  demultiplexer that drops each stream's references before its position.
 """
 
 from __future__ import annotations
@@ -320,6 +321,12 @@ class TraceWorkload(Workload):
 #: Default per-consumer lookahead bound for the streaming demultiplexer.
 DEFAULT_MAX_LOOKAHEAD = 4096
 
+#: :class:`StreamingTraceWorkload` fields a pickle leaves out.
+_NOT_PICKLED = frozenset(
+    ("_line_refs", "_source", "_buffers", "_claimed", "_detached", "_skip",
+     "_resumed")
+)
+
 
 class StreamingTraceWorkload(Workload):
     """Replay a trace file without materializing it.
@@ -339,11 +346,13 @@ class StreamingTraceWorkload(Workload):
     sequence, graceful-degradation cost, never an error.
 
     Checkpointing works through the standard position-counting stream
-    wrapper: pickling stores ``(workload, pid, position)`` and restore
-    re-scans the file, so resume offsets survive process boundaries.
-    Only the first ``stream(pid)`` call per pid joins the shared demux;
-    later calls (restores, :meth:`Workload.take`) get private scans and
-    never steal refs from a live stream.
+    wrapper: pickling stores ``(workload, pid, position)``.  As the
+    streams unpickle, each joins the restored workload's fresh demux,
+    which drops the first ``position`` refs of its pid, so a resume
+    reads the file once however many processors it has.  Only the first
+    ``stream(pid)`` call (or restore) per pid joins the shared demux;
+    later calls (:meth:`Workload.take`) get private scans and never
+    steal refs from a live stream.
     """
 
     def __init__(
@@ -361,8 +370,7 @@ class StreamingTraceWorkload(Workload):
         self.n_refs = meta.n_refs
         self._file_digest: Optional[str] = None
         # One line table for the shared reader and every private rescan
-        # (detached streams, restores): a checkpoint restore rescans the
-        # file once per processor, and those rescans hit the same table.
+        # (detached streams, late claimants).
         self._line_refs = RefTable(_parse_line)
         self._reset_demux()
 
@@ -374,24 +382,45 @@ class StreamingTraceWorkload(Workload):
         self._buffers: Dict[int, Deque[MemRef]] = {}
         self._claimed: Set[int] = set()
         self._detached: Set[int] = set()
+        #: pid -> refs of that pid the shared reader still drops (the
+        #: ones a restored stream took before its checkpoint).
+        self._skip: Dict[int, int] = {}
+        #: pid -> demux stream of a restored stream, until it draws.
+        self._resumed: Dict[int, Iterator[MemRef]] = {}
 
     def _raw_stream(self, pid: int) -> Iterator[MemRef]:
         if pid in self._claimed or self._source is not None:
-            # Restores, .take() probes, and late claimants (after the
-            # shared reader has started — their early refs were already
-            # passed over) scan privately; the shared demux belongs to
-            # the streams claimed up front, as the machine builder does.
+            # .take() probes and late claimants (after the shared reader
+            # has started — their early refs were already passed over)
+            # scan privately; the shared demux belongs to the streams
+            # claimed up front, as the machine builder and a restore do.
             return self._scan(pid)
+        return self._claim(pid)
+
+    def _claim(self, pid: int, skip: int = 0) -> Iterator[MemRef]:
+        """Join ``pid`` to the shared demux, past its first ``skip`` refs."""
         self._claimed.add(pid)
         self._buffers[pid] = deque()
-        return self._demux_stream(pid)
+        if skip:
+            self._skip[pid] = skip
+        return self._demux_stream(pid, skip)
+
+    def _will_resume(self, pid: int, position: int) -> None:
+        if pid not in self._claimed and self._source is None:
+            self._resumed[pid] = self._claim(pid, skip=position)
+
+    def _resume_stream(self, pid: int, position: int) -> Iterator[MemRef]:
+        stream = self._resumed.pop(pid, None)
+        if stream is not None:
+            return stream
+        return super()._resume_stream(pid, position)
 
     def _scan(self, pid: int) -> Iterator[MemRef]:
         refs = _read_refs(self.path, self._line_refs)
         return (ref for ref in refs if ref.pid == pid)
 
-    def _demux_stream(self, pid: int) -> Iterator[MemRef]:
-        consumed = 0
+    def _demux_stream(self, pid: int, start: int) -> Iterator[MemRef]:
+        consumed = start
         buffers = self._buffers
         while True:
             buf = buffers[pid]
@@ -409,7 +438,8 @@ class StreamingTraceWorkload(Workload):
             consumed += 1
             yield ref
         # Detached: continue on a private scan, fast-forwarded past
-        # everything already yielded.  Same sequence, bounded memory.
+        # everything already yielded or skipped.  Same sequence, bounded
+        # memory.
         it = self._scan(pid)
         for _ in range(consumed):
             next(it)
@@ -427,10 +457,16 @@ class StreamingTraceWorkload(Workload):
         source = self._source
         buffers = self._buffers
         detached = self._detached
+        skip = self._skip
         cap = self.max_lookahead
         pulled = 0
         for ref in source:
             other = ref.pid
+            if skip and other in skip:
+                left = skip.pop(other) - 1
+                if left:
+                    skip[other] = left
+                continue
             if other == pid:
                 return ref
             if other in buffers and other not in detached:
@@ -444,6 +480,7 @@ class StreamingTraceWorkload(Workload):
             if pulled >= cap:
                 # Requester is scanning too far ahead of everyone else.
                 detached.add(pid)
+                skip.pop(pid, None)
                 return None
         return None
 
@@ -452,19 +489,18 @@ class StreamingTraceWorkload(Workload):
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         # Live demux state (file handle, generators) does not pickle and
-        # must not: restored streams re-scan from the file.
-        state = self.__dict__.copy()
-        state["_source"] = None
-        state["_buffers"] = {}
-        state["_claimed"] = set()
-        state["_detached"] = set()
-        # A cache, rebuilt on load: it never enters checkpoint payloads.
-        del state["_line_refs"]
-        return state
+        # must not: restored streams join a fresh demux (_will_resume).
+        # The line table is a cache, rebuilt on load.
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in _NOT_PICKLED
+        }
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._line_refs = RefTable(_parse_line)
+        self._reset_demux()
 
     def file_digest(self) -> str:
         """SHA-256 of the trace file (cached) — trace content identity."""

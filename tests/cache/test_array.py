@@ -87,3 +87,80 @@ def test_fifo_fill_stamping():
     arr.touch(arr.lookup(0))  # FIFO must ignore the hit
     frame = arr.frame_for(2)
     assert frame.block == 0
+
+
+def test_frames_are_made_on_first_fill():
+    arr = CacheArray(n_sets=4, associativity=2)
+    assert list(arr.lines()) == []
+    assert not arr.frame_for(5).valid
+    assert list(arr.lines()) == []  # asking for a victim makes nothing
+    arr.fill(5, 1)
+    arr.fill(1, 1)
+    assert len(list(arr.lines())) == 2
+    assert arr.occupancy() == (2, 8)
+
+
+class DenseArray:
+    """Every frame built up front: the reference the lazy array matches."""
+
+    def __init__(self, n_sets, associativity, policy):
+        from repro.cache.line import CacheLine
+
+        self.sets = [[CacheLine() for _ in range(associativity)]
+                     for _ in range(n_sets)]
+        self.policy = policy
+        self.clock = 0
+
+    def find(self, block):
+        for line in self.sets[block % len(self.sets)]:
+            if line.valid and line.block == block:
+                return line
+        return None
+
+    def frame_for(self, block):
+        resident = self.find(block)
+        if resident is not None:
+            return resident
+        lines = self.sets[block % len(self.sets)]
+        return lines[self.policy.victim(lines, self.clock)]
+
+    def fill(self, block, version):
+        line = self.frame_for(block)
+        line.fill(block, version)
+        self.clock += 1
+        if hasattr(self.policy, "stamp_fill"):
+            self.policy.stamp_fill(line, self.clock)
+        else:
+            self.policy.touch(line, self.clock)
+
+
+@pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+def test_victims_match_a_fully_built_array(policy):
+    import random
+
+    rng = random.Random(policy)
+    lazy = CacheArray(4, 3, policy=make_policy(policy, seed=3))
+    dense = DenseArray(4, 3, make_policy(policy, seed=3))
+    for step in range(2000):
+        block = rng.randrange(40)
+        action = rng.random()
+        if action < 0.6:
+            assert (lazy.frame_for(block).block
+                    == dense.frame_for(block).block), step
+            lazy.fill(block, step)
+            dense.fill(block, step)
+        elif action < 0.8:
+            for arr in (lazy, dense):
+                line = arr.lookup(block) if arr is lazy else arr.find(block)
+                if line is not None:
+                    line.reset()
+        else:
+            line = lazy.lookup(block)
+            if line is not None:
+                lazy.touch(line)
+                dense.clock += 1
+                dense.policy.touch(dense.find(block), dense.clock)
+        resident = sorted(
+            line.block for s in dense.sets for line in s if line.valid
+        )
+        assert lazy.resident_blocks() == resident, step

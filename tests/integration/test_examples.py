@@ -1,5 +1,6 @@
 """Smoke-run the shipped examples (the quickest-to-rot artifacts)."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,15 +19,20 @@ FAST_EXAMPLES = [
 
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)
-def test_example_runs_clean(script):
+def test_example_runs_clean(script, tmp_path):
+    """Runs under a private temp dir, which it must leave empty."""
+    private_tmp = tmp_path / "tmp"
+    private_tmp.mkdir()
     result = subprocess.run(
         [sys.executable, str(EXAMPLES / script)],
         capture_output=True,
         text=True,
         timeout=240,
+        env={**os.environ, "TMPDIR": str(private_tmp)},
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip()
+    assert not list(private_tmp.iterdir()), "example left temp files behind"
 
 
 def test_quickstart_reports_clean_audit():

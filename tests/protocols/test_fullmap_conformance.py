@@ -123,6 +123,7 @@ def make(owners: Set[int], modified: bool, exclusive: bool = False,
     entry.owners = set(owners)
     entry.modified = modified
     entry.exclusive = exclusive
+    ctrl.directory.commit(BLOCK, entry)
     return sim, net, ctrl, module
 
 

@@ -32,6 +32,47 @@ def test_detects_phantom_directory_state():
     assert any("PresentM" in v for v in report.violations)
 
 
+def _plant_twobit_state(machine):
+    machine.controllers[0].directory.set_state(3, GlobalState.PRESENTM)
+
+
+def _plant_fullmap_owner(machine):
+    directory = machine.controllers[0].directory
+    entry = directory.entry(3)
+    entry.owners.add(1)
+    directory.commit(3, entry)
+
+
+def _plant_tbuf_owner(machine):
+    machine.controllers[0].tbuf.establish(3, {1})
+
+
+@pytest.mark.parametrize(
+    "protocol, tbuf, plant, needle",
+    [
+        ("twobit", 0, _plant_twobit_state, "PresentM"),
+        ("fullmap", 0, _plant_fullmap_owner, "directory owners"),
+        ("twobit", 8, _plant_tbuf_owner, "translation buffer"),
+    ],
+    ids=["twobit-state", "fullmap-owner", "tbuf-entry"],
+)
+def test_detects_directory_entry_for_a_block_no_cache_holds(
+    protocol, tbuf, plant, needle
+):
+    """The audit walks only held blocks; a directory record is one, so
+    a stale record for a block with no copy and no commit is still
+    checked."""
+    from repro.config import ProtocolOptions
+
+    machine = scripted_machine(
+        [[], []], protocol=protocol,
+        options=ProtocolOptions(translation_buffer_entries=tbuf),
+    )
+    plant(machine)
+    report = audit_machine(machine)
+    assert any(needle in v for v in report.violations), report.violations
+
+
 def test_detects_absent_with_cached_copy():
     machine = scripted_machine([[], []])
     read(machine, 0, 3)

@@ -152,22 +152,26 @@ def _add_bias_entry(m):
 def _change_two_bit_state(m):
     directory = m.controllers[0].directory
     block = _homed_block(m.controllers[0])
-    old = directory._states[block]
-    directory._states[block] = (
-        GlobalState.PRESENTM
-        if old is not GlobalState.PRESENTM
-        else GlobalState.ABSENT
-    )
+    # In canonical form: an ABSENT block has no entry.
+    if directory.state(block) is GlobalState.PRESENTM:
+        del directory._states[block]
+    else:
+        directory._states[block] = GlobalState.PRESENTM
 
 
 def _add_full_map_owner(m):
     ctrl = m.controllers[0]
-    ctrl.directory.entry(_homed_block(ctrl)).owners.symmetric_difference_update({0})
+    block = _homed_block(ctrl)
+    entry = ctrl.directory.entry(block)
+    entry.owners.symmetric_difference_update({0})
+    ctrl.directory.commit(block, entry)
 
 
 def _bump_memory_version(m):
     ctrl = m.controllers[0]
-    ctrl.module._versions[_homed_block(ctrl)] += 1000
+    versions = ctrl.module._versions
+    block = _homed_block(ctrl)
+    versions[block] = versions.get(block, 0) + 1000
 
 
 def _add_tbuf_owners(m):

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+import repro.workloads.traces as traces_mod
 from repro.workloads.reference import MemRef, Op
 from repro.workloads.synthetic import DuboisBriggsWorkload, UniformWorkload
 from repro.workloads.traces import (
@@ -253,6 +254,35 @@ def test_streaming_stream_pickle_resume(round_robin_trace):
     head = [next(stream) for _ in range(17)]
     resumed = pickle.loads(pickle.dumps(stream))
     assert head + list(resumed) == tw.refs_for(1)
+
+
+@pytest.mark.parametrize("lookahead", [8, 4096])
+def test_restored_streams_share_one_read_of_the_trace(
+    round_robin_trace, monkeypatch, lookahead
+):
+    """Streams restored together join one fresh demux, which drops each
+    pid's refs before its position: the file is opened once, not once
+    per processor, and every sequence is the uninterrupted one."""
+    path, refs = round_robin_trace
+    tw = TraceWorkload(refs)
+    sw = StreamingTraceWorkload(path, max_lookahead=lookahead)
+    streams = [sw.stream(pid) for pid in range(4)]
+    heads = [
+        [next(stream) for _ in range(5 + 9 * pid)]
+        for pid, stream in enumerate(streams)
+    ]
+    opened = []
+    real_read_refs = traces_mod._read_refs
+    monkeypatch.setattr(
+        traces_mod, "_read_refs",
+        lambda *args: opened.append(args[0]) or real_read_refs(*args),
+    )
+    restored = pickle.loads(pickle.dumps(streams))
+    tails = [list(stream) for stream in reversed(restored)][::-1]
+    for pid in range(4):
+        assert heads[pid] + tails[pid] == tw.refs_for(pid)
+    if lookahead > len(refs):
+        assert len(opened) == 1
 
 
 def test_streaming_take_does_not_disturb_live_stream(round_robin_trace):
