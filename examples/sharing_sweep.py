@@ -14,7 +14,8 @@ Run:  python examples/sharing_sweep.py
 from repro import DuboisBriggsWorkload, MachineConfig
 from repro.system.builder import build_machine
 from repro.verification.audit import audit_machine
-from repro.analysis import PAPER_CASES, generate_threshold_table, per_cache_overhead
+from repro.analysis.overhead_model import PAPER_CASES, per_cache_overhead
+from repro.analysis.thresholds import generate_threshold_table
 from repro.stats.tables import Table
 
 N_VALUES = (2, 4, 8)

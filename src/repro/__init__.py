@@ -22,69 +22,32 @@ Lower-level building blocks (``MachineConfig``, workloads, the machine
 itself) remain importable for custom setups; machine-level helpers live
 in their home modules (``repro.system.builder.build_machine``,
 ``repro.verification.audit.audit_machine``, ``repro.system.topology``).
+
+Every name below resolves on first use (:mod:`repro.lazy`): ``import
+repro`` runs no submodule, and ``repro.Experiment`` imports
+:mod:`repro.api` the first time it is read.
 """
 
-from repro.api import Experiment, RunOutcome, resume, run_point
-from repro.core import (
-    GlobalState,
-    TranslationBuffer,
-    TwoBitDirectory,
-    TwoBitDirectoryController,
-)
-from repro.schema import SCHEMA_VERSION, SchemaMismatchError
-from repro.system import (
-    Machine,
-    MachineConfig,
-    ProtocolOptions,
-    SimulationResults,
-    TimingConfig,
-)
-from repro.verification import (
-    AuditReport,
-    CoherenceOracle,
-    CoherenceViolation,
-)
-from repro.workloads import (
-    DuboisBriggsWorkload,
-    MemRef,
-    Op,
-    ScriptedWorkload,
-    StreamingTraceWorkload,
-    TraceWorkload,
-    UniformWorkload,
-    Workload,
-    WorkloadSpecError,
-    parse_workload,
-)
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AuditReport",
-    "CoherenceOracle",
-    "CoherenceViolation",
-    "DuboisBriggsWorkload",
-    "Experiment",
-    "GlobalState",
-    "Machine",
-    "MachineConfig",
-    "MemRef",
-    "Op",
-    "ProtocolOptions",
-    "RunOutcome",
-    "SCHEMA_VERSION",
-    "SchemaMismatchError",
-    "SimulationResults",
-    "StreamingTraceWorkload",
-    "TimingConfig",
-    "TraceWorkload",
-    "TranslationBuffer",
-    "TwoBitDirectory",
-    "TwoBitDirectoryController",
-    "UniformWorkload",
-    "Workload",
-    "WorkloadSpecError",
-    "parse_workload",
-    "resume",
-    "run_point",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.api": ("Experiment", "RunOutcome", "resume", "run_point"),
+    "repro.config": ("MachineConfig", "ProtocolOptions", "TimingConfig"),
+    "repro.core.controller": ("TwoBitDirectoryController",),
+    "repro.core.states": ("GlobalState", "TwoBitDirectory"),
+    "repro.core.translation_buffer": ("TranslationBuffer",),
+    "repro.schema": ("SCHEMA_VERSION", "SchemaMismatchError"),
+    "repro.system.machine": ("Machine", "SimulationResults"),
+    "repro.verification.audit": ("AuditReport",),
+    "repro.verification.oracle": ("CoherenceOracle", "CoherenceViolation"),
+    "repro.workloads.reference": ("MemRef", "Op"),
+    "repro.workloads.registry": ("WorkloadSpecError", "parse_workload"),
+    "repro.workloads.synthetic": (
+        "DuboisBriggsWorkload",
+        "UniformWorkload",
+        "Workload",
+    ),
+    "repro.workloads.traces": ("StreamingTraceWorkload", "TraceWorkload"),
+})

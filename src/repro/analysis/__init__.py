@@ -1,107 +1,12 @@
 """Analytical models: the §4.2 closed forms (Table 4-1), the
 Dubois-Briggs reconstruction (Table 4-2), viability thresholds (§4.3),
-and the translation-buffer model (§4.4)."""
+and the translation-buffer model (§4.4).
 
-from repro.analysis.dubois_briggs import (
-    PAPER_TABLE_4_2,
-    DuboisBriggsModel,
-    derive_sharing_case,
-    generate_table_4_2,
-)
-from repro.analysis.markov import (
-    ChainBuilder,
-    expectation,
-    solve_linear,
-    stationary_distribution,
-)
-from repro.analysis.queueing import (
-    ControllerLoadModel,
-    md1_mean_response,
-    md1_mean_wait,
-    utilization,
-)
-from repro.analysis.overhead_model import (
-    HIGH_SHARING_CASE,
-    KNOWN_TYPOS,
-    LOW_SHARING_CASE,
-    MODERATE_SHARING_CASE,
-    PAPER_CASES,
-    PAPER_TABLE_4_1,
-    SharingCase,
-    compare_table_4_1,
-    generate_table_4_1,
-    per_cache_overhead,
-    t_read_miss,
-    t_sum,
-    t_write_hit,
-    t_write_miss,
-)
-from repro.analysis.thresholds import (
-    DEFAULT_THRESHOLD,
-    PAPER_CONCLUSIONS,
-    ViabilityResult,
-    generate_threshold_table,
-    max_viable_processors,
-    paper_viability_conclusions,
-)
-from repro.analysis.utilization import (
-    MeasuredUtilization,
-    acceptable,
-    generate_slowdown_table,
-    measured_utilization,
-    slowdown,
-)
-from repro.analysis.translation_buffer_model import (
-    TbufDesignPoint,
-    generate_tbuf_table,
-    lru_hit_ratio,
-    overhead_eliminated_fraction,
-    residual_overhead,
-    sweep_capacities,
-)
+Modules: ``overhead_model`` (Table 4-1), ``dubois_briggs`` (Table 4-2),
+``thresholds`` and ``utilization`` (§4.3), ``translation_buffer_model``
+(§4.4), ``markov`` and ``queueing`` (solvers they share).
+"""
 
-__all__ = [
-    "ChainBuilder",
-    "ControllerLoadModel",
-    "DEFAULT_THRESHOLD",
-    "DuboisBriggsModel",
-    "HIGH_SHARING_CASE",
-    "KNOWN_TYPOS",
-    "LOW_SHARING_CASE",
-    "MODERATE_SHARING_CASE",
-    "PAPER_CASES",
-    "PAPER_CONCLUSIONS",
-    "PAPER_TABLE_4_1",
-    "PAPER_TABLE_4_2",
-    "SharingCase",
-    "TbufDesignPoint",
-    "ViabilityResult",
-    "compare_table_4_1",
-    "derive_sharing_case",
-    "expectation",
-    "generate_table_4_1",
-    "generate_table_4_2",
-    "generate_tbuf_table",
-    "generate_threshold_table",
-    "MeasuredUtilization",
-    "acceptable",
-    "generate_slowdown_table",
-    "lru_hit_ratio",
-    "measured_utilization",
-    "slowdown",
-    "max_viable_processors",
-    "md1_mean_response",
-    "md1_mean_wait",
-    "utilization",
-    "overhead_eliminated_fraction",
-    "paper_viability_conclusions",
-    "per_cache_overhead",
-    "residual_overhead",
-    "solve_linear",
-    "stationary_distribution",
-    "sweep_capacities",
-    "t_read_miss",
-    "t_sum",
-    "t_write_hit",
-    "t_write_miss",
-]
+#: Nothing is re-exported: import names from their submodules, so that
+#: loading one submodule runs none of the others.
+__all__: list = []

@@ -32,16 +32,15 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.config import MachineConfig, ProtocolOptions
 from repro.protocols import registry
-from repro.runner.seeds import derive_seed
-from repro.runner.sweep import SweepPoint, SweepReport, WithMetrics
-from repro.system.machine import Machine, SimulationResults
-from repro.verification.audit import AuditReport, audit_machine
-from repro.workloads.registry import WorkloadContext, make_workload
-from repro.workloads.synthetic import Workload
+
+if TYPE_CHECKING:
+    from repro.runner.sweep import SweepPoint, SweepReport
+    from repro.system.machine import Machine, SimulationResults
+    from repro.verification.audit import AuditReport
 
 __all__ = ["Experiment", "RunOutcome", "resume", "run_point"]
 
@@ -138,11 +137,14 @@ class Experiment:
         self.faults = faults
         self.sample_interval = sample_interval
         self.private_blocks_per_proc = private_blocks_per_proc
-        if workload is not None and not isinstance(workload, (str, Workload)):
-            raise TypeError(
-                "workload must be a registry spec string, a Workload "
-                f"instance, or None; got {type(workload).__name__}"
-            )
+        if workload is not None and not isinstance(workload, str):
+            from repro.workloads.synthetic import Workload
+
+            if not isinstance(workload, Workload):
+                raise TypeError(
+                    "workload must be a registry spec string, a Workload "
+                    f"instance, or None; got {type(workload).__name__}"
+                )
         self.workload = workload
 
     # ------------------------------------------------------------------
@@ -190,8 +192,8 @@ class Experiment:
     # ------------------------------------------------------------------
     def build(self, instrument: bool = False, keep_events: bool = False):
         """Assemble the machine (not yet run); returns ``(machine, obs)``."""
-        from repro.faults import attach_faults
         from repro.system.builder import build_machine
+        from repro.workloads.registry import WorkloadContext, make_workload
 
         workload = make_workload(
             self.workload,
@@ -220,10 +222,12 @@ class Experiment:
         )
         machine = build_machine(config, workload)
         if self.faults is not None:
+            from repro.faults.inject import attach_faults
+
             attach_faults(machine, self.faults)
         obs = None
         if instrument:
-            from repro.obs import instrument_machine
+            from repro.obs.attach import instrument_machine
 
             obs = instrument_machine(
                 machine,
@@ -259,6 +263,8 @@ class Experiment:
                 it via ``workload="trace:<path>"`` with the same
                 warm-up/measure split reproduces the run bit-for-bit.
         """
+        from repro.verification.audit import audit_machine
+
         machine, obs = self.build(
             instrument=instrument, keep_events=keep_events
         )
@@ -345,7 +351,7 @@ class Experiment:
         points = self.sweep_points(axes, instrument=instrument)
         name = label if label is not None else f"{self.protocol}-grid"
         if service is not None:
-            from repro.runner.service import run_sweep_service
+            from repro.runner.service.client import run_sweep_service
 
             return run_sweep_service(
                 points,
@@ -378,6 +384,9 @@ class Experiment:
         instrument: bool = False,
     ) -> List[SweepPoint]:
         """The :class:`SweepPoint` grid :meth:`sweep` would run."""
+        from repro.runner.seeds import derive_seed
+        from repro.runner.sweep import SweepPoint
+
         base = self.to_kwargs()
         unknown = set(axes) - set(base)
         if unknown:
@@ -439,7 +448,7 @@ class Experiment:
 
     def trace(self, out: str, strict: bool = True) -> RunOutcome:
         """Run instrumented and export a Perfetto/Chrome trace to ``out``."""
-        from repro.obs import write_chrome_trace
+        from repro.obs.export import write_chrome_trace
 
         outcome = self.run(
             instrument=True, keep_events=True, strict=strict
@@ -509,6 +518,8 @@ def _finish_resumed(
 ) -> RunOutcome:
     """The run half of :func:`resume`, for callers that inspect the
     loaded machine before any simulation work."""
+    from repro.verification.audit import audit_machine
+
     machine.continue_run(
         checkpoint_every=checkpoint_every,
         checkpoint_path=checkpoint_path if checkpoint_every else None,
@@ -559,7 +570,8 @@ def run_point(
         )
     results = outcome.results.to_dict()
     if outcome.obs is not None:
-        from repro.obs import machine_metrics
+        from repro.obs.attach import machine_metrics
+        from repro.runner.sweep import WithMetrics
 
         return WithMetrics(
             results, machine_metrics(outcome.machine, outcome.obs)

@@ -1,27 +1,6 @@
-"""Cache subsystem: lines, arrays, replacement, write-back buffering."""
+"""Cache subsystem: lines (``line``), arrays (``array``), replacement
+policies (``replacement``) and write-back buffering (``wbbuffer``)."""
 
-from repro.cache.array import CacheArray
-from repro.cache.line import CacheLine, LocalState
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    available_policies,
-    make_policy,
-)
-from repro.cache.wbbuffer import WriteBackBuffer, WriteBackEntry
-
-__all__ = [
-    "CacheArray",
-    "CacheLine",
-    "FIFOPolicy",
-    "LRUPolicy",
-    "LocalState",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "WriteBackBuffer",
-    "WriteBackEntry",
-    "available_policies",
-    "make_policy",
-]
+#: Nothing is re-exported: import names from their submodules, so that
+#: loading one submodule runs none of the others.
+__all__: list = []

@@ -29,6 +29,13 @@ simulator code would not resume bit-identically, so the mismatch is a
 loud :class:`CheckpointError`, overridable with
 ``allow_code_mismatch=True``.
 
+A checkpoint is canonical: restoring it and saving the machine again,
+in this process or another, gives back the same bytes.  Strings are
+pickled by value (:class:`_Pickler`), and the sets a machine keeps
+pickle their members in sorted order
+(:class:`~repro.sim.enums.StableSet`), so neither string identity nor
+hash order reaches the payload.
+
 The simulator numbers the transactions the protocols match by identity
 (:meth:`~repro.sim.kernel.Simulator.uid`), so the uid counter is part
 of the pickled machine: a restore in a fresh process continues it with
@@ -44,6 +51,7 @@ import io
 import json
 import os
 import pickle
+import sys
 from dataclasses import asdict, dataclass
 
 from repro.atomic import atomic_write
@@ -109,13 +117,15 @@ def snapshot_bytes(machine) -> bytes:
     """Serialize ``machine`` to the full checkpoint file format."""
     from repro.runner.cache import code_version
 
+    out = io.BytesIO()
     try:
-        payload = pickle.dumps(machine, protocol=pickle.HIGHEST_PROTOCOL)
+        _Pickler(out, protocol=pickle.HIGHEST_PROTOCOL).dump(machine)
     except Exception as exc:
         raise CheckpointError(
             f"machine is not picklable: {exc!r} — a component is holding "
             f"a lambda, generator or other unpicklable state"
         ) from exc
+    payload = out.getvalue()
     header = CheckpointHeader(
         schema_version=SCHEMA_VERSION,
         code_version=code_version(),
@@ -150,10 +160,35 @@ def _split(data: bytes, context: str):
     return CheckpointHeader.from_json(text), rest[newline + 1:]
 
 
+class _Pickler(pickle.Pickler):
+    """Pickles strings by value: each as a persistent id, the interned
+    string of its text, which :class:`_Unpickler` interns again.
+
+    A plain pickle records which equal strings are one object, and a
+    restored machine does not keep that: an attribute name and an equal
+    literal held as a value are one interned object in a live machine
+    but two in a restored one.  By value, the live machine and its
+    restored twin pickle alike.
+    """
+
+    def persistent_id(self, obj):
+        if type(obj) is str:
+            return sys.intern(obj)
+        return None
+
+
 class _Unpickler(pickle.Unpickler):
     """Unpickler naming any class the payload needs but this build lacks
     (a checkpoint restored with ``allow_code_mismatch`` across a change
     that removed or renamed a component)."""
+
+    def persistent_load(self, pid):
+        if type(pid) is not str:
+            raise CheckpointError(
+                f"checkpoint holds a persistent id of type "
+                f"{type(pid).__name__}; only strings are written"
+            )
+        return sys.intern(pid)
 
     def find_class(self, module: str, name: str):
         try:

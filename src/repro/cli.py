@@ -35,23 +35,18 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.analysis.dubois_briggs import generate_table_4_2
-from repro.analysis.overhead_model import compare_table_4_1, generate_table_4_1
-from repro.analysis.thresholds import generate_threshold_table
-from repro.api import Experiment, RunOutcome
+# Only what the parser itself needs is imported here; each verb imports
+# the modules it runs, so ``repro --help`` loads no simulator module.
+from repro.api import Experiment
 from repro.config import NETWORKS, MachineConfig
-from repro.faults import CANNED_PLANS, FAULT_PROTOCOLS, parse_faults
+from repro.faults.plan import CANNED_PLANS, FAULT_PROTOCOLS, parse_faults
 from repro.options import OptionError, parse_options
-from repro.core.spec import render_spec
 from repro.protocols import registry
-from repro.protocols.cache_side import render_cache_side_spec
-from repro.protocols.fullmap import render_full_map_spec
-from repro.stats.histogram import Histogram
-from repro.stats.tables import Table
-from repro.workloads.registry import WorkloadSpecError
-from repro.workloads.traces import scan_trace_meta
+
+if TYPE_CHECKING:
+    from repro.api import RunOutcome
 
 #: Canonical names + aliases, for CLI --protocol choice lists.
 PROTOCOL_CHOICES = tuple(
@@ -206,6 +201,8 @@ def _run_experiment(experiment: Experiment, **kwargs) -> RunOutcome:
 
     Prints the "trace recorded" line when ``record_trace`` is given.
     """
+    from repro.workloads.registry import WorkloadSpecError
+
     try:
         outcome = experiment.run(**kwargs)
     except WorkloadSpecError as exc:
@@ -214,6 +211,8 @@ def _run_experiment(experiment: Experiment, **kwargs) -> RunOutcome:
         raise SystemExit(str(exc))
     record_trace = kwargs.get("record_trace")
     if record_trace:
+        from repro.workloads.traces import scan_trace_meta
+
         count = scan_trace_meta(record_trace).n_refs
         print(
             f"trace recorded to {record_trace}: {count} refs "
@@ -223,7 +222,8 @@ def _run_experiment(experiment: Experiment, **kwargs) -> RunOutcome:
 
 
 def _write_metrics(path: str, machine, obs, append: bool = False) -> None:
-    from repro.obs import machine_metrics_records, write_jsonl
+    from repro.obs.attach import machine_metrics_records
+    from repro.obs.export import write_jsonl
 
     records = machine_metrics_records(machine, obs)
     if append:
@@ -323,6 +323,8 @@ def _report_run(args: argparse.Namespace, outcome: RunOutcome) -> int:
             print("latency (cycles): not recorded (the checkpoint has no "
                   "observability hub)")
         elif obs.latency:
+            from repro.stats.histogram import Histogram
+
             print(Histogram.merged(
                 obs.latency.values(), name="latency (cycles)"
             ).render())
@@ -359,7 +361,7 @@ def _parse_axes(axis_items, base: dict, command: str = "sweep") -> dict:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run a sweep-service coordinator in the foreground."""
-    from repro.runner.service import ServiceConfig, serve
+    from repro.runner.service.coordinator import ServiceConfig, serve
 
     serve(
         ServiceConfig(
@@ -377,7 +379,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_work(args: argparse.Namespace) -> int:
     """Run a sweep-service worker agent against a coordinator."""
-    from repro.runner.service import ServiceError, run_worker
+    from repro.runner.service.wire import ServiceError
+    from repro.runner.service.worker import run_worker
+
+    # Load what a point runs (Experiment.run) before registering, so the
+    # first lease does not pay for the imports.
+    import repro.system.builder  # noqa: F401
+    import repro.verification.audit  # noqa: F401
+    import repro.workloads.registry  # noqa: F401
 
     try:
         executed = run_worker(
@@ -396,9 +405,14 @@ def cmd_work(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.runner import SweepError
-    from repro.runner.service import ServiceError
+    from repro.runner.sweep import SweepError
+    from repro.stats.tables import Table
 
+    errors: Tuple[type, ...] = (SweepError, ValueError)
+    if args.service is not None:  # local sweeps never load the HTTP stack
+        from repro.runner.service.wire import ServiceError
+
+        errors += (ServiceError,)
     experiment = _experiment_from_args(args)
     axes = _parse_axes(args.axis, experiment.to_kwargs())
     try:
@@ -417,7 +431,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             instrument=args.metrics,
             progress_out=args.progress_out,
         )
-    except (SweepError, ServiceError, ValueError) as exc:
+    except errors as exc:
         raise SystemExit(str(exc))
     table = Table(
         header=["point", "cmds/ref", "extra/ref", "miss", "latency"],
@@ -445,9 +459,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     from repro.obs.report import build_report, render_markdown
     from repro.obs.rollup import rollup_results
-    from repro.runner import SweepError, run_sweep
     from repro.runner.cache import ResultCache, default_cache_dir
-    from repro.runner.sweep import WithMetrics
+    from repro.runner.sweep import SweepError, WithMetrics, run_sweep
 
     experiment = _experiment_from_args(args)
     axes = _parse_axes(args.axis, experiment.to_kwargs(), command="report")
@@ -520,6 +533,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    from repro.analysis.dubois_briggs import generate_table_4_2
+    from repro.analysis.overhead_model import (
+        compare_table_4_1,
+        generate_table_4_1,
+    )
+    from repro.analysis.thresholds import generate_threshold_table
+
     if args.table in ("4-1", "all"):
         print(generate_table_4_1().render())
         if args.verbose:
@@ -559,6 +579,10 @@ def cmd_topology(args: argparse.Namespace) -> int:
 
 
 def cmd_spec(args: argparse.Namespace) -> int:
+    from repro.core.spec import render_spec
+    from repro.protocols.cache_side import render_cache_side_spec
+    from repro.protocols.fullmap import render_full_map_spec
+
     print(render_spec())
     print()
     print(render_full_map_spec())
@@ -568,6 +592,8 @@ def cmd_spec(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.stats.tables import Table
+
     table = Table(
         header=["protocol", "cmds/ref", "extra/ref", "stolen/ref",
                 "miss", "latency"],
@@ -605,7 +631,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import write_chrome_trace
+    from repro.obs.export import write_chrome_trace
 
     outcome = _run_experiment(
         _experiment_from_args(args),
@@ -741,7 +767,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
         obs = None
         if args.trace_out:
-            from repro.obs import instrument_machine
+            from repro.obs.attach import instrument_machine
 
             obs = instrument_machine(
                 machine, sample_interval=0, keep_events=True
@@ -762,7 +788,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         for line in outcome.trace:
             print(f"  {line}")
         if obs is not None:
-            from repro.obs import write_chrome_trace
+            from repro.obs.export import write_chrome_trace
 
             count = write_chrome_trace(args.trace_out, obs)
             print(f"replay trace written to {args.trace_out}: {count} events")

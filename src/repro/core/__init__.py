@@ -13,19 +13,6 @@ The cache side is shared with the directory baselines and lives in
 :mod:`repro.protocols.cache_side`.
 """
 
-from repro.core.controller import TwoBitDirectoryController
-from repro.core.spec import EVENTS, TWO_BIT_SPEC, Transition, expected, render_spec
-from repro.core.states import GlobalState, TwoBitDirectory
-from repro.core.translation_buffer import TranslationBuffer
-
-__all__ = [
-    "EVENTS",
-    "GlobalState",
-    "TWO_BIT_SPEC",
-    "Transition",
-    "expected",
-    "render_spec",
-    "TranslationBuffer",
-    "TwoBitDirectory",
-    "TwoBitDirectoryController",
-]
+#: Nothing is re-exported: import names from their submodules, so that
+#: loading one submodule runs none of the others.
+__all__: list = []

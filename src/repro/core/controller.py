@@ -34,6 +34,7 @@ from repro.interconnect.network import Network
 from repro.memory.address import AddressMap
 from repro.memory.module import MemoryModule
 from repro.protocols.directory import DirectoryController, _Txn
+from repro.sim.enums import StableSet
 from repro.sim.kernel import SimClock, Simulator
 from repro.config import MachineConfig
 
@@ -90,7 +91,7 @@ class TwoBitDirectoryController(DirectoryController):
         self.holders = CopyHolderIndex()
         self._sparse = bool(config.sparse_fanout)
         #: (cache name, block) ejects superseded by a query response.
-        self._superseded: Set[Tuple[str, int]] = set()
+        self._superseded: Set[Tuple[str, int]] = StableSet()
         #: (cache name, block) -> eject uid revoked by the cache because
         #: an invalidation crossed the clean-eject notice.
         self._revoked_ejects: Dict[Tuple[str, int], int] = {}
@@ -103,7 +104,7 @@ class TwoBitDirectoryController(DirectoryController):
         #: the queue during an invalidation round; the sender's
         #: MREQ_CANCEL for them must be absorbed here, not parked as a
         #: dispatch marker that nothing will ever consume.
-        self._scrubbed_mreqs: Set[Tuple[str, Optional[int]]] = set()
+        self._scrubbed_mreqs: Set[Tuple[str, Optional[int]]] = StableSet()
 
     def _state_changed(
         self, block: int, old: GlobalState, new: GlobalState

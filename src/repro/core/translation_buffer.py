@@ -26,6 +26,8 @@ import random
 from collections import OrderedDict
 from typing import Iterable, Optional, Set
 
+from repro.sim.enums import StableSet
+
 
 class TranslationBuffer:
     """LRU buffer of exact owner-identity sets."""
@@ -100,7 +102,7 @@ class TranslationBuffer:
         """Create/overwrite an entry with fully-known membership."""
         if self.capacity == 0:
             return
-        self._entries[block] = set(owners)
+        self._entries[block] = StableSet(owners)
         self._entries.move_to_end(block)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

@@ -16,23 +16,14 @@ order, so replays (including model-checker schedule replays) see
 identical fault choices.  See ``docs/robustness.md``.
 """
 
-from repro.faults.plan import (
-    CANNED_PLANS,
-    DEFAULT_MAX_RETRIES,
-    DEFAULT_RETRY_BACKOFF,
-    FAULT_PROTOCOLS,
-    FaultSpec,
-    parse_faults,
-)
-from repro.faults.inject import FaultInjector, attach_faults
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CANNED_PLANS",
-    "DEFAULT_MAX_RETRIES",
-    "DEFAULT_RETRY_BACKOFF",
-    "FAULT_PROTOCOLS",
-    "FaultInjector",
-    "FaultSpec",
-    "attach_faults",
-    "parse_faults",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.inject": ("FaultInjector", "attach_faults"),
+    "repro.faults.plan": (
+        "CANNED_PLANS",
+        "FAULT_PROTOCOLS",
+        "FaultSpec",
+        "parse_faults",
+    ),
+})

@@ -1,17 +1,7 @@
-"""Interconnection networks and the protocol message vocabulary."""
+"""Interconnection networks and the protocol message vocabulary:
+``message`` (Message, MessageKind), ``network`` (the crossbar base),
+``bus``, ``delta`` and ``holders`` (copy-holder indexes)."""
 
-from repro.interconnect.bus import Bus
-from repro.interconnect.delta import DeltaNetwork
-from repro.interconnect.message import DATA_KINDS, DATA_SIZE, Message, MessageKind
-from repro.interconnect.network import Network, PointToPointNetwork
-
-__all__ = [
-    "Bus",
-    "DATA_KINDS",
-    "DATA_SIZE",
-    "DeltaNetwork",
-    "Message",
-    "MessageKind",
-    "Network",
-    "PointToPointNetwork",
-]
+#: Nothing is re-exported: import names from their submodules, so that
+#: loading one submodule runs none of the others.
+__all__: list = []

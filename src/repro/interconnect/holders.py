@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, Set
 
+from repro.sim.enums import StableSet
+
 _EMPTY: FrozenSet[int] = frozenset()
 
 #: Why an index's owners declare it non-state (see
@@ -52,7 +54,7 @@ class CopyHolderIndex:
         """``pid`` gains (or may gain) a copy of ``block``."""
         members = self._holders.get(block)
         if members is None:
-            self._holders[block] = {pid}
+            self._holders[block] = StableSet((pid,))
         else:
             members.add(pid)
 
@@ -66,11 +68,11 @@ class CopyHolderIndex:
 
     def set_only(self, block: int, pid: int) -> None:
         """``pid`` becomes the sole (possible) holder of ``block``."""
-        self._holders[block] = {pid}
+        self._holders[block] = StableSet((pid,))
 
     def replace(self, block: int, pids: Iterable[int]) -> None:
         """The holder set becomes exactly ``pids`` (empty clears)."""
-        members = set(pids)
+        members = StableSet(pids)
         if members:
             self._holders[block] = members
         else:

@@ -20,6 +20,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.interconnect.message import Message
 from repro.sim.component import Component
+from repro.sim.enums import StableSet
 from repro.sim.kernel import Simulator
 
 
@@ -42,7 +43,7 @@ class Network(Component):
         self.faults = None
         self._endpoints: Dict[str, Component] = {}
         self._broadcast_group: List[str] = []
-        self._broadcast_members: Set[str] = set()
+        self._broadcast_members: Set[str] = StableSet()
         #: Bound ``deliver`` methods, cached at attach time — the send hot
         #: path skips the endpoint lookup + attribute fetch per message.
         self._deliver_fns: Dict[str, Callable[[Message], None]] = {}

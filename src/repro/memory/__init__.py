@@ -1,6 +1,6 @@
-"""Memory subsystem: block addressing and memory modules."""
+"""Memory subsystem: block addressing (``address``) and memory modules
+(``module``)."""
 
-from repro.memory.address import AddressMap
-from repro.memory.module import MemoryModule
-
-__all__ = ["AddressMap", "MemoryModule"]
+#: Nothing is re-exported: import names from their submodules, so that
+#: loading one submodule runs none of the others.
+__all__: list = []

@@ -15,61 +15,22 @@ See ``docs/observability.md`` for the probe API, the span-phase model,
 and the export schemas.
 """
 
-from repro.obs.attach import (
-    instrument_machine,
-    machine_metrics,
-    machine_metrics_records,
-)
-from repro.obs.core import (
-    OUTCOMES,
-    PHASES,
-    Observability,
-    ObsEvent,
-    TransactionSpan,
-)
-from repro.obs.export import (
-    chrome_trace,
-    chrome_trace_events,
-    metrics_records,
-    read_metrics_jsonl,
-    render_events,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.progress import (
-    PROGRESS_EVENTS,
-    ProgressStream,
-    read_progress,
-    verify_point_trails,
-)
-from repro.obs.report import build_report, render_markdown
-from repro.obs.rollup import GroupRollup, rollup_outcomes, rollup_results
-from repro.obs.sampler import TimeSeriesSampler
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "OUTCOMES",
-    "PHASES",
-    "PROGRESS_EVENTS",
-    "GroupRollup",
-    "Observability",
-    "ObsEvent",
-    "ProgressStream",
-    "TimeSeriesSampler",
-    "TransactionSpan",
-    "build_report",
-    "chrome_trace",
-    "chrome_trace_events",
-    "instrument_machine",
-    "machine_metrics",
-    "machine_metrics_records",
-    "metrics_records",
-    "read_metrics_jsonl",
-    "read_progress",
-    "render_events",
-    "render_markdown",
-    "rollup_outcomes",
-    "rollup_results",
-    "verify_point_trails",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.attach": (
+        "instrument_machine",
+        "machine_metrics",
+        "machine_metrics_records",
+    ),
+    "repro.obs.core": ("OUTCOMES", "PHASES", "Observability"),
+    "repro.obs.export": (
+        "chrome_trace",
+        "read_metrics_jsonl",
+        "render_events",
+        "write_chrome_trace",
+        "write_jsonl",
+    ),
+    "repro.obs.progress": ("read_progress", "verify_point_trails"),
+    "repro.obs.sampler": ("TimeSeriesSampler",),
+})

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.core import Observability
-from repro.obs.export import metrics_records
 from repro.obs.sampler import TimeSeriesSampler
 
 #: Cumulative network counters sampled as per-window rates.
@@ -171,6 +170,8 @@ def machine_metrics_records(
     machine, obs: Observability
 ) -> List[Dict[str, Any]]:
     """JSONL records for one run (``run`` header + histograms + samples)."""
+    from repro.obs.export import metrics_records
+
     obs.flush(machine.sim.now)
     return metrics_records(
         obs,

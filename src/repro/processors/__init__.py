@@ -1,5 +1,5 @@
-"""Processor models."""
+"""Processor models (``processor``)."""
 
-from repro.processors.processor import Processor
-
-__all__ = ["Processor"]
+#: Nothing is re-exported: import names from their submodules, so that
+#: loading one submodule runs none of the others.
+__all__: list = []

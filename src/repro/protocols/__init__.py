@@ -14,73 +14,6 @@ baselines and the baselines themselves:
 * ``illinois`` — Papamarcos-Patel MESI (§2.5).
 """
 
-from repro.protocols.base import (
-    AbstractCacheController,
-    AbstractMemoryController,
-    AccessResult,
-)
-from repro.protocols.cache_side import DirectoryCacheController, PendingOp
-from repro.protocols.classical import (
-    ClassicalCacheController,
-    ClassicalMemoryController,
-)
-from repro.protocols.directory import DirectoryController
-from repro.protocols.fullmap import (
-    FullMapDirectory,
-    FullMapDirectoryController,
-    FullMapEntry,
-)
-from repro.protocols.fullmap_local import (
-    LocalStateCacheController,
-    LocalStateFullMapController,
-)
-from repro.protocols.illinois import IllinoisBusManager, IllinoisCacheController
-from repro.protocols.snoop import SnoopBusManager, SnoopCacheController, SnoopReply
-from repro.protocols.static import StaticCacheController, StaticMemoryController
-from repro.protocols.write_once import WriteOnceCacheController
-from repro.protocols.wt_filter import (
-    WTFilterCacheController,
-    WTFilterMemoryController,
-)
-from repro.protocols.registry import (
-    PROTOCOLS,
-    BuildContext,
-    ProtocolSpec,
-    canonical_name,
-    compatible_pairs,
-    protocol_names,
-    resolve,
-)
-
-__all__ = [
-    "PROTOCOLS",
-    "BuildContext",
-    "ProtocolSpec",
-    "canonical_name",
-    "compatible_pairs",
-    "protocol_names",
-    "resolve",
-    "AbstractCacheController",
-    "AbstractMemoryController",
-    "AccessResult",
-    "ClassicalCacheController",
-    "ClassicalMemoryController",
-    "DirectoryCacheController",
-    "DirectoryController",
-    "FullMapDirectory",
-    "FullMapDirectoryController",
-    "FullMapEntry",
-    "IllinoisBusManager",
-    "IllinoisCacheController",
-    "LocalStateCacheController",
-    "LocalStateFullMapController",
-    "PendingOp",
-    "SnoopBusManager",
-    "SnoopCacheController",
-    "SnoopReply",
-    "StaticCacheController",
-    "StaticMemoryController",
-    "WTFilterCacheController",
-    "WTFilterMemoryController",
-    "WriteOnceCacheController",
-]
+#: Nothing is re-exported: import names from their submodules, so that
+#: loading one submodule runs none of the others.
+__all__: list = []

@@ -44,7 +44,6 @@ from repro.protocols.base import AbstractCacheController, ProtocolError
 from repro.protocols.compiled import LineState, line_state
 from repro.sim.kernel import Simulator
 from repro.config import MachineConfig
-from repro.stats.tables import Table
 from repro.verification.oracle import CoherenceOracle
 from repro.workloads.reference import MemRef
 
@@ -318,6 +317,8 @@ def _cell(cell) -> str:
 
 def render_cache_side_spec() -> str:
     """:data:`CACHE_SIDE_SPEC` as text: one line per row, then notes."""
+    from repro.stats.tables import Table
+
     table = Table(
         header=["#", "command", "line", "pending", "cache steps", "counter"],
         title="Cache side (§3.2): reactions to the home's commands",

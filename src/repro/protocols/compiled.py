@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cache.line import CacheLine, LocalState
 from repro.protocols import registry
@@ -327,7 +327,7 @@ _BASE_COUNTERS = (
 class CompiledKernel:
     """The dense, picklable runtime form of one protocol's table.
 
-    Holds only strings, bools, enums, sets and dicts — a kernel travels
+    Holds only strings, bools, enums, tuples and dicts — a kernel travels
     inside machine checkpoints with zero special handling.
     """
 
@@ -336,8 +336,10 @@ class CompiledKernel:
     family: str
     #: Static scheme: escape before lookup when ``ref.shared``.
     pre_shared_escape: bool
-    #: LocalState values for which a clean-line read is a fast hit.
-    r_clean: FrozenSet[LocalState]
+    #: LocalState values for which a clean-line read is a fast hit, in
+    #: table order (a tuple: it pickles alike in every process, where a
+    #: set of identity-hashed members would not).
+    r_clean: Tuple[LocalState, ...]
     #: Whether a dirty-line read is a fast hit.
     r_dirty: bool
     #: LocalState -> micro-op for clean-line write hits.
@@ -367,7 +369,7 @@ def compile_protocol(protocol: str) -> CompiledKernel:
     if kernel is not None:
         return kernel
     table = PROTOCOL_TABLES[name]
-    r_clean: set = set()
+    r_clean: Dict[LocalState, None] = {}
     r_dirty = False
     w_clean: Dict[LocalState, _Micro] = {}
     w_dirty: Dict[LocalState, _Micro] = {}
@@ -395,7 +397,7 @@ def compile_protocol(protocol: str) -> CompiledKernel:
             if rule.state is LineState.DIRTY:
                 r_dirty = True
             else:
-                r_clean.add(_CLEAN_LOCAL[rule.state])
+                r_clean[_CLEAN_LOCAL[rule.state]] = None
             continue
         # Action.WRITE
         if rule.cmd is not Cmd.WRITE:
@@ -424,7 +426,7 @@ def compile_protocol(protocol: str) -> CompiledKernel:
         protocol=name,
         family=table.family,
         pre_shared_escape=pre_shared_escape,
-        r_clean=frozenset(r_clean),
+        r_clean=tuple(r_clean),
         r_dirty=r_dirty,
         w_clean=w_clean,
         w_dirty=w_dirty,

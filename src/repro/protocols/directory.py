@@ -44,8 +44,8 @@ from repro.interconnect.message import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.memory.module import MemoryModule
 from repro.protocols.base import AbstractMemoryController
+from repro.sim.enums import StableSet
 from repro.sim.kernel import Simulator
-from repro.stats.tables import Table
 
 #: Request kinds a home controller serializes (Table 3-1's commands as
 #: classified by the four §3.2 instances).
@@ -90,6 +90,8 @@ def event_of(message: Message) -> str:
 
 def render_rows(rows: Iterable[Transition], title: str) -> str:
     """A directory table as text: one line per row, then the notes."""
+    from repro.stats.tables import Table
+
     rows = tuple(rows)
     table = Table(
         header=["state", "request", "controller sends", "next state", "mem"],
@@ -125,7 +127,7 @@ class _Txn:
     acks_expected: int = 0
     #: Distinct caches that acked the invalidation round (identity-based
     #: so a duplicated ack can never over-credit the round).
-    ack_sources: Set[str] = field(default_factory=set)
+    ack_sources: Set[str] = field(default_factory=StableSet)
     #: True when the pending round was sent selectively.
     selective: bool = False
     #: Set when an MREQ_CANCEL caught this transaction *after* it left
@@ -204,7 +206,7 @@ class DirectoryController(AbstractMemoryController):
         #: Commands admitted under a fault plan, for duplicate rejection:
         #: (src, kind name, block, txn/ej uid).  Only populated when an
         #: injector is attached; empty (and unconsulted) otherwise.
-        self._admitted_cmds: set = set()
+        self._admitted_cmds: set = StableSet()
         #: Most transactions ever active at once.
         self.max_concurrency = 0
         #: Deepest backlog ever observed (the paper's controller queue).
@@ -679,7 +681,7 @@ class DirectoryController(AbstractMemoryController):
     def _holders_after_query(self, txn: _Txn, answer: Message) -> Set[int]:
         """The requester, plus a read query's responder when it keeps
         its (now clean) copy."""
-        holders = {self._requester(txn)}
+        holders = StableSet((self._requester(txn),))
         responder = answer.requester
         if (
             txn.msg.rw == "read"

@@ -33,7 +33,7 @@ from repro.protocols.directory import (
     _Txn,
     render_rows,
 )
-from repro.sim.enums import IdentityEnum
+from repro.sim.enums import IdentityEnum, StableSet
 from repro.sim.kernel import Simulator
 from repro.config import MachineConfig
 
@@ -42,7 +42,7 @@ from repro.config import MachineConfig
 class FullMapEntry:
     """Presence vector + modified bit for one block (``n+1`` bits)."""
 
-    owners: Set[int] = field(default_factory=set)
+    owners: Set[int] = field(default_factory=StableSet)
     modified: bool = False
     #: Exclusive-clean grant outstanding (used by the local-state
     #: variant; always False for the plain full map).
@@ -304,7 +304,7 @@ class FullMapDirectoryController(DirectoryController):
         if answer is not None:
             entry.owners = self._holders_after_query(txn, answer)
         elif write:
-            entry.owners = {requester}
+            entry.owners = StableSet((requester,))
         else:
             entry.owners.add(requester)
         entry.modified = write
@@ -314,7 +314,8 @@ class FullMapDirectoryController(DirectoryController):
 
     def _commit_modify(self, txn: _Txn) -> None:
         self.directory.commit(
-            txn.msg.block, FullMapEntry({self._requester(txn)}, modified=True)
+            txn.msg.block,
+            FullMapEntry(StableSet((self._requester(txn),)), modified=True),
         )
 
     def _commit_eject(self, txn: _Txn) -> None:

@@ -11,21 +11,20 @@ lists from this table instead of maintaining their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Set, Tuple
 
-from repro.config import MachineConfig
-from repro.interconnect.bus import Bus
-from repro.interconnect.network import Network
-from repro.memory.address import AddressMap
-from repro.memory.module import MemoryModule
-from repro.sim.kernel import Simulator
-from repro.verification.oracle import CoherenceOracle
+if TYPE_CHECKING:
+    from repro.config import MachineConfig
+    from repro.interconnect.network import Network
+    from repro.memory.address import AddressMap
+    from repro.memory.module import MemoryModule
+    from repro.sim.kernel import Simulator
+    from repro.verification.oracle import CoherenceOracle
 
-# NOTE: the controller/manager classes are imported inside the assemble
-# functions, not here: several of them import this package back (e.g.
-# repro.core.controller -> repro.protocols.directory), so importing them at
-# module scope would create an import cycle through the package
-# __init__.  Assembly runs at machine-build time, long after imports.
+# The component classes are imported inside the assemble functions, so
+# reading the table (protocol names, networks, aliases: the CLI's choice
+# lists) loads no simulator module, and a build loads only its own
+# protocol's modules.
 
 
 @dataclass(frozen=True)
@@ -201,6 +200,8 @@ def _assemble_static(ctx: BuildContext) -> Assembly:
 
 
 def _assemble_snooping(ctx: BuildContext, manager_cls, cache_cls) -> Assembly:
+    from repro.interconnect.bus import Bus
+
     assert isinstance(ctx.net, Bus)
     manager = manager_cls(ctx.sim, ctx.config, ctx.net, ctx.modules, ctx.amap)
     caches = [

@@ -25,6 +25,7 @@ from repro.memory.address import AddressMap
 from repro.memory.module import MemoryModule
 from repro.protocols.base import AbstractCacheController
 from repro.sim.component import Component
+from repro.sim.enums import StableSet
 from repro.sim.kernel import Simulator
 from repro.config import MachineConfig
 from repro.verification.oracle import CoherenceOracle
@@ -217,7 +218,7 @@ class SnoopCacheController(AbstractCacheController):
         self._wb_pending: Dict[int, int] = {}
         #: Write-backs superseded by an invalidating snoop that consumed
         #: the data; the bus manager skips the memory write for these.
-        self._wb_cancelled: set = set()
+        self._wb_cancelled: set = StableSet()
 
     # ------------------------------------------------------------------
     # Processor interface

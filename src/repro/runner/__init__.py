@@ -11,46 +11,18 @@ decision; the inline loop, the pool (:mod:`repro.runner.pool`) and the
 sweep service (:func:`run_sweep_service`) are only its transports.
 """
 
-from repro.runner.cache import (
-    CACHE_DIR_ENV,
-    ResultCache,
-    code_version,
-    default_cache_dir,
-)
-from repro.runner.seeds import derive_seed
-from repro.runner.sweep import (
-    DuplicatePointLabelError,
-    PointOutcome,
-    SweepError,
-    SweepPoint,
-    SweepReport,
-    WithMetrics,
-    run_sweep,
-)
+from repro.lazy import lazy_exports
 
-
-def __getattr__(name):
-    # Lazy: the distributed sweep service pulls in the HTTP stack, which
-    # local sweeps should never pay for at import time.
-    if name == "run_sweep_service":
-        from repro.runner.service import run_sweep_service
-
-        return run_sweep_service
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "CACHE_DIR_ENV",
-    "DuplicatePointLabelError",
-    "PointOutcome",
-    "ResultCache",
-    "SweepError",
-    "SweepPoint",
-    "SweepReport",
-    "WithMetrics",
-    "code_version",
-    "default_cache_dir",
-    "derive_seed",
-    "run_sweep",
-    "run_sweep_service",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runner.cache": ("CACHE_DIR_ENV", "ResultCache", "code_version"),
+    "repro.runner.seeds": ("derive_seed",),
+    "repro.runner.service.client": ("run_sweep_service",),
+    "repro.runner.sweep": (
+        "DuplicatePointLabelError",
+        "SweepError",
+        "SweepPoint",
+        "SweepReport",
+        "WithMetrics",
+        "run_sweep",
+    ),
+})

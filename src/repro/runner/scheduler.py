@@ -41,6 +41,7 @@ handlers and reaper, under the coordinator's one lock).
 from __future__ import annotations
 
 import inspect
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -407,7 +408,9 @@ class Scheduler:
                         worker=worker,
                         index=index,
                         point=self._name(index),
-                        held_s=round(held, 3),
+                        # Rounded up to the millisecond: a reaped lease
+                        # reports more than stall_timeout, never a tie.
+                        held_s=math.ceil(held * 1000) / 1000,
                         stall_timeout=self.stall_timeout,
                     )
         if now - self._last_beat >= _PROGRESS_HEARTBEAT_EVERY:

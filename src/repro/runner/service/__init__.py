@@ -25,26 +25,16 @@ The wire protocol, trust model, and failure semantics are documented
 in ``docs/service.md``.
 """
 
-from repro.runner.service.client import (
-    fetch_progress,
-    fetch_report,
-    run_sweep_service,
-    submit_sweep,
-    sweep_status,
-)
-from repro.runner.service.coordinator import Coordinator, ServiceConfig, serve
-from repro.runner.service.wire import ServiceError
-from repro.runner.service.worker import run_worker
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Coordinator",
-    "ServiceConfig",
-    "ServiceError",
-    "fetch_progress",
-    "fetch_report",
-    "run_sweep_service",
-    "run_worker",
-    "serve",
-    "submit_sweep",
-    "sweep_status",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runner.service.client": (
+        "fetch_progress",
+        "run_sweep_service",
+        "submit_sweep",
+        "sweep_status",
+    ),
+    "repro.runner.service.coordinator": ("Coordinator", "ServiceConfig", "serve"),
+    "repro.runner.service.wire": ("ServiceError",),
+    "repro.runner.service.worker": ("run_worker",),
+})

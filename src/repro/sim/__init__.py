@@ -1,6 +1,6 @@
-"""Discrete-event simulation kernel."""
+"""Discrete-event simulation kernel: ``kernel`` (Simulator),
+``component`` (Component) and ``enums``."""
 
-from repro.sim.component import Component
-from repro.sim.kernel import SimulationError, Simulator
-
-__all__ = ["Component", "SimulationError", "Simulator"]
+#: Nothing is re-exported: import names from their submodules, so that
+#: loading one submodule runs none of the others.
+__all__: list = []

@@ -1,5 +1,6 @@
-"""Enums the simulator's hot paths use as dict and set keys, and the
-``dataclass`` option its per-frame and per-reference records use.
+"""Enums the simulator's hot paths use as dict and set keys, the set
+type machine state keeps its sets in, and the ``dataclass`` option its
+per-frame and per-reference records use.
 
 ``Enum.__hash__`` is a Python-level method (``hash(self._name_)``), so
 every dict probe keyed by a plain enum member pays a Python call.  The
@@ -31,3 +32,19 @@ class IdentityEnum(Enum):
     """
 
     __hash__ = object.__hash__
+
+
+class StableSet(set):
+    """A set that pickles its members in ``repr`` order.
+
+    A plain set pickles in iteration order, which follows its members'
+    hashes (a string's differs from process to process, an identity
+    hash from object to object) and the set's growth history.  Machine
+    state kept in a StableSet saves to the same checkpoint bytes
+    whichever process saves it, however the set got its members.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), (sorted(self, key=repr),)

@@ -1,16 +1,7 @@
-"""Counters, tables, and paper-vs-measured comparison reporting."""
+"""Counters (``counters``), histograms (``histogram``), tables
+(``tables``) and paper-vs-measured comparison reporting
+(``comparison``)."""
 
-from repro.stats.comparison import ComparisonCell, ComparisonReport
-from repro.stats.counters import CounterRegistry, CounterSet
-from repro.stats.histogram import Histogram
-from repro.stats.tables import Table, format_cell
-
-__all__ = [
-    "ComparisonCell",
-    "ComparisonReport",
-    "CounterRegistry",
-    "CounterSet",
-    "Histogram",
-    "Table",
-    "format_cell",
-]
+#: Nothing is re-exported: import names from their submodules, so that
+#: loading one submodule runs none of the others.
+__all__: list = []

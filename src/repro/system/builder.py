@@ -12,8 +12,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, List
 
-from repro.interconnect.bus import Bus
-from repro.interconnect.delta import DeltaNetwork
 from repro.interconnect.network import Network, PointToPointNetwork
 from repro.memory.address import AddressMap
 from repro.memory.module import MemoryModule
@@ -33,7 +31,11 @@ def build_network(sim: Simulator, config: MachineConfig) -> Network:
     if config.network == "xbar":
         return PointToPointNetwork(sim, latency=timing.net_latency)
     if config.network == "bus":
+        from repro.interconnect.bus import Bus
+
         return Bus(sim, latency=timing.net_latency, slot_cycles=timing.bus_slot)
+    from repro.interconnect.delta import DeltaNetwork
+
     return DeltaNetwork(sim, latency=timing.net_latency, radix=config.delta_radix)
 
 
@@ -87,7 +89,7 @@ def build_machine(config: MachineConfig, workload: Workload) -> Machine:
     )
     caches, controllers, managers = spec.assemble(ctx)
     if registry.attaches_endpoints(spec.name):
-        _attach_all(net, caches, controllers)
+        _attach_all(net, caches, controllers, ported=config.network == "delta")
 
     processors.extend(
         Processor(sim, pid, caches[pid], workload.stream(pid))
@@ -114,9 +116,10 @@ def build_machine(config: MachineConfig, workload: Workload) -> Machine:
     )
 
 
-def _attach_all(net: Network, caches, controllers) -> None:
-    """Attach endpoints; caches form the broadcast group."""
-    if isinstance(net, DeltaNetwork):
+def _attach_all(net: Network, caches, controllers, ported: bool) -> None:
+    """Attach endpoints; caches form the broadcast group.  ``ported``
+    networks (the delta network) take each endpoint on one side."""
+    if ported:
         for cache in caches:
             net.attach_port(cache, side="proc", broadcast_member=True)
         for ctrl in controllers:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.controller import TwoBitDirectoryController
 from repro.core.states import GlobalState
 from repro.memory.address import AddressMap
 from repro.sim.kernel import Simulator
@@ -326,6 +325,8 @@ class Machine:
         """Time-weighted global-state occupancy over ``blocks`` (two-bit
         machines only), e.g. the shared pool — yields measured P(P1),
         P(P*), P(PM) for the analytic model."""
+        from repro.core.controller import TwoBitDirectoryController
+
         chosen = list(blocks) if blocks is not None else None
         totals = {state: 0.0 for state in GlobalState}
         weight = 0

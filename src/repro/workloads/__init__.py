@@ -1,91 +1,24 @@
 """Workloads: the Dubois-Briggs two-stream model, traces, and helpers."""
 
-from repro.workloads.adversarial import (
-    OBJECTIVES,
-    HuntResult,
-    Stressor,
-    dubois_baseline,
-    hunt,
-    load_stressor,
-    promote,
-)
-from repro.workloads.locks import LockContentionWorkload
-from repro.workloads.migration import MigratingWorkload
-from repro.workloads.recorder import TraceRecorder, attach_recorder
-from repro.workloads.reference import MemRef, Op
-from repro.workloads.registry import (
-    WORKLOADS,
-    WorkloadContext,
-    WorkloadSpec,
-    WorkloadSpecError,
-    make_workload,
-    parse_workload,
-    workload_names,
-    workload_options,
-)
-from repro.workloads.synthetic import (
-    HIGH_SHARING,
-    LOW_SHARING,
-    MODERATE_SHARING,
-    DuboisBriggsWorkload,
-    ScriptedWorkload,
-    SharingLevel,
-    UniformWorkload,
-    Workload,
-    hot_cold_scripts,
-)
-from repro.workloads.traces import (
-    StreamingTraceWorkload,
-    TraceFormatError,
-    TraceMeta,
-    TraceWorkload,
-    iter_trace,
-    read_trace,
-    record,
-    record_stream,
-    scan_trace_meta,
-    write_trace,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DuboisBriggsWorkload",
-    "HuntResult",
-    "LockContentionWorkload",
-    "MigratingWorkload",
-    "HIGH_SHARING",
-    "LOW_SHARING",
-    "MODERATE_SHARING",
-    "MemRef",
-    "OBJECTIVES",
-    "Op",
-    "ScriptedWorkload",
-    "SharingLevel",
-    "StreamingTraceWorkload",
-    "Stressor",
-    "TraceFormatError",
-    "TraceMeta",
-    "TraceRecorder",
-    "TraceWorkload",
-    "UniformWorkload",
-    "WORKLOADS",
-    "Workload",
-    "WorkloadContext",
-    "WorkloadSpec",
-    "WorkloadSpecError",
-    "attach_recorder",
-    "dubois_baseline",
-    "hot_cold_scripts",
-    "hunt",
-    "iter_trace",
-    "load_stressor",
-    "make_workload",
-    "parse_workload",
-    "promote",
-    "read_trace",
-    "record",
-    "record_stream",
-    "scan_trace_meta",
-    "workload_names",
-    "workload_options",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.locks": ("LockContentionWorkload",),
+    "repro.workloads.migration": ("MigratingWorkload",),
+    "repro.workloads.reference": ("MemRef", "Op"),
+    "repro.workloads.registry": (
+        "WORKLOADS",
+        "WorkloadContext",
+        "WorkloadSpecError",
+        "make_workload",
+        "parse_workload",
+        "workload_names",
+        "workload_options",
+    ),
+    "repro.workloads.synthetic": (
+        "DuboisBriggsWorkload",
+        "ScriptedWorkload",
+        "UniformWorkload",
+    ),
+    "repro.workloads.traces": ("StreamingTraceWorkload", "write_trace"),
+})

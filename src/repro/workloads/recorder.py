@@ -66,7 +66,7 @@ def attach_recorder(machine) -> TraceRecorder:
     """
     obs = machine.sim.obs
     if obs is None:
-        from repro.obs import instrument_machine
+        from repro.obs.attach import instrument_machine
 
         obs = instrument_machine(
             machine, sample_interval=0, keep_events=False

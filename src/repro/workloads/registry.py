@@ -48,21 +48,18 @@ import inspect
 import os
 from dataclasses import dataclass, fields
 from functools import partial
+from importlib import import_module
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.options import parse_options
-from repro.workloads.locks import LockContentionWorkload
-from repro.workloads.migration import MigratingWorkload
 from repro.workloads.synthetic import (
     HIGH_SHARING,
     LOW_SHARING,
     MODERATE_SHARING,
     DuboisBriggsWorkload,
-    UniformWorkload,
     Workload,
     hot_cold_scripts,
 )
-from repro.workloads.traces import StreamingTraceWorkload
 
 __all__ = [
     "WORKLOADS",
@@ -129,13 +126,16 @@ def _dubois(arg: Optional[str]):
     return DuboisBriggsWorkload, {"q": level.q, "w": level.w}
 
 
-def _options_only(name: str, cls: Callable[..., Workload]) -> Target:
+def _options_only(name: str, module: str, cls: str) -> Target:
+    """A family configured by options only; ``module`` is imported when
+    the family is first built."""
+
     def target(arg: Optional[str]):
         if arg:
             raise WorkloadSpecError(
                 f"workload {name!r} takes only key=value options"
             )
-        return cls, {}
+        return getattr(import_module(module), cls), {}
 
     return target
 
@@ -147,6 +147,8 @@ def _trace(arg: Optional[str]):
         )
     if not os.path.exists(arg):
         raise WorkloadSpecError(f"workload 'trace': no such trace file {arg!r}")
+    from repro.workloads.traces import StreamingTraceWorkload
+
     return partial(StreamingTraceWorkload, arg), {}
 
 
@@ -185,7 +187,9 @@ WORKLOADS: Dict[str, WorkloadSpec] = {
             name="uniform",
             aliases=(),
             description="uniform random references over one flat pool",
-            target=_options_only("uniform", UniformWorkload),
+            target=_options_only(
+                "uniform", "repro.workloads.synthetic", "UniformWorkload"
+            ),
         ),
         WorkloadSpec(
             name="trace",
@@ -203,13 +207,17 @@ WORKLOADS: Dict[str, WorkloadSpec] = {
             name="locks",
             aliases=("lock-contention",),
             description="§2.2 semaphore contention (test-and-set ping-pong)",
-            target=_options_only("locks", LockContentionWorkload),
+            target=_options_only(
+                "locks", "repro.workloads.locks", "LockContentionWorkload"
+            ),
         ),
         WorkloadSpec(
             name="migration",
             aliases=(),
             description="two-stream model with migrating processes (§2.2)",
-            target=_options_only("migration", MigratingWorkload),
+            target=_options_only(
+                "migration", "repro.workloads.migration", "MigratingWorkload"
+            ),
         ),
     )
 }

@@ -15,6 +15,7 @@ from repro.runner import (
     run_sweep,
 )
 from repro.api import Experiment
+from repro.obs.progress import read_progress
 from repro.runner.scheduler import Scheduler
 from repro.runner.sweep import _label_str
 from repro.runner import cache as cache_mod
@@ -307,3 +308,20 @@ def test_scheduler_requeues_a_lost_shard_at_the_front():
     assert scheduler.backlog[0] == first.index
     assert scheduler.lease("b").index == first.index
     assert scheduler.retries[first.index] == 1
+
+
+def test_stall_report_exceeds_the_timeout_it_tripped(tmp_path):
+    """A lease reaped a fraction of a millisecond past ``stall_timeout``
+    reports a ``held_s`` above it (rounded to the nearest millisecond it
+    read 0.5 for a 0.5 s timeout)."""
+    path = tmp_path / "progress.jsonl"
+    scheduler = Scheduler(_points([1]), stall_timeout=0.5, progress_out=str(path))
+    scheduler.start()
+    task = scheduler.lease("w")
+    scheduler.running[task.index] = ("w", time.monotonic() - 0.5001)
+    assert scheduler.tick(workers=1, idle=0) == [task.index]
+    scheduler.progress.close()
+    (stalled,) = [
+        r for r in read_progress(path) if r["event"] == "worker-stalled"
+    ]
+    assert 0.5 < stalled["held_s"] < 0.6

@@ -10,6 +10,10 @@ taken mid-transaction (in-flight messages on the wire).
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +154,76 @@ def test_snapshot_roundtrip_preserves_fingerprint():
     data = checkpoint.snapshot_bytes(machine)
     clone = checkpoint.restore_bytes(data)
     assert checkpoint.fingerprint(clone) == checkpoint.fingerprint(machine)
+
+
+def _mid_run_checkpoints(tmp_path, name, protocol="twobit",
+                         instrument=False, **overrides):
+    """The checkpoints one run writes mid-run, transactions in flight."""
+    options = {"q": 0.1, "w": 0.3, "seed": 9, **overrides}
+    machine, _ = Experiment(protocol=protocol, **options).build(
+        instrument=instrument
+    )
+    machine.run(
+        refs_per_proc=300, warmup_refs=50, checkpoint_every=400,
+        checkpoint_path=str(tmp_path / f"{name}-{{cycle}}.ckpt"),
+    )
+    files = sorted(tmp_path.glob(f"{name}-*.ckpt"))
+    assert len(files) >= 2
+    return files
+
+
+def test_restore_then_save_reproduces_a_built_machine():
+    """A built machine advanced to cycle 1500 (16,315 B at the parent,
+    which re-saved to 16,333 B: the restored machine pickled attribute
+    names the live one shared through the pickle memo)."""
+    machine, _ = Experiment(
+        protocol="twobit", n_processors=4, q=0.1, w=0.3, seed=9
+    ).build()
+    machine.sim.run(until=1500)
+    data = checkpoint.snapshot_bytes(machine)
+    assert checkpoint.snapshot_bytes(checkpoint.restore_bytes(data)) == data
+
+
+@pytest.mark.parametrize("instrument", [False, True],
+                         ids=["bare", "instrumented"])
+def test_restore_then_save_reproduces_mid_run_checkpoints(instrument, tmp_path):
+    for path in _mid_run_checkpoints(tmp_path, "run", instrument=instrument):
+        data = path.read_bytes()
+        again = checkpoint.snapshot_bytes(checkpoint.restore_bytes(data))
+        assert again == data, path.name
+
+
+def test_resave_in_another_process_reproduces_the_bytes(tmp_path):
+    """What a checkpoint holds in sets (cache names, line states, owner
+    pids) and strings must pickle alike in any process: the re-saving
+    interpreters run under other hash seeds."""
+    runs = {
+        "faulted": {"faults": "check"},
+        "illinois": {"protocol": "illinois"},
+        "instrumented": {"protocol": "fullmap_local", "instrument": True},
+        "shared": {"protocol": "fullmap", "n_processors": 12, "q": 0.4},
+    }
+    for name, options in runs.items():
+        _mid_run_checkpoints(tmp_path, name, **options)
+    script = (
+        "import pathlib, sys\n"
+        "from repro import checkpoint\n"
+        "for path in sorted(pathlib.Path(sys.argv[1]).glob('*.ckpt')):\n"
+        "    data = path.read_bytes()\n"
+        "    again = checkpoint.snapshot_bytes(checkpoint.restore_bytes(data))\n"
+        "    print(path.name, 'same' if again == data else 'differs')\n"
+    )
+    src = str(Path(checkpoint.__file__).parents[1])
+    for seed in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert len(lines) >= 2 * len(runs)
+        assert all(line.endswith(" same") for line in lines), lines
 
 
 def _corrupt_line_version(machine):
@@ -314,6 +388,21 @@ def test_payload_naming_a_missing_class_raises_checkpoint_error():
         checkpoint.CheckpointError,
         match="repro.protocols.compiled.CompiledProcessor",
     ):
+        checkpoint.restore_bytes(data, allow_code_mismatch=True)
+
+
+def test_non_string_persistent_id_raises_checkpoint_error():
+    # Strings are the only persistent ids a save writes; a payload naming
+    # anything else (here a list) is refused, not handed to sys.intern.
+    payload = b"\x80\x05]\x94Q."
+    header = checkpoint.CheckpointHeader(
+        schema_version=SCHEMA_VERSION, code_version="0" * 16,
+        protocol="twobit", n_processors=1, cycle=0, events_processed=0,
+        payload_sha256=hashlib.sha256(payload).hexdigest(),
+        payload_size=len(payload),
+    )
+    data = checkpoint.MAGIC + header.to_json().encode() + b"\n" + payload
+    with pytest.raises(checkpoint.CheckpointError, match="persistent id"):
         checkpoint.restore_bytes(data, allow_code_mismatch=True)
 
 
