@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Trace-driven simulation: capture once, replay anywhere.
 
-Records a reference trace from the synthetic workload model, writes it
+Records the reference trace of a run of the synthetic workload model
 to a plain-text file, replays it under two different coherence schemes,
-and shows that (a) replays are bit-for-bit deterministic and (b) the
+and shows that (a) a replay under the recording protocol reproduces the
+recorded run, (b) replays are bit-for-bit deterministic and (c) the
 protocols disagree only in cost, never in the values read.
 
 Run:  python examples/trace_driven.py [trace-file]
@@ -16,25 +17,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import MachineConfig, TraceWorkload
-from repro.system.builder import build_machine
-from repro.verification.audit import audit_machine
-from repro.workloads.synthetic import DuboisBriggsWorkload
-from repro.workloads.traces import record, write_trace
+from repro import Experiment
+from repro.workloads.traces import scan_trace_meta
+
+REFS_PER_PROC = 2000
 
 
 def replay(path: Path, protocol: str):
-    workload = TraceWorkload.from_file(path)
-    config = MachineConfig(
-        n_processors=workload.n_processors,
-        n_modules=2,
-        n_blocks=workload.n_blocks,
+    """Run the trace under ``protocol``; the run is coherence-audited."""
+    return Experiment(
         protocol=protocol,
-    )
-    machine = build_machine(config, workload)
-    machine.run(refs_per_proc=10_000)  # streams are finite; runs them dry
-    audit_machine(machine).raise_if_failed()
-    return machine.results()
+        workload=f"trace:{path}",
+        refs_per_proc=REFS_PER_PROC,
+        warmup_refs=0,
+    ).run().results
 
 
 def main() -> None:
@@ -46,17 +42,20 @@ def main() -> None:
 
 
 def demo(path: Path) -> None:
-    source = DuboisBriggsWorkload(
-        n_processors=3, q=0.08, w=0.3, private_blocks_per_proc=64, seed=2718
+    source = Experiment(
+        protocol="twobit", n_processors=3, q=0.08, w=0.3,
+        private_blocks_per_proc=64, seed=2718,
+        refs_per_proc=REFS_PER_PROC, warmup_refs=0,
     )
-    refs = record(source, refs_per_proc=2000)
-    count = write_trace(path, refs)
-    print(f"recorded {count} references to {path}")
+    recorded = source.run(record_trace=str(path)).results
+    print(f"recorded {scan_trace_meta(path).n_refs} references to {path}")
 
     for protocol in ("twobit", "fullmap"):
         first = replay(path, protocol)
         second = replay(path, protocol)
         assert first.cycles == second.cycles, "replay must be deterministic"
+        if protocol == source.protocol:
+            assert first.to_dict() == recorded.to_dict(), "replay drifted"
         print(
             f"\n{protocol}: {first.total_refs} refs in {first.cycles} cycles"
             f"\n  extra commands/ref : {first.extra_commands_per_ref:.4f}"

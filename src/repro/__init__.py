@@ -49,5 +49,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "UniformWorkload",
         "Workload",
     ),
-    "repro.workloads.traces": ("StreamingTraceWorkload", "TraceWorkload"),
+    "repro.workloads.traces": ("StreamingTraceWorkload",),
 })

@@ -41,6 +41,7 @@ if TYPE_CHECKING:
     from repro.runner.sweep import SweepPoint, SweepReport
     from repro.system.machine import Machine, SimulationResults
     from repro.verification.audit import AuditReport
+    from repro.workloads.reference import MemRef
 
 __all__ = ["Experiment", "RunOutcome", "resume", "run_point"]
 
@@ -268,20 +269,34 @@ class Experiment:
         machine, obs = self.build(
             instrument=instrument, keep_events=keep_events
         )
-        recorder = None
+        refs: List[MemRef] = []
         if record_trace is not None:
-            from repro.workloads.recorder import attach_recorder
+            # Every issued reference, warm-up included, in issue order.
+            # Without a hub, a bare one: observation never perturbs the
+            # run, and a bound ``append`` pickles into checkpoints.
+            hub = obs
+            if hub is None:
+                from repro.obs.attach import instrument_machine
 
-            recorder = attach_recorder(machine)
+                hub = instrument_machine(
+                    machine, sample_interval=0, keep_events=False
+                )
+            hub.add_ref_listener(refs.append)
         machine.run(
             refs_per_proc=self.refs_per_proc,
             warmup_refs=self.warmup_refs,
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
         )
-        if recorder is not None:
-            recorder.write(
+        if record_trace is not None:
+            from repro.workloads.traces import write_trace
+
+            # The source machine's shape, so a replay machine is sized
+            # identically even if the tail of the block space went
+            # unreferenced.
+            write_trace(
                 record_trace,
+                refs,
                 n_processors=machine.config.n_processors,
                 n_blocks=machine.config.n_blocks,
             )

@@ -116,8 +116,8 @@ class TransactionSpan:
         )
 
 
-#: ``(pid, now, ref)`` callback fired once per issued memory reference.
-RefListener = Callable[[int, int, Any], None]
+#: ``listener(ref)`` callback fired once per issued memory reference.
+RefListener = Callable[[Any], None]
 
 #: A pending span count's key: ``(outcome, phase, cycles)``, where
 #: ``phase`` is ``None`` for the whole span's latency.
@@ -159,8 +159,7 @@ class Observability:
         Fired from :meth:`span_begin` — exactly once per reference a
         processor pulls from its stream (NAK retries replay below the
         cache and never re-issue), in global simulation issue order.
-        This is the hook the trace recorder
-        (:class:`repro.workloads.recorder.TraceRecorder`) rides on.
+        ``Experiment.run(record_trace=...)`` records a trace through it.
         Unlike spans/events, ref listeners survive :meth:`reset` — a
         recorded trace must include the warm-up prefix to replay
         bit-identically.
@@ -221,7 +220,7 @@ class Observability:
         self._active[pid] = [None, now, ref]
         if self._ref_listeners:
             for listener in self._ref_listeners:
-                listener(pid, now, ref)
+                listener(ref)
         if now >= self._next_tick:
             self.tick(now)
 

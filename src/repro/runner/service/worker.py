@@ -95,7 +95,7 @@ def run_worker(
                     {},
                     timeout=5.0,
                 )
-            except (ServiceError, OSError):
+            except ServiceError:
                 # Reaped or unreachable: the lease loop deals with it.
                 pass
 

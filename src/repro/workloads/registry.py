@@ -20,7 +20,6 @@ Examples::
     uniform                     flat uniform stress pool
     uniform:n_blocks=64         ... over 64 blocks
     trace:runs/a.trace          streaming replay of a recorded trace
-    trace:a.trace,max_lookahead=512
     scripted:hot_cold           canned hot-block stressor scripts
     scripted:found.json         a promoted adversarial stressor
     locks  /  migration         §2.2 lock-contention / migration models

@@ -1,4 +1,4 @@
-"""Trace files: capture, store, and replay reference streams.
+"""Trace files: store and replay reference streams.
 
 The format is one :class:`~repro.workloads.reference.MemRef` per line
 (``pid op block p|s``) with ``#`` comments, so traces are diffable and
@@ -7,16 +7,15 @@ hand-editable.  Every trace starts with a ``# repro trace v1`` header
 :func:`write_trace`, a fixed-width ``# meta`` line recording the shape
 (processors, blocks, reference count) so replaying never needs a prescan.
 
-Two replay paths exist:
-
-* :class:`TraceWorkload` materializes the whole trace in memory — simple
-  and fine for test-sized traces;
-* :class:`StreamingTraceWorkload` replays straight off the file through
-  a per-pid demultiplexer with bounded lookahead buffers, so multi-GB
-  traces run in O(lookahead) memory.  Streams remain checkpointable: the
-  position-counting :class:`~repro.workloads.synthetic.ReplayableStream`
-  wrapper restores by re-reading the file once, through a fresh
-  demultiplexer that drops each stream's references before its position.
+:func:`iter_trace` is the reader and :func:`write_trace` the writer;
+``Experiment.run(record_trace=...)`` records any run through the
+latter.  :class:`StreamingTraceWorkload` replays straight off the file
+through a per-pid demultiplexer with bounded lookahead buffers, so
+multi-GB traces run in O(lookahead) memory.  Streams remain
+checkpointable: the position-counting
+:class:`~repro.workloads.synthetic.ReplayableStream` wrapper restores
+by re-reading the file once, through a fresh demultiplexer that drops
+each stream's references before its position.
 """
 
 from __future__ import annotations
@@ -25,8 +24,9 @@ import hashlib
 import os
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Union
+from typing import Deque, Dict, Iterable, Iterator, Optional, Set, Tuple, Union
 
 from repro.atomic import atomic_write
 from repro.workloads.reference import MemRef, RefTable
@@ -98,12 +98,30 @@ def _check_header(path: Union[str, Path], first_line: Optional[str]) -> None:
         )
 
 
-def _parse_line(line: str) -> Optional[MemRef]:
-    """One trace line's reference; ``None`` for a blank or comment line."""
+def _parse_line(
+    line: str, shape: Optional[Tuple[int, int]] = None
+) -> Optional[MemRef]:
+    """One trace line's reference; ``None`` for a blank or comment line.
+
+    With ``shape`` (``(n_processors, n_blocks)``), a reference outside
+    it is an error: the machine replaying the trace is sized by it.
+    """
     text = line.strip()
     if not text or text.startswith("#"):
         return None
-    return MemRef.parse(text)
+    ref = MemRef.parse(text)
+    if shape is not None:
+        n_processors, n_blocks = shape
+        if not 0 <= ref.pid < n_processors:
+            raise ValueError(
+                f"pid {ref.pid} is outside the trace's "
+                f"n_processors={n_processors}"
+            )
+        if not 0 <= ref.block < n_blocks:
+            raise ValueError(
+                f"block {ref.block} is outside the trace's n_blocks={n_blocks}"
+            )
+    return ref
 
 
 def iter_trace(path: Union[str, Path]) -> Iterator[MemRef]:
@@ -139,15 +157,6 @@ def _read_refs(path: Union[str, Path], refs: RefTable) -> Iterator[MemRef]:
                     raise TraceFormatError(path, lineno, str(exc)) from None
                 if ref is not None:
                     yield ref
-
-
-def read_trace(path: Union[str, Path]) -> List[MemRef]:
-    """Read every reference in ``path`` (order preserved, materialized).
-
-    Prefer :func:`iter_trace` / :class:`StreamingTraceWorkload` for large
-    traces; this builds the full list in memory.
-    """
-    return list(iter_trace(path))
 
 
 def write_trace(
@@ -249,77 +258,8 @@ def scan_trace_meta(path: Union[str, Path]) -> TraceMeta:
     return TraceMeta(n_processors=max_pid + 1, n_blocks=max_block + 1, n_refs=count)
 
 
-def record(workload: Workload, refs_per_proc: int) -> List[MemRef]:
-    """Materialize a round-robin interleaving of a workload's streams.
-
-    The interleaving fixes a canonical global order so a recorded trace is
-    one deterministic object, independent of simulator timing.
-    """
-    return list(record_stream(workload, refs_per_proc))
-
-
-def record_stream(workload: Workload, refs_per_proc: int) -> Iterator[MemRef]:
-    """Generator form of :func:`record` — feed directly to
-    :func:`write_trace` to record huge traces without materializing."""
-    streams = [workload.stream(pid) for pid in range(workload.n_processors)]
-    for _ in range(refs_per_proc):
-        for stream in streams:
-            try:
-                yield next(stream)
-            except StopIteration:
-                continue
-
-
-def _digest_refs(refs: Iterable[MemRef]) -> str:
-    h = hashlib.sha256()
-    for ref in refs:
-        h.update(str(ref).encode("ascii"))
-        h.update(b"\n")
-    return h.hexdigest()[:16]
-
-
-class TraceWorkload(Workload):
-    """Replay a materialized trace as per-processor streams.
-
-    References keep their recorded per-processor order; the global
-    interleaving during simulation is determined by timing, as with any
-    workload.  For traces too large to hold in memory use
-    :class:`StreamingTraceWorkload`.
-    """
-
-    def __init__(self, refs: Sequence[MemRef]) -> None:
-        if not refs:
-            raise ValueError("empty trace")
-        self._by_pid: dict = {}
-        for ref in refs:
-            self._by_pid.setdefault(ref.pid, []).append(ref)
-        self.n_processors = max(self._by_pid) + 1
-        blocks = [r.block for r in refs]
-        self.n_blocks = max(blocks) + 1
-        self.n_refs = len(refs)
-        self._digest = _digest_refs(refs)
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "TraceWorkload":
-        return cls(read_trace(path))
-
-    def _raw_stream(self, pid: int) -> Iterator[MemRef]:
-        return iter(self._by_pid.get(pid, []))
-
-    def refs_for(self, pid: int) -> List[MemRef]:
-        return list(self._by_pid.get(pid, []))
-
-    def __repr__(self) -> str:
-        # Content-addressed: sweep cache keys embed repr(workload), so it
-        # must identify the trace, not the object identity.
-        return (
-            f"TraceWorkload(n_processors={self.n_processors}, "
-            f"n_refs={self.n_refs}, digest={self._digest!r})"
-        )
-
-
-#: Default per-consumer lookahead bound for the streaming demultiplexer.
-DEFAULT_MAX_LOOKAHEAD = 4096
+#: Per-consumer lookahead bound for the streaming demultiplexer.
+MAX_LOOKAHEAD = 4096
 
 #: :class:`StreamingTraceWorkload` fields a pickle leaves out.
 _NOT_PICKLED = frozenset(
@@ -335,15 +275,19 @@ class StreamingTraceWorkload(Workload):
     buffers: when processor ``pid`` asks for its next reference, the
     demultiplexer pulls from the file, parking refs that belong to other
     claimed processors in their buffers.  Peak memory is bounded by
-    ``max_lookahead`` refs per processor (plus the chunk buffer) — not by
-    trace size.
+    :data:`MAX_LOOKAHEAD` refs per processor (plus the chunk buffer) —
+    not by trace size.
 
     If the interleaving is so skewed that serving one consumer would
-    buffer more than ``max_lookahead`` refs (either the requester scans
+    buffer more than :data:`MAX_LOOKAHEAD` refs (either the requester scans
     too far ahead, or a laggard's buffer fills), the affected stream
     *detaches*: it drains what it has, then continues on a private
     filtered scan of the file fast-forwarded to its position — identical
     sequence, graceful-degradation cost, never an error.
+
+    A reference outside the shape the ``# meta`` line declares raises
+    :class:`TraceFormatError` when it is read, instead of running on a
+    machine sized too small for it.
 
     Checkpointing works through the standard position-counting stream
     wrapper: pickling stores ``(workload, pid, position)``.  As the
@@ -355,29 +299,25 @@ class StreamingTraceWorkload(Workload):
     steal refs from a live stream.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        max_lookahead: int = DEFAULT_MAX_LOOKAHEAD,
-    ) -> None:
-        if max_lookahead < 1:
-            raise ValueError("max_lookahead must be >= 1")
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = str(path)
-        self.max_lookahead = max_lookahead
         meta = scan_trace_meta(path)
         self.n_processors = meta.n_processors
         self.n_blocks = meta.n_blocks
         self.n_refs = meta.n_refs
         self._file_digest: Optional[str] = None
-        # One line table for the shared reader and every private rescan
-        # (detached streams, late claimants).
-        self._line_refs = RefTable(_parse_line)
         self._reset_demux()
 
     # ------------------------------------------------------------------
     # Demultiplexer
     # ------------------------------------------------------------------
     def _reset_demux(self) -> None:
+        # One line table for the shared reader and every private rescan
+        # (detached streams, late claimants); each distinct line is
+        # parsed, and checked against the trace's shape, once.
+        self._line_refs = RefTable(
+            partial(_parse_line, shape=(self.n_processors, self.n_blocks))
+        )
         self._source: Optional[Iterator[MemRef]] = None
         self._buffers: Dict[int, Deque[MemRef]] = {}
         self._claimed: Set[int] = set()
@@ -458,7 +398,7 @@ class StreamingTraceWorkload(Workload):
         buffers = self._buffers
         detached = self._detached
         skip = self._skip
-        cap = self.max_lookahead
+        cap = MAX_LOOKAHEAD
         pulled = 0
         for ref in source:
             other = ref.pid
@@ -489,8 +429,8 @@ class StreamingTraceWorkload(Workload):
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         # Live demux state (file handle, generators) does not pickle and
-        # must not: restored streams join a fresh demux (_will_resume).
-        # The line table is a cache, rebuilt on load.
+        # must not: restored streams join a fresh demux (_will_resume),
+        # and the line table is rebuilt with it.
         return {
             key: value
             for key, value in self.__dict__.items()
@@ -499,7 +439,6 @@ class StreamingTraceWorkload(Workload):
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._line_refs = RefTable(_parse_line)
         self._reset_demux()
 
     def file_digest(self) -> str:
@@ -517,6 +456,5 @@ class StreamingTraceWorkload(Workload):
         # repr(workload), and the same trace must hit the same entry.
         return (
             f"StreamingTraceWorkload(digest={self.file_digest()!r}, "
-            f"n_processors={self.n_processors}, n_refs={self.n_refs}, "
-            f"max_lookahead={self.max_lookahead})"
+            f"n_processors={self.n_processors}, n_refs={self.n_refs})"
         )

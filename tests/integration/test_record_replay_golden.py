@@ -73,18 +73,3 @@ def test_workload_spec_equals_legacy_kwargs():
     ).run()
     assert fingerprint(legacy.machine) == fingerprint(spec.machine)
 
-
-def test_streaming_equals_materialized(tmp_path):
-    """StreamingTraceWorkload and the in-memory TraceWorkload drive the
-    machine to the same fingerprint."""
-    from repro.workloads.traces import TraceWorkload, read_trace
-
-    path = str(tmp_path / "stream.trace")
-    source = _experiment("twobit")
-    source.run(record_trace=path)
-
-    streamed = source.variant(workload=f"trace:{path}").run()
-    materialized = source.variant(
-        workload=TraceWorkload(read_trace(path))
-    ).run()
-    assert fingerprint(streamed.machine) == fingerprint(materialized.machine)

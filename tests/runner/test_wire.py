@@ -10,8 +10,9 @@ import time
 import pytest
 
 from repro.runner.service import Coordinator, ServiceConfig
-from repro.runner.service import wire
-from repro.runner.service.wire import ServiceServer, request_json
+from repro.runner.service import coordinator
+from repro.runner.service.coordinator import ServiceServer
+from repro.runner.service.wire import request_json
 
 
 def _handler(method, path, body):
@@ -107,7 +108,7 @@ def test_handler_exception_is_still_a_500(port):
 
 
 def test_peer_silent_mid_body_is_dropped_without_a_reply(port, monkeypatch):
-    monkeypatch.setattr(wire._RequestHandler, "timeout", 0.2)
+    monkeypatch.setattr(coordinator._RequestHandler, "timeout", 0.2)
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         sock.sendall(_post(b'{"a": 1}', length=100))
         assert sock.recv(65536) == b""

@@ -375,6 +375,46 @@ def test_run_record_trace_then_replay(tmp_path, capsys):
     assert "coherence audit: CLEAN" in out2
 
 
+def test_run_trace_whose_meta_under_counts_exits_with_its_line(
+    tmp_path, capsys
+):
+    """A meta line declaring one processor too few names the first line
+    of the uncounted pid, instead of dropping that pid's refs."""
+    trace = tmp_path / "bad.trace"
+    main(["run", "-n", "3", "--refs", "100", "--warmup", "0",
+          "--record-trace", str(trace)])
+    capsys.readouterr()
+    lines = trace.read_text().splitlines()
+    assert "n_processors=0000000003" in lines[1]
+    lines[1] = lines[1].replace("n_processors=0000000003",
+                                "n_processors=0000000002")
+    trace.write_text("\n".join(lines) + "\n")
+    first = next(i for i, line in enumerate(lines, 1) if line.startswith("2 "))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--workload", f"trace:{trace}", "--refs", "100",
+              "--warmup", "0"])
+    assert str(excinfo.value) == (
+        f"{trace}:{first}: pid 2 is outside the trace's n_processors=2"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["work", "--max-idle", "0", "--coordinator"],
+    ["sweep", "--axis", "q=0.02", "-n", "2", "--refs", "50", "--service"],
+], ids=["work", "sweep"])
+def test_without_a_coordinator_exits_with_one_line(argv):
+    import socket
+
+    with socket.socket() as sock:  # a loopback port nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{sock.getsockname()[1]}"
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, url])
+    message = str(excinfo.value)
+    assert message.startswith(f"coordinator {url} unreachable: ")
+    assert "\n" not in message
+
+
 def test_hunt_promote_and_replay(tmp_path, capsys):
     stressor = tmp_path / "stressor.json"
     code = main(

@@ -104,6 +104,26 @@ def test_help_loads_no_simulator(argv):
     assert _under(loaded, SIMULATOR) == []
 
 
+#: The server half of the sweep service, which only ``repro serve`` runs.
+#: (``email`` stays: ``http.client`` itself imports it.)
+SERVER = (
+    "http.server",
+    "socketserver",
+    "html",
+    "mimetypes",
+    "repro.runner.service.coordinator",
+)
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.runner.service.worker", "repro.runner.service.client"]
+)
+def test_service_clients_load_no_server(module):
+    loaded = _loaded_after(f"import {module}")
+    assert "http.client" in loaded  # the client half did load
+    assert _under(loaded, SERVER) == []
+
+
 def test_dir_and_star_import_see_every_public_name():
     out = _loaded_after(
         "import repro\n"

@@ -21,12 +21,7 @@ from repro.workloads.reference import (
     ref_table,
 )
 from repro.workloads.synthetic import DuboisBriggsWorkload
-from repro.workloads.traces import (
-    StreamingTraceWorkload,
-    read_trace,
-    record,
-    write_trace,
-)
+from repro.workloads.traces import StreamingTraceWorkload, iter_trace, write_trace
 
 N_REFS = 600
 CTX = WorkloadContext(n_processors=3, seed=11)
@@ -39,7 +34,9 @@ GENERATED = ("dubois", "locks", "migration", "trace", "uniform")
 @pytest.fixture
 def trace_path(tmp_path):
     path = tmp_path / "src.trace"
-    write_trace(path, record(DuboisBriggsWorkload(n_processors=3, seed=5), 400))
+    source = DuboisBriggsWorkload(n_processors=3, seed=5)
+    streams = [source.take(pid, 400) for pid in range(3)]
+    write_trace(path, [ref for turn in zip(*streams) for ref in turn])
     return path
 
 
@@ -110,7 +107,7 @@ def test_trace_with_more_distinct_lines_than_the_table_holds(tmp_path):
     refs += refs[:50] + refs[-50:]
     path = tmp_path / "wide.trace"
     write_trace(path, refs)
-    assert read_trace(path) == refs
+    assert list(iter_trace(path)) == refs
 
 
 def test_table_is_capped_and_refills():

@@ -100,13 +100,6 @@ def test_trace_spec_builds_streaming(tmp_path):
     assert w.n_processors == 2
 
 
-def test_trace_spec_lookahead_kv(tmp_path):
-    path = tmp_path / "t.trace"
-    write_trace(path, [MemRef(0, Op.READ, 0, True)])
-    w = parse_workload(f"trace:{path},max_lookahead=16")
-    assert w.max_lookahead == 16
-
-
 # ----------------------------------------------------------------------
 # Errors: every malformed spec names the problem
 # ----------------------------------------------------------------------
@@ -183,7 +176,7 @@ GRAMMAR = {
         "private_write_frac": 0.3, "seed": 1984,
     },
     "uniform": {"n_blocks": 256, "write_frac": 0.3, "seed": 1984},
-    "trace:PATH": {"max_lookahead": 4096},
+    "trace:PATH": {},
     "scripted:hot_cold": {"hot_block": 0, "refs_per_proc": 64,
                           "write_every": 4},
     "scripted:PATH.json": {},

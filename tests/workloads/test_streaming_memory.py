@@ -36,7 +36,7 @@ def _write_big_trace(path, n_refs):
 
 
 def _peak_during_replay(path, n_refs):
-    workload = StreamingTraceWorkload(path, max_lookahead=1024)
+    workload = StreamingTraceWorkload(path)
     streams = [workload.stream(pid) for pid in range(N_PROCS)]
     tracemalloc.start()
     consumed = 0

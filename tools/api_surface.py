@@ -68,8 +68,6 @@ SURFACE = [
     ("repro.workloads.adversarial", "hunt"),
     ("repro.workloads.adversarial", "load_stressor"),
     ("repro.workloads.adversarial", "promote"),
-    ("repro.workloads.recorder", "TraceRecorder"),
-    ("repro.workloads.recorder", "attach_recorder"),
     ("repro.workloads.registry", "WorkloadContext"),
     ("repro.workloads.registry", "WorkloadSpec"),
     ("repro.workloads.registry", "WorkloadSpecError"),
